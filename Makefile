@@ -3,7 +3,7 @@
 
 PYTHON ?= python
 
-.PHONY: help lint fix docs test test-full examples bench chaos overload telemetry restore shard transport perf determinism ci ci-fast
+.PHONY: help lint fix docs test test-full examples figures bench chaos overload telemetry restore shard transport perf determinism ci ci-fast
 
 help:
 	@echo "make lint         - stdlib AST lint (python -m ci lint)"
@@ -12,7 +12,8 @@ help:
 	@echo "make test         - fast pytest lane (-m 'not slow')"
 	@echo "make test-full    - entire pytest suite"
 	@echo "make examples     - run every example in quick mode"
-	@echo "make bench        - regenerate every paper table/figure"
+	@echo "make figures      - regenerate every paper table/figure"
+	@echo "make bench        - repo benchmark tests (--quick workload runs)"
 	@echo "make chaos        - fault-injection scenarios + invariants"
 	@echo "make overload     - overload/brownout scenarios double-run + demo"
 	@echo "make telemetry    - trace-fingerprint double-run + neutrality gate"
@@ -41,6 +42,9 @@ test-full:
 
 examples:
 	$(PYTHON) -m ci examples
+
+figures:
+	$(PYTHON) -m ci figures
 
 bench:
 	$(PYTHON) -m ci bench

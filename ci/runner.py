@@ -55,11 +55,18 @@ def run_tests(full: bool = False):
     return _subprocess_lane(argv, label, extra_env={"CI": "true"})
 
 
-def run_bench():
+def run_figures():
     """Regenerate every paper table/figure benchmark."""
     argv = [sys.executable, "-m", "pytest", "benchmarks", "-q",
             "-p", "no:cacheprovider"]
     return _subprocess_lane(argv, "pytest benchmarks", extra_env={"CI": "true"})
+
+
+def run_bench():
+    """The repo benchmark's own tests: every workload's ``--quick`` run."""
+    argv = [sys.executable, "-m", "pytest", "bench", "-q",
+            "-p", "no:cacheprovider"]
+    return _subprocess_lane(argv, "pytest bench", extra_env={"CI": "true"})
 
 
 def run_chaos():
@@ -672,7 +679,10 @@ def main(argv: list[str] | None = None) -> int:
         "--full", action="store_true", help="include tests marked slow",
     )
     sub.add_parser("examples", help="run every example in quick mode")
-    sub.add_parser("bench", help="regenerate the benchmark figures")
+    sub.add_parser("figures", help="regenerate the paper tables/figures")
+    sub.add_parser(
+        "bench", help="the repo benchmark's tests (--quick workload runs)",
+    )
     sub.add_parser("chaos", help="fault-injection scenarios + invariants")
     sub.add_parser(
         "overload",
@@ -707,7 +717,7 @@ def main(argv: list[str] | None = None) -> int:
     all_parser = sub.add_parser(
         "all", help="the merge gate: lint + docs + tests + examples "
                     "+ chaos + overload + telemetry + restore + shard "
-                    "+ transport + perf + determinism",
+                    "+ transport + bench + perf + determinism",
     )
     all_parser.add_argument(
         "--fast", action="store_true",
@@ -726,6 +736,8 @@ def main(argv: list[str] | None = None) -> int:
         reporter.run("test", lambda: run_tests(full=args.full))
     elif args.lane == "examples":
         reporter.run("examples", run_examples)
+    elif args.lane == "figures":
+        reporter.run("figures", run_figures)
     elif args.lane == "bench":
         reporter.run("bench", run_bench)
     elif args.lane == "chaos":
@@ -754,6 +766,7 @@ def main(argv: list[str] | None = None) -> int:
             reporter.run("restore", run_restore)
             reporter.run("shard", run_shard)
             reporter.run("transport", run_transport)
+            reporter.run("bench", run_bench)
             reporter.run("perf", run_perf_lane)
         reporter.run("determinism", run_determinism_lane)
 

@@ -486,7 +486,9 @@ class ShardedClusterRun:
         """Steps 1-5 of the per-epoch protocol for one barrier."""
         config = self.config
         start = epoch_index * config.epoch
-        end = start + config.epoch
+        # Not ``start + epoch``: that sum can land past the next epoch's
+        # ``start`` in floating point, scheduling its arrivals in the past.
+        end = (epoch_index + 1) * config.epoch
         arriving = (
             self._sample_epoch_arrivals(start, end)
             if start < config.duration

@@ -1,11 +1,13 @@
 """Persistent worker pool for shard execution, hardened against faults.
 
 The pool assigns shards to long-lived fork workers (round-robin, so the
-assignment is deterministic) and drives them through the epoch protocol.
-``workers=1`` -- or any platform where fork is unavailable -- degrades to
-running every shard in-process; results are identical either way because
-a shard's outputs are a pure function of its config and delivered
-directives.
+assignment is deterministic) and drives them through the epoch protocol
+with a scatter/gather barrier: each protocol round posts every worker's
+frames before it waits for any reply, so fork workers compute the epoch
+side by side.  ``workers=1`` -- or any platform where fork is
+unavailable -- degrades to running every shard in-process through the
+same barrier; results are identical either way because a shard's outputs
+are a pure function of its config and delivered directives.
 
 Every command now travels through the transport layer
 (:mod:`repro.shard.transport`): checksummed frames over a
@@ -23,8 +25,9 @@ fault-free run's, bit for bit.
 2. *Probe*: after ``probe_after`` silent rounds the link sends heartbeat
    probes to distinguish a slow worker from a dead one.
 3. *Revive*: a dead pipe or a probe deadline
-   (:class:`~repro.shard.transport.WorkerUnresponsiveError`) kills and
-   respawns the worker, then *replays* its shards from the recorded
+   (:class:`~repro.shard.transport.WorkerUnresponsiveError`) takes the
+   worker out of the barrier; once the others have their replies it is
+   killed and respawned, then *replays* its shards from the recorded
    directive history over a lossless link and verifies the replayed
    state digests (:func:`repro.checkpoint.state.payload_digest`) --
    the PR 7 checkpoint discipline applied to live workers.  Divergence
@@ -150,6 +153,7 @@ class _InProcessWorker:
     def __init__(self, configs: list[ShardConfig], calibrations) -> None:
         self.configs = configs
         self.calibrations = calibrations
+        self._posted: list = []
         self.respawn()
 
     def respawn(self) -> None:
@@ -157,7 +161,16 @@ class _InProcessWorker:
         self.executor = _ShardExecutor(self.configs, self.calibrations)
         self.endpoint = WorkerEndpoint(self.executor.execute)
 
-    def exchange_frames(self, frames: list) -> list:
+    def post(self, frames: list) -> None:
+        """Hold one round's frames until :meth:`exchange_frames`."""
+        self._posted = frames
+
+    def exchange_frames(self, frames: list | None = None) -> list:
+        """Serve the posted round (``frames``, when given, are posted
+        first); returns the endpoint's reply frames."""
+        if frames is not None:
+            self.post(frames)
+        frames, self._posted = self._posted, []
         return self.endpoint.handle_frames(frames)
 
     def endpoint_stats(self) -> dict:
@@ -189,20 +202,38 @@ class _ProcessWorker:
         child.close()
         self.conn = parent
 
-    def _request(self, command):
-        """One raw pipe round-trip; raises ``ConnectionError`` on death."""
+    def _send(self, command) -> None:
+        """Write one raw pipe message; raises ``ConnectionError`` on death."""
         try:
             self.conn.send(command)
-            return self.conn.recv()
-        except (EOFError, BrokenPipeError, ConnectionResetError, OSError)\
-                as exc:
+        except OSError as exc:  # BrokenPipeError, ConnectionResetError
             raise ConnectionError(str(exc)) from exc
 
-    def exchange_frames(self, frames: list) -> list:
-        return self._request((_RAW_FRAMES, frames))
+    def _receive(self):
+        """Block for the worker's next message; ``ConnectionError`` on
+        death."""
+        try:
+            return self.conn.recv()
+        except (EOFError, OSError) as exc:
+            raise ConnectionError(str(exc)) from exc
+
+    def post(self, frames: list) -> None:
+        """Send one round's frames without waiting for the reply."""
+        self._send((_RAW_FRAMES, frames))
+
+    def exchange_frames(self, frames: list | None = None) -> list:
+        """The coordinator's blocking receive of a posted round's reply.
+
+        ``frames``, when given, are posted first (a whole round-trip, as
+        :meth:`ReliableLink.request` drives it).
+        """
+        if frames is not None:
+            self.post(frames)
+        return self._receive()
 
     def endpoint_stats(self) -> dict:
-        return self._request((_RAW_STATS,))
+        self._send((_RAW_STATS,))
+        return self._receive()
 
     def kill(self) -> None:
         """SIGKILL the worker (the chaos hook for restart tests)."""
@@ -317,18 +348,52 @@ class ShardPool:
             limits=self.transport_limits,
         )
 
-    def _request(self, index: int, payload: tuple,
-                 lossless: bool = False):
-        """Deliver one command exactly once, reviving through failures."""
-        while True:
-            try:
-                return self._links[index].request(
-                    payload, self._epochs_run, lossless=lossless
+    def _barrier(self, payloads: dict[int, tuple]) -> dict:
+        """Deliver one command per worker exactly once, all in step.
+
+        ``payloads`` maps worker index to its command.  Every protocol
+        round first posts each still-waiting worker's frames and only
+        then collects the replies, so the workers compute side by side.
+        A worker whose pipe dies, or whose link declares it unresponsive,
+        drops out; once the others have their replies it is revived
+        (respawn + replay) and asked again.  Returns the workers' merged
+        replies.
+        """
+        merged: dict = {}
+        waiting = payloads
+        while waiting:
+            rounds = {
+                index: self._links[index].request_rounds(
+                    payload, self._epochs_run
                 )
-            except ConnectionError as exc:
-                self._revive(index, f"pipe failure: {exc}")
-            except WorkerUnresponsiveError as exc:
-                self._revive(index, str(exc))
+                for index, payload in waiting.items()
+            }
+            outbound = {index: next(steps) for index, steps in rounds.items()}
+            failed: dict[int, str] = {}
+            while outbound:
+                for index, frames in outbound.items():
+                    try:
+                        self._workers[index].post(frames)
+                    except ConnectionError as exc:
+                        failed[index] = f"pipe failure: {exc}"
+                posted = [index for index in outbound if index not in failed]
+                outbound = {}
+                for index in posted:
+                    try:
+                        inbound = self._workers[index].exchange_frames()
+                    except ConnectionError as exc:
+                        failed[index] = f"pipe failure: {exc}"
+                        continue
+                    try:
+                        outbound[index] = rounds[index].send(inbound)
+                    except StopIteration as done:
+                        merged.update(done.value)
+                    except WorkerUnresponsiveError as exc:
+                        failed[index] = str(exc)
+            for index in sorted(failed):
+                self._revive(index, failed[index])
+            waiting = {index: waiting[index] for index in sorted(failed)}
+        return merged
 
     # -- crash recovery -------------------------------------------------
     def kill_worker(self, index: int = 0) -> None:
@@ -450,16 +515,15 @@ class ShardPool:
         faults cost retransmit rounds, dead workers cost a revive +
         replay -- neither ever changes results.
         """
-        merged: dict[int, tuple] = {}
-        for index, worker in enumerate(self._workers):
-            owned = [config.shard_id for config in worker.configs]
-            payload = (
+        merged = self._barrier({
+            index: (
                 _CMD_EPOCH, end,
-                {shard_id: directives.get(shard_id, [])
-                 for shard_id in owned},
+                {config.shard_id: directives.get(config.shard_id, [])
+                 for config in worker.configs},
                 self.verify,
             )
-            merged.update(self._request(index, payload))
+            for index, worker in enumerate(self._workers)
+        })
         completions: list[list[tuple]] = []
         failovers: list[list[tuple]] = []
         frames: list = []
@@ -481,10 +545,9 @@ class ShardPool:
 
     def finish(self) -> dict[int, dict]:
         """Collect every shard's final payload (shard id -> payload)."""
-        merged: dict[int, dict] = {}
-        for index in range(len(self._workers)):
-            merged.update(self._request(index, (_CMD_FINISH,)))
-        return merged
+        return self._barrier(
+            dict.fromkeys(range(len(self._workers)), (_CMD_FINISH,))
+        )
 
     # -- diagnostics -----------------------------------------------------
     def transport_stats(self) -> dict[str, int]:

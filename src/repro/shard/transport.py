@@ -29,7 +29,9 @@ application: a worker applies command ``seq`` only when it is exactly
 ``last_applied + 1``, re-sends its cached reply for anything older, and
 never executes anything twice.  Retransmits use deterministic doubling
 backoff measured in protocol *rounds* (one pipe round-trip per round --
-the epoch exchange's unit of virtual time).  The link doubles as the
+the epoch exchange's unit of virtual time); the round loop is a
+generator (:meth:`ReliableLink.request_rounds`) so one barrier can
+advance every worker's link in the same round.  The link doubles as the
 failure detector: ``probe_after`` silent rounds trigger heartbeat probes,
 ``dead_after`` silent rounds declare the worker dead
 (:class:`WorkerUnresponsiveError`, which the pool converts into a
@@ -571,6 +573,9 @@ class ReliableLink:
     One outstanding command at a time.  Each protocol round performs one
     pipe round-trip: push outbound frames through the ``c2w`` channel,
     exchange whatever is due, pull inbound frames back through ``w2c``.
+    The round loop lives in :meth:`request_rounds`, which leaves the
+    pipe round-trip to its caller, so a pool can post every worker's
+    round before it waits for any reply.
     Retransmits follow the :class:`TransportLimits` doubling backoff;
     silence beyond ``probe_after`` rounds adds heartbeat probes, and
     silence beyond ``dead_after`` raises :class:`WorkerUnresponsiveError`
@@ -610,13 +615,20 @@ class ReliableLink:
         self.acked = 0
         self.stats = dict.fromkeys(LINK_STATS, 0)
 
-    def _round_trip(self, outbound: list[tuple], epoch: int,
-                    lossless: bool) -> list[tuple]:
+    def _to_wire(self, outbound: list[tuple], epoch: int,
+                 lossless: bool) -> list[tuple]:
+        """Push one round's frames through ``c2w``; what reaches the pipe."""
         if lossless or self.plan is None:
-            return self._exchange(outbound)
+            return outbound
         for frame in outbound:
             self.c2w.send(frame, epoch)
-        raw = self._exchange(self.c2w.take_due())
+        return self.c2w.take_due()
+
+    def _from_wire(self, raw: list[tuple], epoch: int,
+                   lossless: bool) -> list[tuple]:
+        """Pull the pipe's reply through ``w2c``; what the protocol sees."""
+        if lossless or self.plan is None:
+            return raw
         for frame in raw:
             self.w2c.send(frame, epoch)
         return self.w2c.take_due()
@@ -625,12 +637,33 @@ class ReliableLink:
                 lossless: bool = False) -> object:
         """Deliver ``payload`` exactly once; returns the worker's reply.
 
-        ``lossless`` bypasses the fault channels (replay after a revive
-        runs on a fresh, fault-free link so recovery itself cannot be
-        re-faulted into a livelock).  Raises ``ConnectionError`` if the
-        underlying pipe dies, :class:`WorkerUnresponsiveError` if the
-        worker stays silent past the detector deadline, and
-        :class:`TransportTimeoutError` at the hard round bound.
+        Drives :meth:`request_rounds` over this link's own exchange
+        callable, one pipe round-trip per round.  ``lossless`` bypasses
+        the fault channels (replay after a revive runs on a fresh,
+        fault-free link so recovery itself cannot be re-faulted into a
+        livelock).  Raises ``ConnectionError`` if the underlying pipe
+        dies, plus everything :meth:`request_rounds` raises.
+        """
+        rounds = self.request_rounds(payload, epoch, lossless)
+        frames = next(rounds)
+        while True:
+            try:
+                frames = rounds.send(self._exchange(frames))
+            except StopIteration as done:
+                return done.value
+
+    def request_rounds(self, payload: object, epoch: int,
+                       lossless: bool = False):
+        """The stop-and-wait exchange for ``payload``, one round per step.
+
+        A generator: each ``yield`` hands out the frames to put on the
+        pipe this round, and the caller sends back the frames the pipe
+        returned.  It returns the worker's reply.  Callers drive many
+        links' rounds side by side (the pool's scatter/gather barrier) or
+        one link's alone (:meth:`request`).  Raises
+        :class:`WorkerUnresponsiveError` if the worker stays silent past
+        the detector deadline, and :class:`TransportTimeoutError` at the
+        hard round bound.
         """
         limits = self.limits
         seq = self.next_seq
@@ -655,7 +688,8 @@ class ReliableLink:
             if silent >= limits.probe_after:
                 outbound.append(make_frame(FRAME_PROBE, 0, self.acked, None))
                 self.stats["probes_sent"] += 1
-            inbound = self._round_trip(outbound, epoch, lossless)
+            raw = yield self._to_wire(outbound, epoch, lossless)
+            inbound = self._from_wire(raw, epoch, lossless)
             heard = False
             reply = None
             for frame in inbound:

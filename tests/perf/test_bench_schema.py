@@ -20,6 +20,7 @@ from repro.perf.suite import (
     MAX_TELEMETRY_DISABLED_RATIO,
     MIN_ACCOUNTING_RATIO,
     MIN_CORRELATION_RATIO,
+    MIN_SHARD_SPEEDUP_2_WORKERS,
     _TELEMETRY_ITERATIONS,
 )
 
@@ -175,6 +176,35 @@ def test_check_regressions_flags_missing_ratio(tmp_path):
     assert problems == [
         "micro-accounting-vs-oracle-ratio: no ratio was measured"
     ]
+
+
+def test_sharded_speedup_floors_follow_core_count(tmp_path, monkeypatch):
+    from repro.analysis import parallel
+
+    def sharded(two, four):
+        return _results(**{
+            "macro-cluster-sharded": BenchResult(
+                "macro-cluster-sharded", "macro", 2.0,
+                throughput={"speedup_2_workers": two}, ratio=four,
+            ),
+        })
+
+    committed = str(tmp_path / "committed.json")
+    write_bench_json(sharded(two=1.8, four=3.0), committed)
+    slow = sharded(two=MIN_SHARD_SPEEDUP_2_WORKERS - 0.2, four=1.3)
+    monkeypatch.setattr(parallel, "available_cores", lambda: 1)
+    assert check_regressions(slow, committed) == []
+    monkeypatch.setattr(parallel, "available_cores", lambda: 2)
+    problems = check_regressions(slow, committed)
+    assert len(problems) == 1
+    assert "2-worker speedup" in problems[0]
+    assert check_regressions(
+        sharded(two=MIN_SHARD_SPEEDUP_2_WORKERS + 0.1, four=1.3), committed
+    ) == []
+    monkeypatch.setattr(parallel, "available_cores", lambda: 4)
+    problems = check_regressions(slow, committed)
+    assert len(problems) == 2
+    assert "4-worker speedup" in problems[1]
 
 
 def test_committed_bench_json_is_schema_2_with_real_wall_times():

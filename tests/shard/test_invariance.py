@@ -64,6 +64,27 @@ def test_chaos_invariance_through_failover(seed, n_shards):
     assert sharded.fingerprints == baseline.fingerprints
 
 
+def test_decimal_epoch_barriers_meet_exactly():
+    """``epoch=0.1`` is not a binary fraction: an epoch's end computed as
+    ``start + epoch`` overshot the next epoch's start (1.3000000000000003
+    against 1.3) and scheduled that epoch's arrivals in the past."""
+    from dataclasses import replace
+
+    from repro.shard.scenario import diurnal_flash_config
+
+    def config(n_shards):
+        return replace(
+            diurnal_flash_config(n_shards=n_shards, n_machines=4,
+                                 duration=1.0),
+            epoch=0.1, rack_size=2,
+        )
+
+    baseline = run_sharded(config(1))
+    sharded = run_sharded(config(2))
+    assert baseline.completed > 0
+    assert sharded.fingerprints == baseline.fingerprints
+
+
 def test_worker_count_does_not_change_fingerprints():
     serial = run_sharded(_config(11, 4, 4, workers=1))
     parallel = run_sharded(_config(11, 4, 4, workers=2))

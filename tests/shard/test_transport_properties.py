@@ -30,11 +30,12 @@ KEYS = ("report", "shed", "batch", "energy")
 _PLAN_EPOCHS = 10
 
 
-def _config(world: str) -> ShardRunConfig:
+def _config(world: str, workers: int = 1) -> ShardRunConfig:
     values = dict(
         workload="solr",
         n_machines=4,
         n_shards=2,
+        workers=workers,
         duration=0.5,
         epoch=0.25,
         seed=13,
@@ -52,20 +53,24 @@ def _baseline(world: str):
     return run_sharded(_config(world)).fingerprints
 
 
-@settings(max_examples=6, deadline=None)
+@settings(max_examples=8, deadline=None)
 @given(
     plan_seed=st.integers(min_value=0, max_value=2**32 - 1),
     transport_seed=st.integers(min_value=0, max_value=2**16),
     world=st.sampled_from(("solr", "chaos")),
+    workers=st.sampled_from((1, 2)),
 )
-def test_random_weather_never_diverges(plan_seed, transport_seed, world):
+def test_random_weather_never_diverges(plan_seed, transport_seed, world,
+                                       workers):
+    # Random plans' windows match every worker, so at ``workers=2`` both
+    # links take faults in the same barrier rounds.
     plan = TransportFaultPlan.random(
         np.random.default_rng(plan_seed), _PLAN_EPOCHS,
         max_windows=3, max_prob=0.5,
     )
     try:
         result = run_sharded(
-            _config(world), transport_plan=plan,
+            _config(world, workers), transport_plan=plan,
             transport_seed=transport_seed,
         )
     except (TransportError, RestoreMismatchError):
