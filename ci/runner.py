@@ -175,7 +175,8 @@ def run_telemetry():
 
     # Cluster half: sharded neutrality + merged-stream determinism.  One
     # sharded Solr world per telemetry mode -- all four fingerprint sets
-    # must be bit-identical -- then the telemetry-on case double-run with
+    # must be bit-identical -- then the telemetry-on case rerun on two
+    # fork workers, where observation overlaps the next barrier, with
     # equal merged trace/alert/store digests, and the dashboard exported
     # as the bench workflow's artifact.
     from repro.shard.scenario import run_scenario as run_shard_scenario
@@ -192,16 +193,16 @@ def run_telemetry():
                 f"sharded telemetry mode {mode!r} changed the run "
                 f"fingerprints (cluster instrumentation is not neutral)",
             ))
-    rerun = run_shard_scenario("solr", n_shards=2, telemetry="on",
-                               duration=0.5)
+    rerun = run_shard_scenario("solr", n_shards=2, workers=2,
+                               telemetry="on", duration=0.5)
     for key in ("trace_fingerprint", "alert_fingerprint",
                 "store_fingerprint"):
         if (rerun.telemetry_summary[key]
                 != sharded["on"].telemetry_summary[key]):
             findings.append(Finding(
                 "ci/runner.py", 1, "NDET",
-                f"merged {key} differs between identically-seeded "
-                f"sharded runs",
+                f"merged {key} differs between the workers=1 and "
+                f"workers=2 sharded runs",
             ))
     dashboard_path = os.path.join(ROOT, "results", "dashboard-ci.json")
     os.makedirs(os.path.dirname(dashboard_path), exist_ok=True)
@@ -213,7 +214,7 @@ def run_telemetry():
 
     detail = (f"{len(_CHAOS_SCENARIOS)} scenarios x (neutrality + double-run "
               f"+ disabled identity) + Solr gate neutrality + sharded "
-              f"4-mode neutrality + merged-stream double-run")
+              f"4-mode neutrality + merged streams at workers 1 and 2")
     return not findings, findings, detail
 
 

@@ -25,6 +25,12 @@ Per epoch ``[start, end)`` the coordinator:
    the scheduler's power profiles and the streaming energy hash,
    failovers release their placement charge and requeue.
 
+Observability (telemetry merge, store rollups, detectors) never feeds
+back into placement, so each epoch's observation runs one barrier late:
+its inputs are captured at the barrier and the pool runs it while the
+workers compute the next epoch.  It is flushed before every checkpoint
+and before the final collection, so no result depends on the delay.
+
 After the arrival window the loop keeps draining epochs until no request
 is in flight or deferred, then collects per-shard final payloads and
 renders the four run fingerprints (``report``, ``shed``, ``batch``,
@@ -38,6 +44,7 @@ import math
 import os
 import signal
 from dataclasses import asdict, dataclass, field
+from functools import partial
 
 from repro.server.dispatch import DispatchTicket
 from repro.shard.messages import (
@@ -120,6 +127,7 @@ class ShardRunConfig:
     #: Telemetry mode (see :data:`RUN_TELEMETRY_MODES`); never affects
     #: fingerprints.
     telemetry: str = "off"
+    #: Newest merged events the coordinator retains for trace export.
     telemetry_capacity: int = 65536
     telemetry_top_k: int = 10
 
@@ -345,7 +353,6 @@ class ShardedClusterRun:
                 machines=tuple(shard_machines[shard_id]),
                 workload=config.workload,
                 telemetry=_WORKER_TELEMETRY[config.telemetry],
-                telemetry_capacity=config.telemetry_capacity,
             )
             for shard_id in range(config.n_shards)
         ]
@@ -376,6 +383,8 @@ class ShardedClusterRun:
         self.epochs_run = 0
         self._energy_digest = _ENERGY_CHAIN_SEED
         self._pending: list[DispatchTicket] = []
+        #: The last barrier's observation, run during the next barrier.
+        self._observation = None
         #: First epoch index :meth:`run` executes (>0 after a resume).
         self._start_epoch = 0
 
@@ -529,7 +538,10 @@ class ShardedClusterRun:
         )
         self._pending = deferred
         per_shard = self._epoch_directives(placed, epoch_faults)
-        completions, failovers, frames = pool.run_epoch(end, per_shard)
+        observation, self._observation = self._observation, None
+        completions, failovers, frames = pool.run_epoch(
+            end, per_shard, observation
+        )
         merged_completions = merge_records(completions, CompletionRecord)
         for record in merged_completions:
             self.scheduler.note_completed(record)
@@ -559,10 +571,12 @@ class ShardedClusterRun:
                 )
             )
         self.epochs_run += 1
-        # Observability consumes the already-merged streams; it never
-        # feeds anything back, so fingerprints cannot depend on it.
+        # Observability consumes the already-merged streams and never
+        # feeds anything back, so it can run during the next barrier;
+        # the scheduler totals are captured now, at this barrier.
         if self.observability is not None:
-            self.observability.observe_epoch(
+            self._observation = partial(
+                self.observability.observe_epoch,
                 epoch_index=epoch_index,
                 end=end,
                 completions=merged_completions,
@@ -571,6 +585,13 @@ class ShardedClusterRun:
                 shed_total=self.scheduler.shed,
                 deferred_total=self.scheduler.deferred_total,
             )
+
+    def _flush_observation(self) -> None:
+        """Run the pending observation now (before checkpoints and the
+        final collection)."""
+        observation, self._observation = self._observation, None
+        if observation is not None:
+            observation()
 
     def run(
         self,
@@ -640,6 +661,7 @@ class ShardedClusterRun:
                         # The checkpoint is durably on disk; die at the
                         # worst possible moment (crash-recovery hook).
                         os.kill(os.getpid(), signal.SIGKILL)
+            self._flush_observation()
             payloads = pool.finish()
             restarts = pool.worker_restarts
             transport_stats = pool.transport_stats()
@@ -714,6 +736,7 @@ class ShardedClusterRun:
     def _save_checkpoint(self, manager, next_epoch: int,
                          pool: ShardPool) -> None:
         """Persist one barrier's coordinator + pool state atomically."""
+        self._flush_observation()
         manager.save(
             next_epoch,
             next_epoch * self.config.epoch,

@@ -348,16 +348,18 @@ class ShardPool:
             limits=self.transport_limits,
         )
 
-    def _barrier(self, payloads: dict[int, tuple]) -> dict:
+    def _barrier(self, payloads: dict[int, tuple], overlap=None) -> dict:
         """Deliver one command per worker exactly once, all in step.
 
         ``payloads`` maps worker index to its command.  Every protocol
         round first posts each still-waiting worker's frames and only
         then collects the replies, so the workers compute side by side.
-        A worker whose pipe dies, or whose link declares it unresponsive,
-        drops out; once the others have their replies it is revived
-        (respawn + replay) and asked again.  Returns the workers' merged
-        replies.
+        ``overlap``, when given, runs once after the first round is
+        posted and before the first blocking receive, so coordinator work
+        proceeds alongside the workers'.  A worker whose pipe dies, or
+        whose link declares it unresponsive, drops out; once the others
+        have their replies it is revived (respawn + replay) and asked
+        again.  Returns the workers' merged replies.
         """
         merged: dict = {}
         waiting = payloads
@@ -378,6 +380,9 @@ class ShardPool:
                         failed[index] = f"pipe failure: {exc}"
                 posted = [index for index in outbound if index not in failed]
                 outbound = {}
+                if overlap is not None:
+                    overlap()
+                    overlap = None
                 for index in posted:
                     try:
                         inbound = self._workers[index].exchange_frames()
@@ -504,16 +509,19 @@ class ShardPool:
 
     # -- epoch protocol -------------------------------------------------
     def run_epoch(
-        self, end: float, directives: dict[int, list[tuple]]
+        self, end: float, directives: dict[int, list[tuple]], overlap=None
     ) -> tuple[list[list[tuple]], list[list[tuple]], list]:
         """Advance every shard to the barrier; returns per-shard outboxes.
 
         ``directives`` maps shard id to that shard's sorted directive
-        list.  Returns ``(completions, failovers, frames)`` as per-shard
-        lists in shard-id order; ``frames`` entries are telemetry frame
-        wire tuples (``None`` for shards with telemetry off).  Transport
-        faults cost retransmit rounds, dead workers cost a revive +
-        replay -- neither ever changes results.
+        list.  ``overlap`` is an optional zero-argument callable the
+        barrier runs once while the workers compute (see
+        :meth:`_barrier`); the coordinator hands in the previous epoch's
+        observation.  Returns ``(completions, failovers, frames)`` as
+        per-shard lists in shard-id order; ``frames`` entries are
+        telemetry frame wire tuples (``None`` for shards with telemetry
+        off).  Transport faults cost retransmit rounds, dead workers cost
+        a revive + replay -- neither ever changes results.
         """
         merged = self._barrier({
             index: (
@@ -523,7 +531,7 @@ class ShardPool:
                 self.verify,
             )
             for index, worker in enumerate(self._workers)
-        })
+        }, overlap)
         completions: list[list[tuple]] = []
         failovers: list[list[tuple]] = []
         frames: list = []

@@ -61,7 +61,6 @@ class ShardConfig:
     machines: tuple[tuple[str, str], ...]
     workload: str
     telemetry: str = "off"
-    telemetry_capacity: int = 65536
 
     def __post_init__(self) -> None:
         if self.shard_id < 0:
@@ -74,11 +73,6 @@ class ShardConfig:
             raise ValueError(
                 f"telemetry mode must be one of {SHARD_TELEMETRY_MODES}, "
                 f"got {self.telemetry!r}"
-            )
-        if self.telemetry_capacity <= 0:
-            raise ValueError(
-                f"telemetry_capacity must be positive, got "
-                f"{self.telemetry_capacity!r}"
             )
 
 
@@ -127,9 +121,12 @@ class ShardWorld:
 
         telemetry = None
         if config.telemetry != "off":
+            # The frame drain empties the ring at every barrier, which
+            # bounds it to one epoch; unbounded in between, recording is
+            # lossless, so ring pressure can never cut a shard-dependent
+            # slice out of the merged trace.
             telemetry = Telemetry(
-                enabled=config.telemetry == "on",
-                capacity=config.telemetry_capacity,
+                enabled=config.telemetry == "on", capacity=None
             )
         cluster = HeterogeneousCluster()
         for name, spec_name in config.machines:

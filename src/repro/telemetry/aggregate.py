@@ -7,8 +7,8 @@ and metrics nobody can see.  This module closes the loop:
 * :class:`FrameDrain` (worker side) drains the tracer ring and the metric
   registry at every epoch barrier into a :class:`TelemetryFrame` -- a
   plain-data, checksummed wire record carrying ``(now, track, seq, kind,
-  name, args)`` event tuples plus metric *deltas* since the previous
-  barrier;
+  name, args)`` event tuples, each event's canonical line, and metric
+  *deltas* since the previous barrier;
 * :class:`TelemetryAggregator` (coordinator side) k-way-merges frames by
   ``(now, track, seq)`` into one global stream, folds metric deltas into
   a global registry, and maintains a barrier-chained streaming
@@ -43,14 +43,22 @@ fingerprints are bit-identical with telemetry on, off, or absent.
 from __future__ import annotations
 
 import hashlib
-import heapq
+import marshal
 import zlib
+from collections import Counter, deque
+from operator import itemgetter
 from typing import Optional
 
 from .anomaly import AnomalyEngine, AnomalyThresholds, WindowInputs
 from .metrics import MetricsRegistry
 from .store import TelemetryStore
-from .tracer import KIND_INSTANT, RequestTracer, Telemetry, TraceSpanEvent
+from .tracer import (
+    KIND_INSTANT,
+    RequestTracer,
+    Telemetry,
+    TraceSpanEvent,
+    canonical_line,
+)
 
 #: Wire tag identifying a telemetry frame tuple.
 FRAME_TAG = "tframe"
@@ -67,9 +75,25 @@ class FrameChecksumError(ValueError):
     """A telemetry frame failed checksum or shape validation."""
 
 
-def _event_key(event: tuple) -> tuple:
-    """The global merge key: ``(now, track, seq)``."""
-    return (event[0], event[1], event[2])
+def _marshal(shard_id, epoch_index, value) -> bytes:
+    """``value`` in marshal format 2, which writes values only -- no
+    object references and no interning flags -- so equal values encode
+    equally however their objects are shared."""
+    try:
+        return marshal.dumps(value, 2)
+    except ValueError as exc:
+        raise FrameChecksumError(
+            f"telemetry frame for shard {shard_id!r} epoch "
+            f"{epoch_index!r} holds a non-plain value: {exc}"
+        ) from None
+
+
+def _frame_checksum(shard_id, epoch_index, body: bytes) -> int:
+    """CRC-32 over the frame header and its encoded body."""
+    header = _marshal(
+        shard_id, epoch_index, (FRAME_TAG, shard_id, epoch_index)
+    )
+    return zlib.crc32(body, zlib.crc32(header))
 
 
 class TelemetryFrame:
@@ -77,14 +101,20 @@ class TelemetryFrame:
 
     ``events`` is a tuple of ``(now, track, seq, kind, name, args)``
     tuples sorted by ``(now, track, seq)``; ``args`` is the tracer's
-    sorted ``(key, value)`` pair tuple.  ``metrics`` is a tuple of delta
-    entries (see :func:`metric_deltas`).  ``dropped`` counts ring-buffer
-    evictions since the previous barrier (diagnostic only -- excluded
-    from merge fingerprints so ring pressure cannot break invariance).
+    sorted ``(key, value)`` pair tuple.  ``lines`` holds each event's
+    canonical line (:func:`~repro.telemetry.tracer.canonical_line`), in
+    the same order: the sender renders every event once, so the
+    coordinator only joins and hashes.  ``metrics`` is a tuple of delta
+    entries (see :func:`metric_deltas`).
+
+    On the wire the three travel as ``body``, one marshal-encoded bytes
+    object: the transport copies it instead of walking thousands of
+    objects, the checksum is one CRC pass over it, and the receiver
+    decodes it only when it ingests the frame.
     """
 
     __slots__ = (
-        "shard_id", "epoch_index", "events", "metrics", "dropped",
+        "shard_id", "epoch_index", "events", "lines", "metrics", "body",
         "checksum",
     )
 
@@ -93,25 +123,18 @@ class TelemetryFrame:
         shard_id: int,
         epoch_index: int,
         events: tuple,
+        lines: tuple,
         metrics: tuple,
-        dropped: int,
+        body: bytes,
         checksum: int,
     ) -> None:
         self.shard_id = shard_id
         self.epoch_index = epoch_index
         self.events = events
+        self.lines = lines
         self.metrics = metrics
-        self.dropped = dropped
+        self.body = body
         self.checksum = checksum
-
-    @staticmethod
-    def _body_checksum(
-        shard_id: int, epoch_index: int, events: tuple, metrics: tuple,
-        dropped: int,
-    ) -> int:
-        return zlib.crc32(repr(
-            (FRAME_TAG, shard_id, epoch_index, events, metrics, dropped)
-        ).encode())
 
     @classmethod
     def build(
@@ -120,44 +143,53 @@ class TelemetryFrame:
         epoch_index: int,
         events: tuple,
         metrics: tuple,
-        dropped: int,
     ) -> "TelemetryFrame":
-        """Construct a frame, computing its checksum."""
+        """Construct a frame, rendering its lines and computing its
+        checksum."""
+        lines = tuple([
+            canonical_line(kind, now, track, name, args)
+            for now, track, _seq, kind, name, args in events
+        ])
+        body = _marshal(shard_id, epoch_index, (events, lines, metrics))
         return cls(
-            shard_id, epoch_index, events, metrics, dropped,
-            cls._body_checksum(
-                shard_id, epoch_index, events, metrics, dropped
-            ),
+            shard_id, epoch_index, events, lines, metrics, body,
+            _frame_checksum(shard_id, epoch_index, body),
         )
 
     def to_wire(self) -> tuple:
         """Plain-data tuple for the shard wire protocol."""
         return (
-            FRAME_TAG, self.shard_id, self.epoch_index, self.events,
-            self.metrics, self.dropped, self.checksum,
+            FRAME_TAG, self.shard_id, self.epoch_index, self.body,
+            self.checksum,
         )
 
     @classmethod
     def from_wire(cls, wire: tuple) -> "TelemetryFrame":
-        """Validate shape + checksum and rebuild the frame."""
-        if not isinstance(wire, tuple) or len(wire) != 7:
+        """Validate shape + checksum and decode the frame."""
+        if not isinstance(wire, tuple) or len(wire) != 5:
             raise FrameChecksumError(
-                f"telemetry frame wire must be a 7-tuple, got {wire!r}"
+                f"telemetry frame wire must be a 5-tuple, got {wire!r}"
             )
-        tag, shard_id, epoch_index, events, metrics, dropped, checksum = wire
+        tag, shard_id, epoch_index, body, checksum = wire
         if tag != FRAME_TAG:
             raise FrameChecksumError(
                 f"telemetry frame tag must be {FRAME_TAG!r}, got {tag!r}"
             )
-        expected = cls._body_checksum(
-            shard_id, epoch_index, events, metrics, dropped
-        )
+        if type(body) is not bytes:
+            raise FrameChecksumError(
+                f"telemetry frame body must be bytes, got "
+                f"{type(body).__name__}"
+            )
+        expected = _frame_checksum(shard_id, epoch_index, body)
         if checksum != expected:
             raise FrameChecksumError(
                 f"telemetry frame checksum mismatch for shard {shard_id} "
                 f"epoch {epoch_index}: got {checksum}, expected {expected}"
             )
-        return cls(shard_id, epoch_index, events, metrics, dropped, checksum)
+        events, lines, metrics = marshal.loads(body)
+        return cls(
+            shard_id, epoch_index, events, lines, metrics, body, checksum
+        )
 
 
 def metric_deltas(previous: dict, current: dict) -> tuple:
@@ -235,30 +267,27 @@ class FrameDrain:
         self.telemetry = telemetry
         self._seq: dict[str, int] = {}
         self._last_metrics: dict = {}
-        self._last_dropped = 0
         self.frames = 0
         self.chain = FRAME_CHAIN_SEED
 
     def drain(self, shard_id: int, epoch_index: int) -> TelemetryFrame:
         """Drain everything recorded since the previous barrier."""
         tracer = self.telemetry.tracer
+        seqs = self._seq
         events = []
-        for event in tracer.events:
-            seq = self._seq.get(event.track, 0)
-            self._seq[event.track] = seq + 1
-            events.append((
-                event.now, event.track, seq, event.kind, event.name,
-                event.args,
-            ))
+        for kind, now, track, name, args in tracer.events:
+            seq = seqs.get(track, 0)
+            seqs[track] = seq + 1
+            events.append((now, track, seq, kind, name, args))
         tracer.events.clear()
-        events.sort(key=_event_key)
-        dropped = tracer.dropped_events - self._last_dropped
-        self._last_dropped = tracer.dropped_events
+        # ``(now, track, seq)`` is unique, so plain tuple order is the
+        # merge order and never compares the remaining fields.
+        events.sort()
         current = self.telemetry.registry.snapshot_state()["metrics"]
         deltas = metric_deltas(self._last_metrics, current)
         self._last_metrics = current
         frame = TelemetryFrame.build(
-            shard_id, epoch_index, tuple(events), deltas, dropped
+            shard_id, epoch_index, tuple(events), deltas
         )
         self.frames += 1
         self.chain = hashlib.sha256(
@@ -271,32 +300,64 @@ class FrameDrain:
         return {"frames": self.frames, "chain": self.chain}
 
 
+def _merge(frames) -> list:
+    """``(event, line)`` pairs of ``(events, lines)`` frames in merge
+    order.  Each frame is sorted and ``(now, track, seq)`` is unique, so
+    one sort of the concatenation is the k-way merge."""
+    merged: list = []
+    for events, lines in frames:
+        merged.extend(zip(events, lines))
+    merged.sort(key=itemgetter(0))
+    return merged
+
+
 class TelemetryAggregator:
-    """Coordinator-side k-way merge of per-shard telemetry frames.
+    """Coordinator-side merge of per-shard telemetry frames.
 
     The streaming fingerprint chains one sha256 per barrier over the
     merged canonical event lines, so invariance holds without retaining
-    events.  A bounded :class:`RequestTracer` is kept for Chrome-trace
-    export when ``retain`` is true (the default); flash-scale runs can
-    turn it off and still fingerprint/aggregate everything.
+    events.  When ``retain`` is true (the default) the newest barriers
+    holding the last ``capacity`` merged events are kept as their
+    encoded frame bodies, and :attr:`tracer` decodes them into a
+    :class:`RequestTracer` for Chrome-trace export on demand; flash-scale
+    runs can turn retention off and still fingerprint/aggregate
+    everything.
     """
 
     def __init__(self, capacity: int = 65536, retain: bool = True) -> None:
         self.registry = MetricsRegistry()
-        self.tracer: Optional[RequestTracer] = (
-            RequestTracer(capacity=capacity) if retain else None
-        )
+        self.capacity = capacity
+        #: ``(events, frame bodies)`` per retained barrier, oldest first.
+        self._kept: Optional[deque] = deque() if retain else None
+        self._kept_events = 0
         self.chain = MERGE_CHAIN_SEED
         self.events_merged = 0
         self.frames_merged = 0
-        self.dropped_total = 0
+
+    @property
+    def tracer(self) -> Optional[RequestTracer]:
+        """The newest ``capacity`` merged events as a new
+        :class:`RequestTracer` (``None`` without retention); older merged
+        events count as dropped."""
+        if self._kept is None:
+            return None
+        tracer = RequestTracer(capacity=self.capacity)
+        for _count, bodies in self._kept:
+            tracer.events.extend(
+                TraceSpanEvent(kind, now, track, name, args)
+                for (now, track, _seq, kind, name, args), _line
+                in _merge(marshal.loads(body)[:2] for body in bodies)
+            )
+        tracer.dropped_events = max(0, self.events_merged - self.capacity)
+        return tracer
 
     def ingest(self, frames: list) -> dict[str, int]:
         """Merge one barrier's frames; returns instant-name counts.
 
         ``frames`` may hold :class:`TelemetryFrame` objects or raw wire
         tuples (validated here); ``None`` entries (shards with telemetry
-        off) are skipped.
+        off) are skipped.  The barrier's merged lines are hashed in one
+        update.
         """
         decoded = []
         for frame in frames:
@@ -306,29 +367,31 @@ class TelemetryAggregator:
                 frame = TelemetryFrame.from_wire(frame)
             decoded.append(frame)
         decoded.sort(key=lambda f: f.shard_id)
-        instant_counts: dict[str, int] = {}
-        digest = hashlib.sha256(self.chain.encode())
-        merged_any = False
-        for event in heapq.merge(
-            *(frame.events for frame in decoded), key=_event_key
-        ):
-            merged_any = True
-            now, track, _seq, kind, name, args = event
-            span = TraceSpanEvent(kind, now, track, name, tuple(args))
-            digest.update(span.canonical().encode())
-            digest.update(b"\n")
-            if self.tracer is not None:
-                self.tracer._append(span)
-            if kind == KIND_INSTANT:
-                instant_counts[name] = instant_counts.get(name, 0) + 1
-            self.events_merged += 1
-        if merged_any:
+        merged = _merge((f.events, f.lines) for f in decoded)
+        instant_counts = Counter([
+            event[4] for event, _line in merged if event[3] == KIND_INSTANT
+        ])
+        if merged:
+            digest = hashlib.sha256(self.chain.encode())
+            digest.update(
+                ("\n".join(map(itemgetter(1), merged)) + "\n").encode()
+            )
             self.chain = digest.hexdigest()
+            self.events_merged += len(merged)
+            if self._kept is not None:
+                self._keep(len(merged), tuple(f.body for f in decoded))
         for frame in decoded:
             apply_metric_deltas(self.registry, frame.metrics)
-            self.dropped_total += frame.dropped
             self.frames_merged += 1
-        return instant_counts
+        return dict(instant_counts)
+
+    def _keep(self, count: int, bodies: tuple) -> None:
+        """Retain one barrier; forget the oldest barriers not needed to
+        hold the newest ``capacity`` events."""
+        self._kept.append((count, bodies))
+        self._kept_events += count
+        while self._kept_events - self._kept[0][0] >= self.capacity:
+            self._kept_events -= self._kept.popleft()[0]
 
     def trace_fingerprint(self) -> str:
         """Chained digest of the merged stream (shard-count-invariant)."""
@@ -338,29 +401,30 @@ class TelemetryAggregator:
         return self.registry.exposition()
 
     def to_chrome_json(self, indent: Optional[int] = None) -> str:
-        if self.tracer is None:
+        tracer = self.tracer
+        if tracer is None:
             raise ValueError(
                 "aggregator built with retain=False keeps no events"
             )
-        return self.tracer.to_chrome_json(indent=indent)
+        return tracer.to_chrome_json(indent=indent)
 
     # -- checkpoint protocol --------------------------------------------
     def snapshot_state(self) -> dict:
         return {
-            "v": 1,
+            "v": 2,
             "chain": self.chain,
             "events_merged": self.events_merged,
             "frames_merged": self.frames_merged,
-            "dropped_total": self.dropped_total,
             "registry": self.registry.snapshot_state(),
-            "tracer": (
-                self.tracer.snapshot_state()
-                if self.tracer is not None else None
+            "capacity": self.capacity,
+            "kept": (
+                [[count, list(bodies)] for count, bodies in self._kept]
+                if self._kept is not None else None
             ),
         }
 
     def restore_state(self, state: dict) -> None:
-        if state.get("v") != 1:
+        if state.get("v") != 2:
             raise ValueError(
                 f"unknown TelemetryAggregator snapshot version "
                 f"{state.get('v')!r}"
@@ -368,16 +432,15 @@ class TelemetryAggregator:
         self.chain = state["chain"]
         self.events_merged = int(state["events_merged"])
         self.frames_merged = int(state["frames_merged"])
-        self.dropped_total = int(state["dropped_total"])
         self.registry.restore_state(state["registry"])
-        if state["tracer"] is not None:
-            if self.tracer is None:
-                self.tracer = RequestTracer(
-                    capacity=state["tracer"]["capacity"]
-                )
-            self.tracer.restore_state(state["tracer"])
-        else:
-            self.tracer = None
+        self.capacity = state["capacity"]
+        self._kept = None
+        self._kept_events = 0
+        if state["kept"] is not None:
+            self._kept = deque(
+                (count, tuple(bodies)) for count, bodies in state["kept"]
+            )
+            self._kept_events = sum(count for count, _ in self._kept)
 
 
 class ClusterObservability:
@@ -496,7 +559,6 @@ class ClusterObservability:
         if self.aggregator is not None:
             out["events_merged"] = self.aggregator.events_merged
             out["frames_merged"] = self.aggregator.frames_merged
-            out["frames_dropped_events"] = self.aggregator.dropped_total
         return out
 
     def dashboard(self, meta: dict | None = None) -> dict:

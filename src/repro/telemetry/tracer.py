@@ -25,6 +25,8 @@ byte-identical traces (:meth:`RequestTracer.trace_fingerprint`).
 Events live in a bounded ring buffer (:class:`deque` with ``maxlen``);
 when full, the oldest event is evicted and ``dropped_events`` increments,
 keeping memory bounded on long runs without perturbing the simulation.
+``capacity=None`` makes the ring unbounded (lossless), for owners that
+empty it on their own schedule.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ import hashlib
 import json
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 #: Event kinds stored in the ring buffer.
 KIND_BEGIN = "B"
@@ -42,8 +44,20 @@ KIND_INSTANT = "I"
 KIND_COUNTER = "C"
 
 
-@dataclass(frozen=True)
-class TraceSpanEvent:
+def canonical_line(
+    kind: str, now: float, track: str, name: str, args: tuple
+) -> str:
+    """The stable one-line rendering of one event (fingerprint input)."""
+    line = f"{kind}|{now!r}|{track}|{name}"
+    for key, value in args:
+        if isinstance(value, float):
+            line = f"{line}|{key}={value!r}"
+        else:
+            line = f"{line}|{key}={value}"
+    return line
+
+
+class TraceSpanEvent(NamedTuple):
     """One immutable trace record (begin/end/instant/counter)."""
 
     kind: str
@@ -55,13 +69,7 @@ class TraceSpanEvent:
 
     def canonical(self) -> str:
         """A stable one-line rendering used by the fingerprint."""
-        parts = [self.kind, repr(self.now), self.track, self.name]
-        for key, value in self.args:
-            if isinstance(value, float):
-                parts.append(f"{key}={value!r}")
-            else:
-                parts.append(f"{key}={value}")
-        return "|".join(parts)
+        return canonical_line(*self)
 
 
 def _freeze_args(args: Optional[dict]) -> tuple[tuple[str, object], ...]:
@@ -80,8 +88,8 @@ class _OpenSpan:
 class RequestTracer:
     """Bounded, deterministic span/instant/counter recorder."""
 
-    def __init__(self, capacity: int = 65536) -> None:
-        if capacity <= 0:
+    def __init__(self, capacity: Optional[int] = 65536) -> None:
+        if capacity is not None and capacity <= 0:
             raise ValueError("tracer capacity must be positive")
         self.capacity = capacity
         self.events: deque[TraceSpanEvent] = deque(maxlen=capacity)
@@ -354,7 +362,7 @@ class Telemetry:
     """
 
     enabled: bool = True
-    capacity: int = 65536
+    capacity: Optional[int] = 65536
     tracer: RequestTracer = field(default=None)  # type: ignore[assignment]
     registry: object = field(default=None)
 

@@ -104,6 +104,27 @@ def test_checkpoint_and_resume_land_on_clean_fingerprints(
                 (index, key)
 
 
+def test_telemetry_survives_checkpoint_and_resume(calibrations, tmp_path):
+    """Every checkpoint holds each observation up to its barrier, so a
+    resume from any of them lands on the uninterrupted telemetry."""
+    keys = ("trace_fingerprint", "alert_fingerprint", "store_fingerprint",
+            "events_merged", "frames_merged")
+    clean = run_sharded(_config(telemetry="on"), calibrations=calibrations)
+    run_sharded(
+        _config(telemetry="on"), calibrations=calibrations,
+        checkpoint=ShardCheckpointPolicy(directory=str(tmp_path), every=1),
+    )
+    indices = CheckpointManager(str(tmp_path)).indices()
+    assert len(indices) == 4
+    for index in indices:
+        resumed = resume_sharded(
+            str(tmp_path), calibrations=calibrations, index=index,
+        )
+        for key in keys:
+            assert resumed.telemetry_summary[key] \
+                == clean.telemetry_summary[key], (index, key)
+
+
 def test_resume_under_transport_weather(calibrations, tmp_path):
     clean = run_sharded(_config(), calibrations=calibrations)
     run_sharded(

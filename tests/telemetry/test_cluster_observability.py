@@ -31,22 +31,23 @@ from repro.telemetry import (
 # -- frames ---------------------------------------------------------------
 def test_frame_wire_round_trip():
     events = ((0.5, "request:m0/7", 0, "I", "shed", (("n", 1),)),)
-    frame = TelemetryFrame.build(2, 4, events, (), 0)
+    frame = TelemetryFrame.build(2, 4, events, ())
     wire = frame.to_wire()
     back = TelemetryFrame.from_wire(wire)
     assert back.shard_id == 2
     assert back.epoch_index == 4
     assert back.events == events
+    assert back.lines == ("I|0.5|request:m0/7|shed|n=1",)
     assert back.checksum == frame.checksum
 
 
 def test_frame_rejects_corruption_and_bad_shape():
-    frame = TelemetryFrame.build(0, 0, (), (), 0)
+    frame = TelemetryFrame.build(0, 0, (), ())
     wire = list(frame.to_wire())
-    wire[5] = 99  # flip the dropped count, keep the stale checksum
+    wire[2] = 99  # flip the epoch index, keep the stale checksum
     with pytest.raises(FrameChecksumError, match="checksum mismatch"):
         TelemetryFrame.from_wire(tuple(wire))
-    with pytest.raises(FrameChecksumError, match="7-tuple"):
+    with pytest.raises(FrameChecksumError, match="5-tuple"):
         TelemetryFrame.from_wire(("tframe", 0, 0))
     with pytest.raises(FrameChecksumError, match="tag"):
         TelemetryFrame.from_wire(("bogus",) + frame.to_wire()[1:])
@@ -115,7 +116,7 @@ def test_aggregator_merge_is_shard_assignment_invariant():
         for event in events:
             by_shard.setdefault(split(event[1]), []).append(event)
         return [
-            TelemetryFrame.build(sid, 0, tuple(evs), (), 0)
+            TelemetryFrame.build(sid, 0, tuple(evs), ())
             for sid, evs in sorted(by_shard.items())
         ]
 
@@ -135,7 +136,7 @@ def test_aggregator_counts_instants_and_skips_none_frames():
     frame = TelemetryFrame.build(0, 0, (
         (0.1, "facility:m0", 0, "I", "meter.stale", ()),
         (0.2, "facility:m0", 1, "I", "meter.stale", ()),
-    ), (), 0)
+    ), ())
     counts = agg.ingest([None, frame, None])
     assert counts == {"meter.stale": 2}
     assert agg.frames_merged == 1
@@ -144,7 +145,7 @@ def test_aggregator_counts_instants_and_skips_none_frames():
 def test_aggregator_without_retention_still_fingerprints():
     frame = TelemetryFrame.build(0, 0, (
         (0.1, "request:m0/1", 0, "I", "x", ()),
-    ), (), 0)
+    ), ())
     lean = TelemetryAggregator(retain=False)
     lean.ingest([frame])
     full = TelemetryAggregator()
@@ -158,12 +159,12 @@ def test_aggregator_snapshot_restore_round_trip():
     agg = TelemetryAggregator()
     agg.ingest([TelemetryFrame.build(0, 0, (
         (0.1, "request:m0/1", 0, "I", "x", ()),
-    ), (("c", "n", "h", 2.0),), 1)])
+    ), (("c", "n", "h", 2.0),))])
     clone = TelemetryAggregator()
     clone.restore_state(agg.snapshot_state())
     assert clone.trace_fingerprint() == agg.trace_fingerprint()
     assert clone.exposition() == agg.exposition()
-    assert clone.dropped_total == 1
+    assert clone.tracer.events == agg.tracer.events
 
 
 # -- store ----------------------------------------------------------------
