@@ -137,9 +137,10 @@ def _checkpoint_fingerprints():
     A shortened run (the restore CI lane covers the cross-process SIGKILL
     path) that crosses two auto-checkpoint safe-points, then resumes from
     the newest checkpoint in the same process.  Snapshot collection must be
-    invisible to the run and the replay-verified resume must land on the
-    same report/trace/shed/batch digests -- any drift in a layer's
-    ``snapshot_state``/``restore_state`` pair fails the gate here.
+    invisible to the run, and the resume -- replay from t=0, verify every
+    layer's ``snapshot_state`` against the checkpoint bit-for-bit, continue
+    with no restore step -- must land on the same report/trace/shed/batch
+    digests; any layer whose snapshot drifts from its replay fails here.
     """
     import shutil
     import tempfile

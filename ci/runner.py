@@ -311,6 +311,10 @@ RESTORE_CASES = (
               "--period", "0.2"], 1),
     ("chaos", ["--kind", "chaos", "--scenario", "meter-nan-burst",
                "--duration-scale", "0.5", "--period", "0.3"], 1),
+    # Checkpoint 3 is taken while the meter is stale (mid-outage), so the
+    # SIGKILL/resume path must reproduce the watchdog's demotion by replay.
+    ("chaos-stale", ["--kind", "chaos", "--scenario", "meter-flapping",
+                     "--duration-scale", "1.0", "--period", "0.2"], 3),
 )
 
 #: Fingerprint keys every resumed run must reproduce bit-for-bit.

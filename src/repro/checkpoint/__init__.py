@@ -4,7 +4,7 @@ Three pieces:
 
 * :mod:`~repro.checkpoint.state` -- the snapshot payload rules (plain data
   only), schema versioning, digests, and the field-level diff that powers
-  restore verification;
+  resume verification;
 * :mod:`~repro.checkpoint.manager` -- crash-consistent persistence: atomic
   write-rename, integrity digests, corrupt/schema-mismatch rejection;
 * :mod:`~repro.checkpoint.runner` -- replay-verified checkpointed runs:

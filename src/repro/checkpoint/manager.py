@@ -44,7 +44,6 @@ class CheckpointManager:
             raise ValueError("must keep at least one checkpoint")
         self.directory = directory
         self.keep = keep
-        os.makedirs(directory, exist_ok=True)
 
     # ------------------------------------------------------------------
     def path_for(self, index: int) -> str:
@@ -53,7 +52,12 @@ class CheckpointManager:
 
     def save(self, index: int, sim_time: float, config: dict,
              layers: dict) -> str:
-        """Atomically persist one checkpoint; returns its path."""
+        """Atomically persist one checkpoint; returns its path.
+
+        The directory is created here, on first save, so that merely
+        opening a manager (e.g. to resume from a mistyped path) never
+        creates it.
+        """
         body = {
             "schema": SCHEMA_VERSION,
             "index": int(index),
@@ -63,6 +67,7 @@ class CheckpointManager:
         }
         blob = canonical_bytes(body)
         digest = hashlib.sha256(blob).hexdigest()
+        os.makedirs(self.directory, exist_ok=True)
         final = self.path_for(index)
         tmp = final + ".tmp"
         with open(tmp, "wb") as handle:
@@ -85,9 +90,13 @@ class CheckpointManager:
 
     # ------------------------------------------------------------------
     def indices(self) -> list[int]:
-        """Sorted checkpoint indices present in the directory."""
+        """Sorted checkpoint indices present in the directory (none if absent)."""
+        try:
+            names = os.listdir(self.directory)
+        except FileNotFoundError:
+            return []
         out = []
-        for name in os.listdir(self.directory):
+        for name in names:
             match = _NAME_RE.match(name)
             if match:
                 out.append(int(match.group(1)))

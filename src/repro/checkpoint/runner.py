@@ -11,14 +11,15 @@ a :class:`CheckpointedRun` exploits the engine's determinism:
 * **Saving** (the original run): at tick ``k``, every stateful layer's
   ``snapshot_state()`` is collected into one plain-data tree and written
   atomically by :class:`~repro.checkpoint.manager.CheckpointManager`.
-* **Resuming** (a fresh process): the world is rebuilt from the persisted
-  :class:`RunConfig` and *replayed from t=0* with the identical tick
-  schedule.  At the checkpointed tick the replayed layers are snapshotted
-  again and verified **bit-for-bit** against the checkpoint
-  (:class:`~repro.checkpoint.state.RestoreMismatchError` carries a
-  field-level diff on divergence); the checkpoint's state is then imposed
-  via ``restore_state()`` and the run continues, saving ticks ``k+1...``
-  as the original would have.
+* **Resuming** (a fresh process) is *replay, verify, continue*: the world
+  is rebuilt from the persisted :class:`RunConfig` and *replayed from t=0*
+  with the identical tick schedule.  At the checkpointed tick the replayed
+  layers are snapshotted again and verified **bit-for-bit** against the
+  checkpoint (:class:`~repro.checkpoint.state.RestoreMismatchError`
+  carries a field-level diff on divergence).  Nothing is restored: a
+  verified replay already holds exactly the checkpointed state, so the run
+  simply continues, saving ticks ``k+1...`` as the original would have.
+  A layer therefore needs only ``snapshot_state()``.
 
 The resumed run therefore finishes with exactly the event sequence, RNG
 cursors, and accumulator bits of an uninterrupted run -- which
@@ -96,43 +97,6 @@ class RunConfig:
                 f"checkpoint config missing fields {sorted(missing)}"
             )
         return cls(**{f: payload[f] for f in cls.__dataclass_fields__})
-
-
-class _PlanLayer:
-    """Adapts :meth:`FaultPlan.getstate`/``setstate`` to the layer protocol."""
-
-    def __init__(self, plan) -> None:
-        self.plan = plan
-
-    def snapshot_state(self) -> dict:
-        return self.plan.getstate()
-
-    def restore_state(self, state: dict) -> None:
-        self.plan.setstate(state)
-
-
-class _MemberLayer:
-    """Scalar liveness state of one :class:`ClusterMachine`."""
-
-    def __init__(self, member) -> None:
-        self.member = member
-
-    def snapshot_state(self) -> dict:
-        return {
-            "v": 1,
-            "alive": self.member.alive,
-            "crash_count": self.member.crash_count,
-            "energy_mark": self.member.energy_mark,
-        }
-
-    def restore_state(self, state: dict) -> None:
-        if state.get("v") != 1:
-            raise ValueError(
-                f"unknown ClusterMachine snapshot version {state.get('v')!r}"
-            )
-        self.member.alive = state["alive"]
-        self.member.crash_count = state["crash_count"]
-        self.member.energy_mark = state["energy_mark"]
 
 
 class CheckpointedRun:
@@ -247,13 +211,13 @@ class CheckpointedRun:
                 layers[f"machine:{member.name}"] = member.machine
                 layers[f"kernel:{member.name}"] = member.kernel
                 layers[f"facility:{member.name}"] = member.facility
-                layers[f"member:{member.name}"] = _MemberLayer(member)
+                layers[f"member:{member.name}"] = member
             layers["dispatcher"] = world.dispatcher
             if isinstance(world, OverloadWorld):
                 layers["protector"] = world.protector
                 layers["enforcer"] = world.enforcer
         layers["targets"] = world.targets
-        layers["plan"] = _PlanLayer(live.plan)
+        layers["plan"] = live.plan
         layers["telemetry"] = self.telemetry
         self.layers = layers
 
@@ -302,8 +266,8 @@ class CheckpointedRun:
                     f"{index} at t={self.simulator.now!r}:\n  "
                     + "\n  ".join(diffs[:8])
                 )
-            for name, layer in self.layers.items():
-                layer.restore_state(expected[name])
+            # Every layer already holds exactly the checkpointed values, so
+            # the verified replay simply continues from here.
             self.resumed = True
             return
         snapshot = self._collect()
@@ -429,7 +393,7 @@ def resume_checkpointed(
 
     Loads (and fully validates) the latest checkpoint, rebuilds the world
     from its persisted config, replays to the checkpointed safe-point,
-    verifies bit-for-bit, restores, and finishes the run.
+    verifies bit-for-bit, and finishes the run.
     """
     manager = CheckpointManager(directory)
     body = manager.load_latest()

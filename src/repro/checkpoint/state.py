@@ -1,7 +1,15 @@
 """Canonical snapshot payloads: plain data, digests, mismatch diffs.
 
-Every stateful layer of the simulation exposes ``snapshot_state()`` /
-``restore_state(state)``.  Snapshots are restricted to *plain data* --
+Every stateful layer of the simulation exposes ``snapshot_state()``.
+Single-process resume is replay and verify: the replayed world's
+snapshots are compared against the checkpoint with :func:`diff_states`
+and nothing is restored, so that is the whole layer protocol.  Only the
+sharded coordinator's resume, which does not replay its own epochs, adopts
+state through ``restore_state(state)`` -- on the seven layers it
+composes (``ShardedClusterRun``, ``PowerAwareScheduler``,
+``TelemetryAggregator``, ``ClusterObservability``, ``MetricsRegistry``,
+``TelemetryStore``, ``AnomalyEngine``).  Snapshots are restricted to
+*plain data* --
 dicts with string keys, lists, tuples, strings, bytes, ints, floats,
 booleans, and ``None`` -- so that
 
@@ -19,7 +27,8 @@ payloads lose no precision.  Sets are rejected outright.
 Versioning happens at two levels: the file schema
 (:data:`SCHEMA_VERSION`, guarded by :class:`~repro.checkpoint.manager
 .CheckpointManager`) and a per-layer ``"v"`` key inside each layer's
-snapshot dict, checked by that layer's ``restore_state``.
+snapshot dict -- a version change shows up as a verification diff on
+resume, and the sharded ``restore_state`` methods check it directly.
 """
 
 from __future__ import annotations

@@ -469,7 +469,7 @@ def cmd_resume(args) -> int:
 
     Rebuilds the world from the checkpoint's persisted config, replays to
     the checkpointed safe-point, verifies the replayed state bit-for-bit,
-    restores, finishes the run, and prints the same JSON fingerprint line
+    finishes the run, and prints the same JSON fingerprint line
     ``run-ckpt`` prints -- identical bytes if the resume is exact.
     """
     import json

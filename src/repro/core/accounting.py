@@ -540,19 +540,6 @@ class CoreAccountant:
             "occupied": self.occupied,
         }
 
-    def restore_state(self, state: dict) -> None:
-        if state.get("v") != 1:
-            raise ValueError(
-                f"unknown CoreAccountant snapshot version {state.get('v')!r}"
-            )
-        self._last = list(state["last"])
-        self._last_time = state["last_time"]
-        self._pending_overhead_ops = state["pending_overhead_ops"]
-        self.samples_taken = state["samples_taken"]
-        self.current_container_id = state["current_container_id"]
-        self.current_stage = state["current_stage"]
-        self.occupied = state["occupied"]
-
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------

@@ -86,12 +86,3 @@ class PowerConditioner:
             "min_level": self.min_level,
             "adjustments": self.adjustments,
         }
-
-    def restore_state(self, state: dict) -> None:
-        if state.get("v") != 1:
-            raise ValueError(
-                f"unknown PowerConditioner snapshot version {state.get('v')!r}"
-            )
-        self.target_active_watts = state["target_active_watts"]
-        self.min_level = state["min_level"]
-        self.adjustments = state["adjustments"]

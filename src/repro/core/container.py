@@ -176,22 +176,6 @@ class ContainerStats:
             "stage_cpu_seconds": dict(sorted(self.stage_cpu_seconds.items())),
         }
 
-    def restore_state(self, state: dict) -> None:
-        if state.get("v") != 1:
-            raise ValueError(
-                f"unknown ContainerStats snapshot version {state.get('v')!r}"
-            )
-        self.events = EventVector(*state["events"])
-        self.energy_joules = dict(state["energy_joules"])
-        self.io_energy_joules = state["io_energy_joules"]
-        self.cpu_seconds = state["cpu_seconds"]
-        self.duty_weighted_seconds = state["duty_weighted_seconds"]
-        self.sample_count = state["sample_count"]
-        self.first_activity = state["first_activity"]
-        self.last_activity = state["last_activity"]
-        self.stage_energy_joules = dict(state["stage_energy_joules"])
-        self.stage_cpu_seconds = dict(state["stage_cpu_seconds"])
-
 
 class PowerContainer:
     """One request's power container."""
@@ -298,28 +282,6 @@ class PowerContainer:
             "last_export": dict(sorted(self._last_export.items())),
             "power_history": [list(entry) for entry in self.power_history],
         }
-
-    def restore_state(self, state: dict) -> None:
-        if state.get("v") != 1:
-            raise ValueError(
-                f"unknown PowerContainer snapshot version {state.get('v')!r}"
-            )
-        if state["id"] != self.id:
-            raise ValueError(
-                f"container id mismatch: snapshot {state['id']} != {self.id}"
-            )
-        self.label = state["label"]
-        self.created_at = state["created_at"]
-        self.stats.restore_state(state["stats"])
-        self.last_power_watts = dict(state["last_power_watts"])
-        self.full_speed_power_ewma = state["full_speed_power_ewma"]
-        self.power_cap_watts = state["power_cap_watts"]
-        self.refcount = state["refcount"]
-        self.closed = state["closed"]
-        self._last_export = dict(state["last_export"])
-        self.power_history = [
-            (entry[0], entry[1]) for entry in state["power_history"]
-        ]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

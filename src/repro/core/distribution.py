@@ -91,17 +91,3 @@ class EnergyProfileTable:
                 for (machine, rtype), value in sorted(self._count.items())
             },
         }
-
-    def restore_state(self, state: dict) -> None:
-        if state.get("v") != 1:
-            raise ValueError(
-                f"unknown EnergyProfileTable snapshot version {state.get('v')!r}"
-            )
-        self._sum = defaultdict(float)
-        self._count = defaultdict(int)
-        for key, value in state["sums"].items():
-            machine, rtype = key.split("|", 1)
-            self._sum[(machine, rtype)] = value
-        for key, value in state["counts"].items():
-            machine, rtype = key.split("|", 1)
-            self._count[(machine, rtype)] = value

@@ -789,8 +789,7 @@ class PowerContainerFacility(KernelHooks):
         """Registry, accountants, models, trace, meter, and health state.
 
         The sync-binding table may hold arbitrary hashable keys, so it is
-        rendered with ``str`` keys for verification only; on restore the
-        replayed table (reconstructed identically by the replay) is kept.
+        rendered with ``str`` keys for verification only.
         """
         return {
             "v": 1,
@@ -845,47 +844,3 @@ class PowerContainerFacility(KernelHooks):
                 else None
             ),
         }
-
-    def restore_state(self, state: dict) -> None:
-        if state.get("v") != 1:
-            raise ValueError(
-                f"unknown facility snapshot version {state.get('v')!r}"
-            )
-        self.registry.restore_state(state["registry"])
-        for index_str, accountant_state in state["accountants"].items():
-            self.accountants[int(index_str)].restore_state(accountant_state)
-        for name, coefficients in state["model_coefficients"].items():
-            self.models[name].update_coefficients(
-                np.asarray(coefficients, dtype=float)
-            )
-        for name, recalibrator_state in state["recalibrators"].items():
-            self.recalibrators[name].restore_state(recalibrator_state)
-        self.trace = [
-            ModelTracePoint(
-                time=entry[0],
-                row=np.asarray(entry[1], dtype=float),
-                watts=entry[2],
-            )
-            for entry in state["trace"]
-        ]
-        self.estimated_delay_samples = state["estimated_delay_samples"]
-        self._delay_pinned = state["delay_pinned"]
-        self._meter_consumed_until = state["meter_consumed_until"]
-        if self.meter is not None and state["meter"] is not None:
-            self.meter.restore_state(state["meter"])
-        health = state["health"]
-        self.health.meter_state = health["meter_state"]
-        self.health.meter_fallbacks = health["meter_fallbacks"]
-        self.health.meter_recoveries = health["meter_recoveries"]
-        self.health.rejected_meter_samples = health["rejected_meter_samples"]
-        self.health.untagged_segments = health["untagged_segments"]
-        self._tick_chip_active = list(state["tick_chip_active"])
-        self._tick_disk = state["tick_disk"]
-        self._tick_net = state["tick_net"]
-        self._tick_subsamples = state["tick_subsamples"]
-        self._trace_last_counters = [
-            tuple(entry) for entry in state["trace_last_counters"]
-        ]
-        self._tracing = state["tracing"]
-        if self.conditioner is not None and state["conditioner"] is not None:
-            self.conditioner.restore_state(state["conditioner"])

@@ -281,36 +281,6 @@ class PowerCapEnforcer:
             },
         }
 
-    def restore_state(self, state: dict) -> None:
-        if state.get("v") != 1:
-            raise ValueError(
-                f"unknown PowerCapEnforcer snapshot version {state.get('v')!r}"
-            )
-        self.cap_watts = state["cap_watts"]
-        self.level = state["level"]
-        self.ticks = state["ticks"]
-        self.escalations = state["escalations"]
-        self.deescalations = state["deescalations"]
-        self.over_cap_intervals = state["over_cap_intervals"]
-        self.degraded_intervals = state["degraded_intervals"]
-        self.max_consecutive_over = state["max_consecutive_over"]
-        self.measured_watts = state["measured_watts"]
-        self.degraded = state["degraded"]
-        self._consecutive_over = state["consecutive_over"]
-        self._intervals_under = state["intervals_under"]
-        self._last_joules = dict(state["last_joules"])
-        self._started = state["started"]
-        self.transitions = [
-            BrownoutTransition(
-                at=entry[0], level=entry[1], name=entry[2],
-                measured_watts=entry[3], effective_cap=entry[4],
-                direction=entry[5],
-            )
-            for entry in state["transitions"]
-        ]
-        for name, conditioner_state in state["conditioners"].items():
-            self.conditioners[name].restore_state(conditioner_state)
-
     # ------------------------------------------------------------------
     def health_stats(self) -> dict[str, float]:
         """Stable-keyed control-loop counters for chaos/CI reports.

@@ -174,23 +174,6 @@ class RecalibrationGuard:
             "skip_remaining": self._skip_remaining,
         }
 
-    def restore_state(self, state: dict) -> None:
-        if state.get("v") != 1:
-            raise ValueError(
-                f"unknown RecalibrationGuard snapshot version {state.get('v')!r}"
-            )
-        self.accepted_count = state["accepted_count"]
-        self.rejected_count = state["rejected_count"]
-        self.skipped_count = state["skipped_count"]
-        self.last_rejection = state["last_rejection"]
-        self.last_good = (
-            np.asarray(state["last_good"], dtype=float)
-            if state["last_good"] is not None
-            else None
-        )
-        self._backoff = state["backoff"]
-        self._skip_remaining = state["skip_remaining"]
-
 
 def _rmse(X: np.ndarray, coef: np.ndarray, y: np.ndarray) -> float:
     residual = X @ coef - y
@@ -332,20 +315,3 @@ class OnlineRecalibrator:
                 self.guard.snapshot_state() if self.guard is not None else None
             ),
         }
-
-    def restore_state(self, state: dict) -> None:
-        if state.get("v") != 1:
-            raise ValueError(
-                f"unknown OnlineRecalibrator snapshot version {state.get('v')!r}"
-            )
-        self._online.clear()
-        for row, watts in state["online"]:
-            self._online.append((np.asarray(row, dtype=float), watts))
-        self.recalibration_count = state["recalibration_count"]
-        self.rejected_sample_count = state["rejected_sample_count"]
-        self.rolled_back_count = state["rolled_back_count"]
-        self.model.update_coefficients(
-            np.asarray(state["model_coefficients"], dtype=float)
-        )
-        if self.guard is not None and state["guard"] is not None:
-            self.guard.restore_state(state["guard"])

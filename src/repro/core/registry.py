@@ -104,8 +104,8 @@ class ContainerRegistry:
         """Id counter plus every container's state, keyed by id.
 
         Containers are never removed from the registry (closing keeps the
-        statistics), so a restore can address each one by id in the
-        replayed registry.
+        statistics), so the replayed registry holds every id the
+        checkpoint does.
         """
         value = next(self._ids)
         self._ids = itertools.count(value)
@@ -117,12 +117,3 @@ class ContainerRegistry:
                 for cid, container in sorted(self._containers.items())
             },
         }
-
-    def restore_state(self, state: dict) -> None:
-        if state.get("v") != 1:
-            raise ValueError(
-                f"unknown ContainerRegistry snapshot version {state.get('v')!r}"
-            )
-        self._ids = itertools.count(state["id_next"])
-        for cid_str, container_state in state["containers"].items():
-            self.get(int(cid_str)).restore_state(container_state)

@@ -127,26 +127,6 @@ class MeterFaultInjector:
             "outages": self.outages,
         }
 
-    def restore_state(self, state: dict) -> None:
-        from repro.checkpoint.state import set_generator_state
-
-        if state.get("v") != 1:
-            raise ValueError(
-                f"unknown MeterFaultInjector snapshot version {state.get('v')!r}"
-            )
-        set_generator_state(self.rng, state["rng"])
-        self.profile = (
-            MeterFaultProfile(**state["profile"])
-            if state["profile"] is not None
-            else None
-        )
-        self._last_watts = state["last_watts"]
-        self.dropped = state["dropped"]
-        self.corrupted = state["corrupted"]
-        self.duplicated = state["duplicated"]
-        self.delayed = state["delayed"]
-        self.outages = state["outages"]
-
     # -- the fault hook -------------------------------------------------
     def _filter(self, sample: MeterSample) -> list[MeterSample]:
         profile = self.profile
@@ -256,20 +236,6 @@ class TagFaultInjector:
             "truncated_tags": self.truncated_tags,
         }
 
-    def restore_state(self, state: dict) -> None:
-        from repro.checkpoint.state import set_generator_state
-
-        if state.get("v") != 1:
-            raise ValueError(
-                f"unknown TagFaultInjector snapshot version {state.get('v')!r}"
-            )
-        set_generator_state(self.rng, state["rng"])
-        self.loss_prob = state["loss_prob"]
-        self.truncate_prob = state["truncate_prob"]
-        self.active = state["active"]
-        self.lost_tags = state["lost_tags"]
-        self.truncated_tags = state["truncated_tags"]
-
     def _filter(self, message: Message) -> Message:
         if not self.active or message.tag.container_id is None:
             return message
@@ -318,13 +284,6 @@ class MailboxFaultInjector:
     def snapshot_state(self) -> dict:
         return {"v": 1, "freezes": self.freezes}
 
-    def restore_state(self, state: dict) -> None:
-        if state.get("v") != 1:
-            raise ValueError(
-                f"unknown MailboxFaultInjector snapshot version {state.get('v')!r}"
-            )
-        self.freezes = state["freezes"]
-
 
 class ClusterFaultInjector:
     """Crashes and recovers cluster machines on the simulated clock."""
@@ -349,13 +308,6 @@ class ClusterFaultInjector:
     # -- checkpoint protocol --------------------------------------------
     def snapshot_state(self) -> dict:
         return {"v": 1, "crashes": self.crashes}
-
-    def restore_state(self, state: dict) -> None:
-        if state.get("v") != 1:
-            raise ValueError(
-                f"unknown ClusterFaultInjector snapshot version {state.get('v')!r}"
-            )
-        self.crashes = state["crashes"]
 
 
 class ArrivalSurgeInjector:
@@ -396,15 +348,6 @@ class ArrivalSurgeInjector:
             "surges": self.surges,
         }
 
-    def restore_state(self, state: dict) -> None:
-        if state.get("v") != 1:
-            raise ValueError(
-                f"unknown ArrivalSurgeInjector snapshot version {state.get('v')!r}"
-            )
-        self.base_rate = state["base_rate"]
-        self.dispatcher.request_rate = state["current_rate"]
-        self.surges = state["surges"]
-
 
 class PowerCapInjector:
     """Squeezes a cluster power cap (utility brownout, thermal event).
@@ -442,15 +385,6 @@ class PowerCapInjector:
             "current_cap": self.enforcer.cap_watts,
             "squeezes": self.squeezes,
         }
-
-    def restore_state(self, state: dict) -> None:
-        if state.get("v") != 1:
-            raise ValueError(
-                f"unknown PowerCapInjector snapshot version {state.get('v')!r}"
-            )
-        self.base_cap = state["base_cap"]
-        self.enforcer.cap_watts = state["current_cap"]
-        self.squeezes = state["squeezes"]
 
 
 def schedule_meter_outage(

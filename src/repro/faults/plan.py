@@ -144,26 +144,6 @@ class FaultTargets:
             ),
         }
 
-    def restore_state(self, state: dict) -> None:
-        if state.get("v") != 1:
-            raise ValueError(
-                f"unknown FaultTargets snapshot version {state.get('v')!r}"
-            )
-        if state["meter"] is not None:
-            self.meter.restore_state(state["meter"])
-        for name, injector_state in state["tags"].items():
-            self.tags[name].restore_state(injector_state)
-        if state["mailbox"] is not None:
-            self.mailbox.restore_state(state["mailbox"])
-        if state["cluster"] is not None:
-            self.cluster.restore_state(state["cluster"])
-        for name, injector_state in state["meters"].items():
-            self.meters[name].restore_state(injector_state)
-        if state["arrivals"] is not None:
-            self.arrivals.restore_state(state["arrivals"])
-        if state["powercap"] is not None:
-            self.powercap.restore_state(state["powercap"])
-
 
 class FaultPlan:
     """An ordered, composable schedule of fault events."""
@@ -175,7 +155,7 @@ class FaultPlan:
     ) -> None:
         self.events: list[FaultEvent] = list(events) if events else []
         #: The generator :meth:`random` drew from, kept so the plan's RNG
-        #: cursor can be checkpointed and restored (:meth:`getstate`).
+        #: cursor is part of its checkpoint (:meth:`snapshot_state`).
         self.rng = rng
 
     # -- composition ----------------------------------------------------
@@ -343,11 +323,11 @@ class FaultPlan:
         "spike_watts", "extra_delay",
     )
 
-    def getstate(self) -> dict:
+    def snapshot_state(self) -> dict:
         """The plan as plain data: events plus its RNG cursor.
 
         :class:`MeterFaultProfile` params are flattened to field dicts so
-        the snapshot stays pickle-stable; :meth:`setstate` rebuilds them.
+        the snapshot stays plain data a resume can verify bit for bit.
         """
         from repro.checkpoint.state import generator_state
 
@@ -368,38 +348,6 @@ class FaultPlan:
                 for e in self.events
             ],
         }
-
-    def setstate(self, state: dict) -> None:
-        """Restore events and the RNG cursor captured by :meth:`getstate`."""
-        from repro.checkpoint.state import set_generator_state
-
-        if state.get("v") != 1:
-            raise ValueError(
-                f"unknown FaultPlan snapshot version {state.get('v')!r}"
-            )
-        if state["rng"] is not None:
-            if self.rng is None:
-                raise ValueError(
-                    "snapshot carries RNG state but this plan has no bound rng"
-                )
-            set_generator_state(self.rng, state["rng"])
-
-        def revive(value: object) -> object:
-            if (
-                isinstance(value, list)
-                and len(value) == 2
-                and value[0] == "__profile__"
-            ):
-                return MeterFaultProfile(**value[1])
-            return value
-
-        self.events = [
-            FaultEvent(
-                at, site, action,
-                tuple((key, revive(value)) for key, value in params),
-            )
-            for at, site, action, params in state["events"]
-        ]
 
     # -- execution ------------------------------------------------------
     def apply(

@@ -140,7 +140,7 @@ class Chip:
         """P-state and busy count plus every core's state, in index order.
 
         The voltage-derived power factors are pure functions of the
-        P-state, so they are re-derived on restore rather than captured.
+        P-state, so they are not captured.
         """
         return {
             "v": 1,
@@ -148,15 +148,6 @@ class Chip:
             "busy_count": self._busy_count,
             "cores": [core.snapshot_state() for core in self.cores],
         }
-
-    def restore_state(self, state: dict) -> None:
-        if state.get("v") != 1:
-            raise ValueError(f"unknown Chip snapshot version {state.get('v')!r}")
-        self._freq_scale = state["freq_scale"]
-        self._refresh_power_factors()
-        self._busy_count = state["busy_count"]
-        for core, core_state in zip(self.cores, state["cores"]):
-            core.restore_state(core_state)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Chip(#{self.index}, {self.busy_core_count}/{self.n_cores} busy)"

@@ -228,8 +228,8 @@ class Core:
 
         ``active_profile`` and ``current_owner`` are live objects owned by
         the kernel's replayed processes; they are captured as names/pids
-        for verification and left to replay on restore.  The memoized
-        watts cache is derived state and deliberately not captured.
+        for verification.  The memoized watts cache is derived state and
+        deliberately not captured.
         """
         return {
             "v": 1,
@@ -243,18 +243,6 @@ class Core:
             "counters": self.counters.snapshot_state(),
             "mailbox": self.mailbox.snapshot_state(),
         }
-
-    def restore_state(self, state: dict) -> None:
-        if state.get("v") != 1:
-            raise ValueError(f"unknown Core snapshot version {state.get('v')!r}")
-        self._duty_level = state["duty_level"]
-        self.current_work_fraction = state["work_fraction"]
-        self._effective_hz = (
-            self.freq_hz * self.duty_ratio * self.chip.freq_scale
-        )
-        self._cached_active_watts = None
-        self.counters.restore_state(state["counters"])
-        self.mailbox.restore_state(state["mailbox"])
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = self.active_profile.name if self.active_profile else "idle"

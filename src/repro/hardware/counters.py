@@ -105,16 +105,6 @@ class CounterBank:
             "cycles_at_last_overflow": self._cycles_at_last_overflow,
         }
 
-    def restore_state(self, state: dict) -> None:
-        if state.get("v") != 1:
-            raise ValueError(
-                f"unknown CounterBank snapshot version {state.get('v')!r}"
-            )
-        self.totals = EventVector(*state["totals"])
-        self.wrap = state["wrap"]
-        self.overflow_threshold_cycles = state["overflow_threshold_cycles"]
-        self._cycles_at_last_overflow = state["cycles_at_last_overflow"]
-
 
 def wrapped_delta(later: EventVector, earlier: EventVector) -> EventVector:
     """Delta between two counter snapshots, correcting 48-bit wraparound.
@@ -203,13 +193,3 @@ class SampleMailbox:
             "mcore": self._latest.mcore,
             "frozen": self.frozen,
         }
-
-    def restore_state(self, state: dict) -> None:
-        if state.get("v") != 1:
-            raise ValueError(
-                f"unknown SampleMailbox snapshot version {state.get('v')!r}"
-            )
-        self._latest = UtilizationSample(
-            time=state["time"], mcore=state["mcore"]
-        )
-        self.frozen = state["frozen"]

@@ -75,14 +75,6 @@ class _Device:
             "total_bytes": self.total_bytes,
         }
 
-    def restore_state(self, state: dict) -> None:
-        if state.get("v") != 1:
-            raise ValueError(
-                f"unknown _Device snapshot version {state.get('v')!r}"
-            )
-        self.inflight = state["inflight"]
-        self.total_bytes = state["total_bytes"]
-
 
 class DiskDevice(_Device):
     """Simulated disk with a fixed active power draw while transferring."""
@@ -374,9 +366,7 @@ class Machine:
     def snapshot_state(self) -> dict:
         """Topology counters, devices, chips, and the energy integrator.
 
-        The rate cache is derived state: it is invalidated on restore and
-        rebuilt on the next checkpoint with the original arithmetic, so the
-        re-derived rates are bit-identical to the captured run's.
+        The rate cache is derived state and deliberately not captured.
         """
         return {
             "v": 1,
@@ -387,21 +377,6 @@ class Machine:
             "chips": [chip.snapshot_state() for chip in self.chips],
             "integrator": self.integrator.snapshot_state(),
         }
-
-    def restore_state(self, state: dict) -> None:
-        if state.get("v") != 1:
-            raise ValueError(
-                f"unknown Machine snapshot version {state.get('v')!r}"
-            )
-        self._core_counter = state["core_counter"]
-        self._power_epoch = state["power_epoch"]
-        self._rate_epoch = -1
-        self._rate_cache = None
-        self.disk.restore_state(state["disk"])
-        self.net.restore_state(state["net"])
-        for chip, chip_state in zip(self.chips, state["chips"]):
-            chip.restore_state(chip_state)
-        self.integrator.restore_state(state["integrator"])
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

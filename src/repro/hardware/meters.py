@@ -170,25 +170,6 @@ class _PeriodicMeter:
             "rng": generator_state(self._rng),
         }
 
-    def restore_state(self, state: dict) -> None:
-        from repro.checkpoint.state import set_generator_state
-
-        if state.get("v") != 1:
-            raise ValueError(
-                f"unknown meter snapshot version {state.get('v')!r}"
-            )
-        self._samples = [
-            MeterSample(
-                interval_end=entry[0], available_at=entry[1], watts=entry[2]
-            )
-            for entry in state["samples"]
-        ]
-        self._last_energy = state["last_energy"]
-        self._running = state["running"]
-        self.start_count = state["start_count"]
-        self.noise_std_watts = state["noise_std_watts"]
-        set_generator_state(self._rng, state["rng"])
-
 
 class PackageMeter(_PeriodicMeter):
     """On-chip (RAPL-like) meter over all processor packages.

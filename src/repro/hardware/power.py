@@ -245,18 +245,3 @@ class EnergyIntegrator:
             "maintenance_joules": list(acc.maintenance_joules),
             "peripheral_joules": acc.peripheral_joules,
         }
-
-    def restore_state(self, state: dict) -> None:
-        if state.get("v") != 1:
-            raise ValueError(
-                f"unknown EnergyIntegrator snapshot version {state.get('v')!r}"
-            )
-        self._last_time = state["last_time"]
-        self._acc = _Accumulators(
-            machine_joules=state["machine_joules"],
-            active_joules=state["active_joules"],
-            package_joules=list(state["package_joules"]),
-            per_core_joules=list(state["per_core_joules"]),
-            maintenance_joules=list(state["maintenance_joules"]),
-            peripheral_joules=state["peripheral_joules"],
-        )

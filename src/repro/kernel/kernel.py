@@ -745,9 +745,8 @@ class Kernel:
 
         Processes hold running generator frames, which cannot be captured;
         the process table, run queues, and in-progress slices are rendered
-        as plain data for restore-time *verification* against the replayed
-        world, and the replayed objects are kept.  Only the pid counter is
-        imposed on restore.
+        as plain data for resume-time *verification* against the replayed
+        world.
         """
         pid_value = next(self._pids)
         self._pids = itertools.count(pid_value)
@@ -792,11 +791,3 @@ class Kernel:
                 if queue
             },
         }
-
-    def restore_state(self, state: dict) -> None:
-        if state.get("v") != 1:
-            raise ValueError(
-                f"unknown Kernel snapshot version {state.get('v')!r}"
-            )
-        self._pids = itertools.count(state["pid_next"])
-        self.quantum = state["quantum"]

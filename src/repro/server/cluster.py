@@ -96,6 +96,15 @@ class ClusterMachine:
         self.machine.checkpoint()
         return self.machine.integrator.active_joules - self.energy_mark
 
+    def snapshot_state(self) -> dict:
+        """Scalar liveness state; machine, kernel and facility snapshot apart."""
+        return {
+            "v": 1,
+            "alive": self.alive,
+            "crash_count": self.crash_count,
+            "energy_mark": self.energy_mark,
+        }
+
 
 class HeterogeneousCluster:
     """A set of machines serving the same workload components."""

@@ -127,13 +127,6 @@ class SimpleLoadBalancePolicy(DispatchPolicy):
     def snapshot_state(self) -> dict:
         return {"v": 1, "next": self._next}
 
-    def restore_state(self, state: dict) -> None:
-        if state.get("v") != 1:
-            raise ValueError(
-                f"unknown policy snapshot version {state.get('v')!r}"
-            )
-        self._next = state["next"]
-
 
 class MachineHeterogeneityAwarePolicy(DispatchPolicy):
     """Fill the preferred (efficient) machine to ~70% before spilling."""
@@ -704,9 +697,9 @@ class Dispatcher:
 
         Completed results and in-flight entries reference live container,
         machine, and ticket objects; they are rendered as plain data for
-        restore-time verification, and the (verified-equal) replayed
-        objects are kept.  Numeric state -- counters, EWMA table, health
-        windows, the profile table, and the policy cursor -- is imposed.
+        resume-time verification against the replay, alongside the numeric
+        state -- counters, EWMA table, health windows, the profile table,
+        and the policy cursor.
         """
         from repro.checkpoint.state import generator_state
 
@@ -749,29 +742,3 @@ class Dispatcher:
                 for request_id, entry in sorted(self.inflight.items())
             },
         }
-
-    def restore_state(self, state: dict) -> None:
-        from repro.checkpoint.state import set_generator_state
-
-        if state.get("v") != 1:
-            raise ValueError(
-                f"unknown Dispatcher snapshot version {state.get('v')!r}"
-            )
-        self._next_request_id = state["next_request_id"]
-        self._deadline = state["deadline"]
-        self.dispatch_failures = state["dispatch_failures"]
-        self.retries = state["retries"]
-        self.dropped_requests = state["dropped_requests"]
-        self.failed_over = state["failed_over"]
-        self.late_replies = state["late_replies"]
-        self.dispatched_to = dict(state["dispatched_to"])
-        self._util_ewma = dict(state["util_ewma"])
-        for name, (failures, excluded_until) in state["health"].items():
-            health = self._health.setdefault(name, _MachineDispatchHealth())
-            health.consecutive_failures = failures
-            health.excluded_until = excluded_until
-        set_generator_state(self.rng, state["rng"])
-        self.profiles.restore_state(state["profiles"])
-        restore = getattr(self.policy, "restore_state", None)
-        if restore is not None and state["policy"] is not None:
-            restore(state["policy"])

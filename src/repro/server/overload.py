@@ -102,16 +102,6 @@ class TokenBucket:
             "denied": self.denied,
         }
 
-    def restore_state(self, state: dict) -> None:
-        if state.get("v") != 1:
-            raise ValueError(
-                f"unknown TokenBucket snapshot version {state.get('v')!r}"
-            )
-        self.tokens = state["tokens"]
-        self._last_refill = state["last_refill"]
-        self.accepted = state["accepted"]
-        self.denied = state["denied"]
-
 
 class CircuitBreaker:
     """Closed -> open -> half-open breaker guarding one machine.
@@ -201,18 +191,6 @@ class CircuitBreaker:
             "opened_count": self.opened_count,
             "closed_count": self.closed_count,
         }
-
-    def restore_state(self, state: dict) -> None:
-        if state.get("v") != 1:
-            raise ValueError(
-                f"unknown CircuitBreaker snapshot version {state.get('v')!r}"
-            )
-        self.state = state["state"]
-        self._consecutive_failures = state["consecutive_failures"]
-        self._opened_at = state["opened_at"]
-        self._probes_used = state["probes_used"]
-        self.opened_count = state["opened_count"]
-        self.closed_count = state["closed_count"]
 
 
 @dataclass(frozen=True)
@@ -670,9 +648,8 @@ class OverloadProtector:
         """Counters, shed log, and per-machine admission state.
 
         Queued entries reference live workload/ticket objects, so queues
-        are rendered as arrival-id lists for verification; the replayed
-        queue objects are kept on restore and only numeric state (buckets,
-        breakers, counters, the shed log) is imposed.
+        are rendered as arrival-id lists for verification alongside the
+        numeric state (buckets, breakers, counters, the shed log).
         """
         from repro.checkpoint.state import generator_state
 
@@ -712,38 +689,3 @@ class OverloadProtector:
                 for name, machine in sorted(self.machines.items())
             },
         }
-
-    def restore_state(self, state: dict) -> None:
-        from repro.checkpoint.state import set_generator_state
-
-        if state.get("v") != 1:
-            raise ValueError(
-                f"unknown OverloadProtector snapshot version {state.get('v')!r}"
-            )
-        self.brownout_level = state["brownout_level"]
-        self.arrivals = state["arrivals"]
-        self.admitted = state["admitted"]
-        self.injections = state["injections"]
-        self.completed = state["completed"]
-        self.shed = state["shed"]
-        self.rejected = state["rejected"]
-        self.queued_total = state["queued_total"]
-        self.retry_pending = state["retry_pending"]
-        self.deadline_sheds = state["deadline_sheds"]
-        if self.priority_rng is not None and state["priority_rng"] is not None:
-            set_generator_state(self.priority_rng, state["priority_rng"])
-        self.shed_log = [
-            ShedResult(
-                arrival_id=entry[0], rtype=entry[1], priority=entry[2],
-                outcome=entry[3], reason=entry[4], machine=entry[5],
-                at=entry[6], injections=entry[7],
-            )
-            for entry in state["shed_log"]
-        ]
-        for name, machine_state in state["machines"].items():
-            machine = self.machines[name]
-            machine.bucket.restore_state(machine_state["bucket"])
-            machine.breaker.restore_state(machine_state["breaker"])
-            machine.inflight = machine_state["inflight"]
-            machine.queue_peak = machine_state["queue_peak"]
-            machine.evictions = machine_state["evictions"]

@@ -210,16 +210,15 @@ class TransportFaultPlan:
     """An ordered, composable set of transport fault windows.
 
     Mirrors ``repro.faults.plan.FaultPlan``: pure data with convenience
-    constructors that chain, a seeded :meth:`random` generator, and
-    ``getstate``/``setstate`` for checkpointing.  Windows are measured in
-    epoch indices because the transport's virtual clock is the epoch
-    exchange, not the sim clock.
+    constructors that chain and a seeded :meth:`random` generator.  It is
+    not checkpointed: a sharded checkpoint deliberately omits the fault
+    schedule, and a resumed run takes whatever plan its caller passes.
+    Windows are measured in epoch indices because the transport's virtual
+    clock is the epoch exchange, not the sim clock.
     """
 
-    def __init__(self, windows=None, rng=None) -> None:
+    def __init__(self, windows=None) -> None:
         self.windows: list[TransportWindow] = list(windows) if windows else []
-        #: Generator :meth:`random` drew from (checkpointable cursor).
-        self.rng = rng
 
     # -- composition ----------------------------------------------------
     def add(self, window: TransportWindow) -> "TransportFaultPlan":
@@ -326,7 +325,7 @@ class TransportFaultPlan:
             raise ValueError("n_epochs must be >= 1")
         if not 0.0 < max_prob < 1.0:
             raise ValueError("max_prob must be in (0, 1)")
-        plan = cls(rng=rng)
+        plan = cls()
         kinds = ("drop", "duplicate", "reorder", "delay", "corrupt")
         n_windows = int(rng.integers(1, max_windows + 1))
         for _ in range(n_windows):
@@ -342,45 +341,6 @@ class TransportFaultPlan:
                 )
             plan.add(window)
         return plan
-
-    # -- checkpoint protocol --------------------------------------------
-    _FIELDS = (
-        "start_epoch", "end_epoch", "drop", "duplicate", "reorder", "delay",
-        "corrupt", "max_delay", "worker", "direction",
-    )
-
-    def getstate(self) -> dict:
-        """The plan as plain data: windows plus its RNG cursor."""
-        from repro.checkpoint.state import generator_state
-
-        return {
-            "v": 1,
-            "rng": generator_state(self.rng) if self.rng is not None else None,
-            "windows": [
-                [getattr(window, name) for name in self._FIELDS]
-                for window in self.windows
-            ],
-        }
-
-    def setstate(self, state: dict) -> None:
-        """Restore windows and the RNG cursor from :meth:`getstate`."""
-        from repro.checkpoint.state import set_generator_state
-
-        if state.get("v") != 1:
-            raise ValueError(
-                f"unknown TransportFaultPlan snapshot version "
-                f"{state.get('v')!r}"
-            )
-        if state["rng"] is not None:
-            if self.rng is None:
-                raise ValueError(
-                    "snapshot carries RNG state but this plan has no bound rng"
-                )
-            set_generator_state(self.rng, state["rng"])
-        self.windows = [
-            TransportWindow(**dict(zip(self._FIELDS, row)))
-            for row in state["windows"]
-        ]
 
 
 # -- the lossy channel -------------------------------------------------

@@ -349,17 +349,3 @@ class Simulator:
             "sweep_threshold": self._sweep_threshold,
             "queue": [list(entry) for entry in signature],
         }
-
-    def restore_state(self, state: dict) -> None:
-        """Restore clock and counters in place (queue stays as replayed).
-
-        The queue holds live callback closures, so it is reconstructed by
-        deterministic replay and verified against the snapshot's signature;
-        everything scalar is imposed from the checkpoint.
-        """
-        if state.get("v") != 1:
-            raise ValueError(f"unknown Simulator snapshot version {state.get('v')!r}")
-        self._now = state["now"]
-        self._seq = itertools.count(state["seq_next"])
-        self._event_count = state["event_count"]
-        self._sweep_threshold = state["sweep_threshold"]

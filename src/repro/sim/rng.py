@@ -54,13 +54,3 @@ class RngHub:
                 for name in sorted(self._streams)
             },
         }
-
-    def restore_state(self, state: dict) -> None:
-        """Re-seed every named stream to its captured position."""
-        from repro.checkpoint.state import set_generator_state
-
-        if state.get("v") != 1:
-            raise ValueError(f"unknown RngHub snapshot version {state.get('v')!r}")
-        self._seed = state["seed"]
-        for name, gen_state in state["streams"].items():
-            set_generator_state(self.stream(name), gen_state)

@@ -290,35 +290,6 @@ class RequestTracer:
             },
         }
 
-    def restore_state(self, state: dict) -> None:
-        if state.get("v") != 1:
-            raise ValueError(
-                f"unknown RequestTracer snapshot version {state.get('v')!r}"
-            )
-        if state["capacity"] != self.capacity:
-            raise ValueError(
-                f"tracer capacity mismatch: snapshot {state['capacity']}, "
-                f"live {self.capacity}"
-            )
-        self.dropped_events = state["dropped_events"]
-        self.events = deque(
-            (
-                TraceSpanEvent(
-                    kind, now, track, name,
-                    tuple((k, v) for k, v in args),
-                )
-                for kind, now, track, name, args in state["events"]
-            ),
-            maxlen=self.capacity,
-        )
-        self._open = {
-            track: [
-                _OpenSpan(name, now, tuple((k, v) for k, v in args))
-                for name, now, args in stack
-            ]
-            for track, stack in state["open"].items()
-        }
-
     def timeline(self, limit: Optional[int] = None) -> str:
         """A human-readable timeline (one line per event, sim-time order).
 
@@ -388,12 +359,3 @@ class Telemetry:
             "tracer": self.tracer.snapshot_state(),
             "registry": self.registry.snapshot_state(),
         }
-
-    def restore_state(self, state: dict) -> None:
-        if state.get("v") != 1:
-            raise ValueError(
-                f"unknown Telemetry snapshot version {state.get('v')!r}"
-            )
-        self.enabled = state["enabled"]
-        self.tracer.restore_state(state["tracer"])
-        self.registry.restore_state(state["registry"])

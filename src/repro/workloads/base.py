@@ -210,8 +210,8 @@ class OpenLoopDriver:
         """Counters, deadline, RNG cursor; requests rendered for verification.
 
         Completed results and in-flight entries hold live container
-        references, so they are captured as plain renders and verified on
-        restore; the replayed objects are kept.
+        references, so they are captured as plain renders and verified
+        against the replay on resume.
         """
         from repro.checkpoint.state import generator_state
 
@@ -232,18 +232,6 @@ class OpenLoopDriver:
                 in sorted(self.inflight.items())
             },
         }
-
-    def restore_state(self, state: dict) -> None:
-        from repro.checkpoint.state import set_generator_state
-
-        if state.get("v") != 1:
-            raise ValueError(
-                f"unknown OpenLoopDriver snapshot version {state.get('v')!r}"
-            )
-        self.rate = state["rate"]
-        self._next_request_id = state["next_request_id"]
-        self._deadline = state["deadline"]
-        set_generator_state(self.rng, state["rng"])
 
 
 class ClosedLoopDriver:
@@ -461,13 +449,6 @@ class LiveWorkloadRun:
     def snapshot_state(self) -> dict:
         """The run's own phase marker: the latched energy baseline."""
         return {"v": 1, "start_energy": self._start_energy}
-
-    def restore_state(self, state: dict) -> None:
-        if state.get("v") != 1:
-            raise ValueError(
-                f"unknown LiveWorkloadRun snapshot version {state.get('v')!r}"
-            )
-        self._start_energy = state["start_energy"]
 
 
 def prepare_workload(

@@ -2,15 +2,6 @@
 
 import pytest
 
-from repro.core import calibrate_machine
-from repro.hardware import SANDYBRIDGE
-
-
-@pytest.fixture(scope="session")
-def sb_cal():
-    """Session-cached SandyBridge calibration."""
-    return calibrate_machine(SANDYBRIDGE, duration=0.2)
-
 
 @pytest.fixture
 def quick_config():

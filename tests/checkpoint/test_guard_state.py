@@ -1,89 +1,112 @@
-"""A stale meter stays stale across snapshot/restore (satellite: guards).
+"""A resumed run never re-trusts a meter the original run had demoted.
 
 The meter-health watchdog and the recalibration guard both carry "when do
 we try again" state -- the ``stale`` flag with its fallback coefficients,
-and the guard's backoff deadline.  A restore that silently reset either
-would make a resumed run re-trust a meter the original run had already
-demoted, diverging from the uninterrupted timeline.
+and the guard's backoff deadline.  Resume is replay-and-verify, so that
+state is rebuilt by the replay itself and then checked against the
+checkpoint: a resume from a checkpoint taken while the meter was stale
+must reproduce the uninterrupted run, and a checkpoint whose watchdog or
+guard state disagrees with the replay must be refused, naming the field.
 """
 
+import copy
+
 import numpy as np
+import pytest
 
-from repro.core import PowerContainerFacility
+from repro.checkpoint import (
+    CheckpointManager,
+    CheckpointedRun,
+    RestoreMismatchError,
+    RunConfig,
+    resume_checkpointed,
+)
 from repro.core.recalibration import RecalibrationGuard
-from repro.hardware import PackageMeter, RateProfile, SANDYBRIDGE, build_machine
-from repro.kernel import Compute, Kernel, Sleep
-from repro.sim import Simulator
 
-HOT = RateProfile(name="ckpt-hot", ipc=1.2, cache_per_cycle=0.012,
-                  mem_per_cycle=0.007, hidden_watts=5.0)
+FINGERPRINT_KEYS = ("report", "trace", "shed", "batch", "passed")
+
+#: ``meter-flapping`` kills and revives the meter repeatedly; with a 0.2 s
+#: period some safe-points fall inside an outage, after the watchdog has
+#: declared the meter stale.
+FLAPPING = RunConfig(
+    kind="chaos", seed=42, scenario="meter-flapping", duration_scale=1.0,
+    checkpoint_period=0.2,
+)
 
 
-def _metered_world(sb_cal):
-    sim = Simulator()
-    machine = build_machine(SANDYBRIDGE, sim)
-    kernel = Kernel(machine, sim)
-    facility = PowerContainerFacility(
-        kernel, sb_cal,
-        meter=PackageMeter(machine, sim, period=1e-3, delay=1e-3),
-        meter_idle_watts=sb_cal.package_idle_watts,
-        trace_period=1e-3,
-        recalib_interval=0.1,
-        max_delay_seconds=0.01,
+@pytest.fixture(scope="module")
+def flapping(tmp_path_factory):
+    """The uninterrupted run's fingerprints and every checkpoint it saved."""
+    directory = str(tmp_path_factory.mktemp("flapping"))
+    fingerprints = CheckpointedRun(
+        FLAPPING, directory=directory, keep=1000,
+    ).run()
+    manager = CheckpointManager(directory)
+    bodies = [manager.load(manager.path_for(i)) for i in manager.indices()]
+    return fingerprints, bodies
+
+
+def _stale_bodies(bodies):
+    return [
+        body for body in bodies
+        if body["layers"]["facility"]["health"]["meter_state"] == "stale"
+    ]
+
+
+def _resave(tmp_path, body):
+    """Write ``body`` as the only checkpoint of a fresh directory."""
+    directory = str(tmp_path / "tampered")
+    CheckpointManager(directory).save(
+        body["index"], body["sim_time"], body["config"], body["layers"],
     )
-    facility.start_tracing()
-    return sim, machine, kernel, facility
+    return directory
 
 
-def _busy_program(machine, duration):
-    def program():
-        elapsed = 0.0
-        while elapsed < duration:
-            yield Compute(cycles=machine.freq_hz * 0.02, profile=HOT)
-            yield Sleep(0.005)
-            elapsed += 0.025
-    return program()
+@pytest.mark.slow
+def test_resume_from_stale_meter_checkpoint_matches_uninterrupted(flapping):
+    fingerprints, bodies = flapping
+    stale = _stale_bodies(bodies)
+    assert stale, "no checkpoint fell inside a meter outage"
+    for body in stale:
+        resumed = CheckpointedRun(FLAPPING, _resume_body=body).run()
+        assert resumed["resumed"] is True
+        for key in FINGERPRINT_KEYS + ("sim_time",):
+            assert resumed[key] == fingerprints[key], (body["index"], key)
 
 
-def test_stale_meter_stays_stale_after_restore(sb_cal):
-    sim, machine, kernel, facility = _metered_world(sb_cal)
-    container = facility.create_request_container("r")
-    kernel.spawn(_busy_program(machine, 1.5), "w", container_id=container.id)
-    # Kill the meter mid-run; the watchdog declares it stale one staleness
-    # timeout later and falls the live models back to last-good.
-    sim.schedule(0.3, facility.meter.stop)
-    sim.run_until(1.2)
-    assert facility.health.meter_state == "stale"
-    fallbacks = facility.health.meter_fallbacks
-    assert fallbacks >= 1
-
-    snapshot = facility.snapshot_state()
-
-    # Perturb everything the snapshot should own, then restore.
-    facility.health.meter_state = "ok"
-    facility.health.meter_fallbacks = 0
-    facility.health.meter_recoveries = 99
-    for recalibrator in facility.recalibrators.values():
-        guard = recalibrator.guard
-        if guard is not None:
-            guard._backoff = 999
-            guard._skip_remaining = 7
-            guard.skipped_count = 123
-    facility.restore_state(snapshot)
-
-    assert facility.health.meter_state == "stale"
-    assert facility.health.meter_fallbacks == fallbacks
-    for name, recalibrator in facility.recalibrators.items():
-        guard = recalibrator.guard
-        if guard is None:
-            continue
-        expected = snapshot["recalibrators"][name]["guard"]
-        assert guard._backoff == expected["backoff"], name
-        assert guard._skip_remaining == expected["skip_remaining"], name
-        assert guard.skipped_count == expected["skipped_count"], name
+def test_flipped_meter_state_is_refused(tmp_path, flapping):
+    _, bodies = flapping
+    body = copy.deepcopy(_stale_bodies(bodies)[0])
+    body["layers"]["facility"]["health"]["meter_state"] = "ok"
+    directory = _resave(tmp_path, body)
+    with pytest.raises(
+        RestoreMismatchError,
+        match=r"facility\['health'\]\['meter_state'\]",
+    ):
+        resume_checkpointed(directory)
 
 
-def test_rejected_guard_keeps_backoff_deadline_across_restore():
+def test_changed_guard_backoff_is_refused(tmp_path, flapping):
+    _, bodies = flapping
+    body = copy.deepcopy(bodies[0])
+    recalibrators = body["layers"]["facility"]["recalibrators"]
+    name, state = next(
+        (name, state) for name, state in sorted(recalibrators.items())
+        if state["guard"] is not None
+    )
+    state["guard"]["skip_remaining"] += 3
+    directory = _resave(tmp_path, body)
+    with pytest.raises(
+        RestoreMismatchError,
+        match=(
+            rf"facility\['recalibrators'\]\['{name}'\]"
+            r"\['guard'\]\['skip_remaining'\]"
+        ),
+    ):
+        resume_checkpointed(directory)
+
+
+def test_rejected_guard_backs_off_for_a_fixed_window():
     guard = RecalibrationGuard(backoff_initial=2, backoff_max=16)
     holdout_X = np.eye(3)
     holdout_y = np.ones(3)
@@ -91,29 +114,18 @@ def test_rejected_guard_keeps_backoff_deadline_across_restore():
     absurd = np.full(3, 1e9)  # drift far beyond the bound -> rejected
     assert guard.evaluate(absurd, current, holdout_X, holdout_y) is False
     assert guard.rejected_count == 1
-
-    snapshot = guard.snapshot_state()
-    clone = RecalibrationGuard(backoff_initial=2, backoff_max=16)
-    clone.restore_state(snapshot)
-
-    assert clone.rejected_count == guard.rejected_count
-    assert clone.last_rejection == guard.last_rejection
-    # The backoff deadline is identical: both skip exactly the same number
-    # of upcoming refit rounds, then re-engage on the same round.
-    original_window = [guard.should_skip() for _ in range(4)]
-    restored_window = [clone.should_skip() for _ in range(4)]
-    assert restored_window == original_window == [True, True, False, False]
+    # The backoff deadline is exact: skip the next two refit rounds, then
+    # re-engage.
+    window = [guard.should_skip() for _ in range(4)]
+    assert window == [True, True, False, False]
 
 
-def test_accepted_vector_survives_restore():
+def test_accepted_vector_becomes_last_good():
     guard = RecalibrationGuard()
     holdout_X = np.eye(2)
     holdout_y = np.array([2.0, 3.0])
     good = np.array([2.0, 3.0])
     assert guard.evaluate(good, np.zeros(2), holdout_X, holdout_y) is True
-
-    clone = RecalibrationGuard()
-    clone.restore_state(guard.snapshot_state())
-    assert clone.last_good is not None
-    np.testing.assert_array_equal(clone.last_good, good)
-    assert clone.accepted_count == 1
+    assert guard.last_good is not None
+    np.testing.assert_array_equal(guard.last_good, good)
+    assert guard.accepted_count == 1

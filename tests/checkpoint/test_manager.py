@@ -112,6 +112,7 @@ def _write_raw_body(path, body) -> None:
     """Bypass save-time validation to craft a structurally wrong body."""
     blob = pickle.dumps(body, protocol=4)
     digest = hashlib.sha256(blob).hexdigest()
+    os.makedirs(os.path.dirname(path), exist_ok=True)
     with open(path, "wb") as handle:
         handle.write(b"REPRO-CKPT\n")
         handle.write(digest.encode("ascii") + b"\n")
@@ -153,6 +154,7 @@ def test_undeserializable_body_rejected(tmp_path):
     path = manager.path_for(1)
     blob = b"\x80\x04 this is not a pickle"
     digest = hashlib.sha256(blob).hexdigest()
+    os.makedirs(os.path.dirname(path), exist_ok=True)
     with open(path, "wb") as handle:
         handle.write(b"REPRO-CKPT\n" + digest.encode() + b"\n" + blob)
     with pytest.raises(CorruptCheckpointError, match="does not deserialize"):

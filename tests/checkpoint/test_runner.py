@@ -1,10 +1,13 @@
 """Checkpointed runs: resume identity, tamper detection, disabled mode."""
 
+import re
+
 import pytest
 
 from repro.checkpoint import (
     CheckpointManager,
     CheckpointedRun,
+    CorruptCheckpointError,
     RestoreMismatchError,
     RunConfig,
     resume_checkpointed,
@@ -106,6 +109,14 @@ def test_tampered_layer_state_fails_verification(tmp_path, quick_config):
     )
     with pytest.raises(RestoreMismatchError, match=r"sim\['event_count'\]"):
         resume_checkpointed(directory)
+
+
+def test_resume_from_missing_directory_is_refused_not_created(tmp_path):
+    directory = tmp_path / "typo" / "ckpt"
+    with pytest.raises(CorruptCheckpointError, match=re.escape(str(directory))):
+        resume_checkpointed(str(directory))
+    assert not directory.exists()
+    assert not directory.parent.exists()
 
 
 def test_resume_with_shorter_run_never_reaches_tick(tmp_path, quick_config):

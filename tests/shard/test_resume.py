@@ -3,6 +3,7 @@ and the scheduler's snapshot/restore discipline."""
 
 import json
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -152,6 +153,13 @@ def test_corrupt_checkpoint_is_rejected(calibrations, tmp_path):
     newest.write_bytes(bytes(raw))
     with pytest.raises(CorruptCheckpointError):
         resume_sharded(str(tmp_path), calibrations=calibrations)
+
+
+def test_resume_from_missing_directory_is_refused_not_created(tmp_path):
+    directory = tmp_path / "typo" / "ckpt"
+    with pytest.raises(CorruptCheckpointError, match=re.escape(str(directory))):
+        resume_sharded(str(directory))
+    assert not directory.exists()
 
 
 # -- the cross-process SIGKILL path ------------------------------------

@@ -98,19 +98,6 @@ def test_random_plans_are_seed_deterministic():
     assert 1 <= len(first) <= 3
 
 
-def test_plan_state_round_trip():
-    plan = (
-        TransportFaultPlan()
-        .chaos_window(0, 6, drop=0.2, corrupt=0.1, worker=2)
-        .delay_window(2, 4, 0.3, max_delay=5)
-    )
-    restored = TransportFaultPlan()
-    restored.setstate(plan.getstate())
-    assert restored.windows == plan.windows
-    with pytest.raises(ValueError):
-        restored.setstate({"v": 99})
-
-
 # -- lossy channels ----------------------------------------------------
 def _channel(plan, seed=7, worker=0, direction=DIRECTION_C2W):
     return LossyChannel(
