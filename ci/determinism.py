@@ -15,9 +15,11 @@ shape-asserting tests still pass.  This lane:
 4. runs a checkpointed Solr experiment, resumes it from its newest
    checkpoint (``repro.checkpoint``), and demands the resumed run's
    report/trace/shed/batch fingerprints match the uninterrupted run's;
-5. runs a sharded chaos world clean, under barrier checkpointing, and
-   resumed from an early checkpoint (``repro.shard``), and demands all
-   three land on identical report/shed/batch/energy fingerprints.
+5. runs a sharded chaos world with telemetry on clean, under barrier
+   checkpointing, and resumed from an early checkpoint (``repro.shard``),
+   and demands all three land on identical report/shed/batch/energy
+   fingerprints and identical trace/alert/store fingerprints -- so the
+   replayed aggregator, registry, store and detector state is gated too.
 
 Everything is compared with ``==`` on floats: the runs must be *identical*,
 not merely close.
@@ -170,8 +172,9 @@ def _shard_resume_fingerprints():
     The transport CI lane covers the cross-process coordinator SIGKILL;
     this in-process case pins the snapshot discipline itself: collecting
     barrier checkpoints must not perturb the run, and a coordinator
-    rebuilt from the *oldest retained* checkpoint (not the newest) must
-    replay the remaining epochs onto identical fingerprints.
+    resumed from the *oldest retained* checkpoint (not the newest) must
+    replay, verify, and continue onto identical fingerprints.  Telemetry
+    is on, so the observability layers are replayed and verified too.
     """
     import shutil
     import tempfile
@@ -185,9 +188,11 @@ def _shard_resume_fingerprints():
 
     directory = tempfile.mkdtemp(prefix="repro-determinism-shard-")
     try:
-        clean = run_scenario("chaos", n_shards=2, duration=0.75)
+        clean = run_scenario(
+            "chaos", n_shards=2, duration=0.75, telemetry="on"
+        )
         checkpointed = run_scenario(
-            "chaos", n_shards=2, duration=0.75,
+            "chaos", n_shards=2, duration=0.75, telemetry="on",
             checkpoint=ShardCheckpointPolicy(directory=directory, every=1),
         )
         earliest = min(CheckpointManager(directory).indices())
@@ -251,10 +256,19 @@ def run_determinism(root: str):
                     f"shard coordinator-{label} {key} fingerprint differs "
                     f"from the uninterrupted sharded run",
                 ))
+        for key in ("trace_fingerprint", "alert_fingerprint",
+                    "store_fingerprint"):
+            if run.telemetry_summary[key] \
+                    != shard_clean.telemetry_summary[key]:
+                findings.append(Finding(
+                    "ci/determinism.py", 1, "NDET",
+                    f"shard coordinator-{label} {key} differs from the "
+                    f"uninterrupted sharded run",
+                ))
     if not shard_resumed.resumed:
         findings.append(Finding(
             "ci/determinism.py", 1, "NDET",
-            "shard coordinator resume never restored from a checkpoint",
+            "shard coordinator resume never verified a checkpoint",
         ))
     detail = (f"{first['n_requests']} requests, "
               f"{len(first['coefficients'])} coefficients, "

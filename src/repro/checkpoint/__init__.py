@@ -32,8 +32,8 @@ from repro.checkpoint.state import (
     diff_states,
     generator_state,
     payload_digest,
-    set_generator_state,
     validate_plain,
+    verify_replay,
 )
 
 __all__ = [
@@ -52,5 +52,5 @@ __all__ = [
     "validate_plain",
     "diff_states",
     "generator_state",
-    "set_generator_state",
+    "verify_replay",
 ]

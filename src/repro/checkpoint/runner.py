@@ -15,8 +15,9 @@ a :class:`CheckpointedRun` exploits the engine's determinism:
   is rebuilt from the persisted :class:`RunConfig` and *replayed from t=0*
   with the identical tick schedule.  At the checkpointed tick the replayed
   layers are snapshotted again and verified **bit-for-bit** against the
-  checkpoint (:class:`~repro.checkpoint.state.RestoreMismatchError`
-  carries a field-level diff on divergence).  Nothing is restored: a
+  checkpoint by :func:`~repro.checkpoint.state.verify_replay`
+  (:class:`~repro.checkpoint.state.RestoreMismatchError` carries a
+  field-level diff on divergence).  Nothing is restored: a
   verified replay already holds exactly the checkpointed state, so the run
   simply continues, saving ticks ``k+1...`` as the original would have.
   A layer therefore needs only ``snapshot_state()``.
@@ -37,7 +38,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from repro.checkpoint.manager import CheckpointManager
-from repro.checkpoint.state import RestoreMismatchError, diff_states
+from repro.checkpoint.state import RestoreMismatchError, verify_replay
 
 __all__ = [
     "RunConfig",
@@ -248,24 +249,11 @@ class CheckpointedRun:
                 # run already wrote these files; rewriting identical bytes
                 # would only churn the directory.
                 return
-            snapshot = self._collect()
-            expected = self._resume_layers
-            diffs: list[str] = []
-            for name in sorted(set(expected) | set(snapshot)):
-                if name not in snapshot:
-                    diffs.append(f"layer {name!r} missing from replayed world")
-                elif name not in expected:
-                    diffs.append(f"layer {name!r} absent from checkpoint")
-                else:
-                    diffs.extend(
-                        diff_states(expected[name], snapshot[name], path=name)
-                    )
-            if diffs:
-                raise RestoreMismatchError(
-                    "replayed world diverged from checkpoint "
-                    f"{index} at t={self.simulator.now!r}:\n  "
-                    + "\n  ".join(diffs[:8])
-                )
+            verify_replay(
+                self._resume_layers,
+                self._collect(),
+                f"checkpoint {index} at t={self.simulator.now!r}",
+            )
             # Every layer already holds exactly the checkpointed values, so
             # the verified replay simply continues from here.
             self.resumed = True

@@ -1,17 +1,12 @@
 """Canonical snapshot payloads: plain data, digests, mismatch diffs.
 
-Every stateful layer of the simulation exposes ``snapshot_state()``.
-Single-process resume is replay and verify: the replayed world's
-snapshots are compared against the checkpoint with :func:`diff_states`
-and nothing is restored, so that is the whole layer protocol.  Only the
-sharded coordinator's resume, which does not replay its own epochs, adopts
-state through ``restore_state(state)`` -- on the seven layers it
-composes (``ShardedClusterRun``, ``PowerAwareScheduler``,
-``TelemetryAggregator``, ``ClusterObservability``, ``MetricsRegistry``,
-``TelemetryStore``, ``AnomalyEngine``).  Snapshots are restricted to
-*plain data* --
-dicts with string keys, lists, tuples, strings, bytes, ints, floats,
-booleans, and ``None`` -- so that
+Every stateful layer of the simulation exposes ``snapshot_state()``, and
+that is the whole layer protocol.  Both resumes -- single-process and
+sharded -- are replay and verify: the world is replayed from the start,
+its snapshots at the checkpointed point are compared against the
+checkpoint by :func:`verify_replay`, and nothing is restored.  Snapshots
+are restricted to *plain data* -- dicts with string keys, lists, tuples,
+strings, bytes, ints, floats, booleans, and ``None`` -- so that
 
 * the serialized byte stream is a pure function of the state (no object
   identities, no set iteration order, no pickle memo aliasing surprises),
@@ -28,7 +23,7 @@ Versioning happens at two levels: the file schema
 (:data:`SCHEMA_VERSION`, guarded by :class:`~repro.checkpoint.manager
 .CheckpointManager`) and a per-layer ``"v"`` key inside each layer's
 snapshot dict -- a version change shows up as a verification diff on
-resume, and the sharded ``restore_state`` methods check it directly.
+resume.
 """
 
 from __future__ import annotations
@@ -121,6 +116,29 @@ def diff_states(expected, actual, path: str = "", limit: int = 8) -> list[str]:
     return out
 
 
+def verify_replay(expected: dict, replayed: dict, where: str) -> None:
+    """Raise :class:`RestoreMismatchError` unless a replay matches its
+    checkpoint bit for bit.
+
+    ``expected`` and ``replayed`` map layer names to snapshots; ``where``
+    names the checkpointed point.  The message lists the first diverging
+    fields as ``<layer>[<key>]...`` paths.
+    """
+    diffs: list[str] = []
+    for name in sorted(expected.keys() | replayed.keys()):
+        if name not in replayed:
+            diffs.append(f"layer {name!r} missing from replayed world")
+        elif name not in expected:
+            diffs.append(f"layer {name!r} absent from checkpoint")
+        else:
+            diffs.extend(diff_states(expected[name], replayed[name], name))
+    if diffs:
+        raise RestoreMismatchError(
+            f"replayed world diverged from {where}:\n  "
+            + "\n  ".join(diffs[:8])
+        )
+
+
 def _diff(expected, actual, path, out, limit) -> None:
     if len(out) >= limit:
         return
@@ -186,8 +204,3 @@ def _plainify(value):
 def generator_state(gen: np.random.Generator) -> dict:
     """A numpy Generator's bit-generator state as plain data."""
     return _plainify(gen.bit_generator.state)
-
-
-def set_generator_state(gen: np.random.Generator, state: dict) -> None:
-    """Restore a numpy Generator to a previously captured state."""
-    gen.bit_generator.state = state

@@ -530,6 +530,7 @@ def cmd_shard(args) -> int:
             pool_hook=pool_hook,
             transport_plan=plan,
             transport_seed=args.transport_seed,
+            checkpoint=checkpoint,
         )
         config = result.config
     else:

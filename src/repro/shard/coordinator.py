@@ -46,6 +46,11 @@ import signal
 from dataclasses import asdict, dataclass, field
 from functools import partial
 
+from repro.checkpoint.state import (
+    RestoreMismatchError,
+    generator_state,
+    verify_replay,
+)
 from repro.server.dispatch import DispatchTicket
 from repro.shard.messages import (
     CompletionRecord,
@@ -71,7 +76,7 @@ _RANK = {"crash": 0, "recover": 1, "inject": 2}
 #: Seed of the chained energy digest.  The chain (each completion line is
 #: hashed together with the previous hex digest) replaces the old
 #: incremental ``hashlib`` object so the cursor is a 64-char string --
-#: plain data the checkpoint layer can snapshot and resume from.
+#: plain data the checkpoint layer can snapshot and verify.
 _ENERGY_CHAIN_SEED = hashlib.sha256(b"shard-energy-chain-v1").hexdigest()
 
 #: Run-level telemetry modes.  ``"off"`` -- nothing; ``"disabled"`` --
@@ -231,7 +236,7 @@ class ShardRunResult:
     fingerprints: dict[str, str] = field(default_factory=dict)
     #: Aggregated transport diagnostics (never part of any fingerprint).
     transport_stats: dict[str, int] = field(default_factory=dict)
-    #: True when this result came out of ``resume_sharded``.
+    #: True when ``resume_sharded`` verified its replay at the checkpoint.
     resumed: bool = False
     #: Plain-data observability roll-up (trace/alert/store fingerprints,
     #: merge counters); empty when telemetry mode is "off"/"disabled".
@@ -306,7 +311,12 @@ def _bootstrap_joules(
 class ShardedClusterRun:
     """Drives one configured run epoch-by-epoch to its fingerprints."""
 
-    def __init__(self, config: ShardRunConfig, calibrations=None) -> None:
+    def __init__(
+        self,
+        config: ShardRunConfig,
+        calibrations=None,
+        _resume_body: dict | None = None,
+    ) -> None:
         from repro.faults.harness import chaos_calibration
         from repro.hardware.specs import spec_by_name
 
@@ -385,8 +395,9 @@ class ShardedClusterRun:
         self._pending: list[DispatchTicket] = []
         #: The last barrier's observation, run during the next barrier.
         self._observation = None
-        #: First epoch index :meth:`run` executes (>0 after a resume).
-        self._start_epoch = 0
+        #: The checkpoint a resume replays to and verifies against.
+        self._resume_body = _resume_body
+        self.resumed = False
 
     # -- pre-drawn fault schedule ---------------------------------------
     def _draw_faults(self, hub: RngHub) -> list[tuple[float, str, str]]:
@@ -601,7 +612,6 @@ class ShardedClusterRun:
         transport_limits=None,
         revive_budget: int = 3,
         checkpoint: ShardCheckpointPolicy | None = None,
-        _pool_state: dict | None = None,
     ) -> ShardRunResult:
         """Run arrivals plus drain to completion; returns the result.
 
@@ -612,9 +622,10 @@ class ShardedClusterRun:
         (seeded by ``transport_seed``, default the run seed -- results
         must stay bit-identical regardless).  ``checkpoint`` persists
         coordinator + pool state at epoch barriers for
-        :func:`resume_sharded`.  ``_pool_state`` is the resume path's
-        recorded directive history, replayed into fresh workers before
-        the first epoch.
+        :func:`resume_sharded`.  A resumed run replays from epoch 0,
+        skipping saves through the checkpointed barrier, where it verifies
+        its coordinator + pool snapshot against the checkpoint bit for bit
+        before it continues.
         """
         config = self.config
         arrival_epochs = max(1, math.ceil(config.duration / config.epoch))
@@ -636,9 +647,7 @@ class ShardedClusterRun:
             transport_limits=transport_limits,
             revive_budget=revive_budget,
         ) as pool:
-            if _pool_state is not None:
-                pool.restore_history(_pool_state)
-            epoch_index = self._start_epoch
+            epoch_index = 0
             while True:
                 drained = (
                     epoch_index >= arrival_epochs
@@ -653,6 +662,11 @@ class ShardedClusterRun:
                     pool_hook(pool, epoch_index)
                 self.run_one_epoch(pool, epoch_index)
                 epoch_index += 1
+                if self._resume_body is not None and not self.resumed:
+                    # Replaying toward the checkpointed barrier: the
+                    # original run already wrote these checkpoints.
+                    self._verify_at_checkpoint(epoch_index, pool)
+                    continue
                 if manager is not None \
                         and epoch_index % checkpoint.every == 0:
                     self._save_checkpoint(manager, epoch_index, pool)
@@ -661,6 +675,12 @@ class ShardedClusterRun:
                         # The checkpoint is durably on disk; die at the
                         # worst possible moment (crash-recovery hook).
                         os.kill(os.getpid(), signal.SIGKILL)
+            if self._resume_body is not None and not self.resumed:
+                raise RestoreMismatchError(
+                    f"run finished without reaching checkpoint "
+                    f"{self._resume_body['index']}; checkpoint and config "
+                    f"disagree"
+                )
             self._flush_observation()
             payloads = pool.finish()
             restarts = pool.worker_restarts
@@ -680,15 +700,13 @@ class ShardedClusterRun:
     def snapshot_state(self) -> dict:
         """Plain-data snapshot of every coordinator-side cursor.
 
-        Together with the pool's directive history this is everything a
-        fresh process needs to continue the run bit-identically: counters
-        and totals, the chained energy digest, the arrival RNG cursor,
-        pending (deferred/failover) tickets as wire tuples, and the
-        scheduler's live placement state.  The fault schedule is *not*
-        stored -- it re-derives deterministically from the config seed.
+        Together with the pool's directive history this is what a resumed
+        replay is verified against: counters and totals, the chained
+        energy digest, the arrival RNG cursor, pending (deferred/failover)
+        tickets as wire tuples, the scheduler's live placement state, and
+        the observability state.  The fault schedule is *not* stored -- it
+        re-derives deterministically from the config seed.
         """
-        from repro.checkpoint.state import generator_state
-
         return {
             "v": 1,
             "next_epoch": self.epochs_run,
@@ -707,44 +725,36 @@ class ShardedClusterRun:
             ),
         }
 
-    def restore_state(self, state: dict) -> None:
-        """Adopt a :meth:`snapshot_state` snapshot (same-config run)."""
-        from repro.checkpoint.state import set_generator_state
+    def _barrier_layers(self, pool: ShardPool) -> dict:
+        """Flush the pending observation; snapshot coordinator + pool."""
+        self._flush_observation()
+        return {
+            "coordinator": self.snapshot_state(),
+            "pool": pool.snapshot_history(),
+        }
 
-        if state.get("v") != 1:
-            raise ValueError(
-                f"unknown coordinator snapshot version {state.get('v')!r}"
-            )
-        self.epochs_run = int(state["next_epoch"])
-        self._start_epoch = int(state["next_epoch"])
-        self._next_request_id = int(state["next_request_id"])
-        self.n_requests = int(state["n_requests"])
-        self.completed = int(state["completed"])
-        self.total_energy = float(state["total_energy"])
-        self.total_response = float(state["total_response"])
-        self._energy_digest = state["energy_digest"]
-        set_generator_state(self._arrival_rng, state["arrival_rng"])
-        self._pending = [
-            DispatchTicket.from_wire(tuple(wire))
-            for wire in state["pending"]
-        ]
-        self.scheduler.restore_state(state["scheduler"])
-        telemetry_state = state.get("telemetry")
-        if telemetry_state is not None and self.observability is not None:
-            self.observability.restore_state(telemetry_state)
+    def _verify_at_checkpoint(self, next_epoch: int, pool: ShardPool) -> None:
+        """At the checkpointed barrier, verify the replay and go live."""
+        index = self._resume_body["index"]
+        if next_epoch < index:
+            return
+        verify_replay(
+            self._resume_body["layers"],
+            self._barrier_layers(pool),
+            f"checkpoint {index} at t={next_epoch * self.config.epoch!r}",
+        )
+        # The replay already holds exactly the checkpointed state, so the
+        # run simply continues from here.
+        self.resumed = True
 
     def _save_checkpoint(self, manager, next_epoch: int,
                          pool: ShardPool) -> None:
         """Persist one barrier's coordinator + pool state atomically."""
-        self._flush_observation()
         manager.save(
             next_epoch,
             next_epoch * self.config.epoch,
             asdict(self.config),
-            {
-                "coordinator": self.snapshot_state(),
-                "pool": pool.snapshot_history(),
-            },
+            self._barrier_layers(pool),
         )
 
     # -- fingerprint rendering -------------------------------------------
@@ -824,7 +834,7 @@ class ShardedClusterRun:
             machine_rows=machine_rows,
             fingerprints=fingerprints,
             transport_stats=dict(transport_stats or {}),
-            resumed=self._start_epoch > 0,
+            resumed=self.resumed,
             telemetry_summary=telemetry_summary,
             observability=self.observability,
         )
@@ -865,12 +875,14 @@ def resume_sharded(
     """Rebuild a crashed coordinator from its checkpoint and continue.
 
     Loads the newest checkpoint in ``directory`` (or the one at
-    ``index``), reconstructs the run from the persisted config, restores
-    every coordinator cursor, replays the recorded directive history into
-    fresh workers -- re-verifying each shard's digest against the
-    checkpoint -- and runs the remaining epochs.  The resumed run's
-    fingerprints are bit-identical to the uninterrupted run's: recovery
-    is invisible in every fingerprinted output.
+    ``index``) and rebuilds the run from the persisted config.  The run
+    replays from epoch 0 with fresh workers; at the checkpointed barrier
+    its coordinator + pool snapshot must match the checkpoint bit for bit
+    (:class:`~repro.checkpoint.state.RestoreMismatchError` otherwise), and
+    the run continues, checkpointing under ``checkpoint`` as the original
+    would have.  The resumed run's fingerprints are bit-identical to the
+    uninterrupted run's: recovery is invisible in every fingerprinted
+    output.  ``worker_restarts`` counts only this process's revives.
     """
     from repro.checkpoint.manager import CheckpointManager
 
@@ -881,9 +893,8 @@ def resume_sharded(
         else manager.load_latest()
     )
     run = ShardedClusterRun(
-        ShardRunConfig(**body["config"]), calibrations
+        ShardRunConfig(**body["config"]), calibrations, _resume_body=body
     )
-    run.restore_state(body["layers"]["coordinator"])
     return run.run(
         pool_hook=pool_hook,
         transport_plan=transport_plan,
@@ -891,5 +902,4 @@ def resume_sharded(
         transport_limits=transport_limits,
         revive_budget=revive_budget,
         checkpoint=checkpoint,
-        _pool_state=body["layers"]["pool"],
     )

@@ -38,10 +38,10 @@ fault-free run's, bit for bit.
    digest diff of a final diagnostic replay, instead of replay-looping
    forever.
 
-The recorded history also powers coordinator crash recovery: the
-coordinator checkpoints :meth:`ShardPool.snapshot_history` at epoch
-barriers, and :meth:`ShardPool.restore_history` rebuilds fresh workers
-from it, re-verifying every shard digest before the run continues.
+The coordinator checkpoints :meth:`ShardPool.snapshot_history` at epoch
+barriers.  A resumed coordinator replays its epochs through a fresh pool
+and verifies the replayed history, digests and summaries against the
+checkpoint before the run continues.
 """
 
 from __future__ import annotations
@@ -264,7 +264,6 @@ class ShardPool:
         configs: list[ShardConfig],
         calibrations: dict,
         workers: int = 1,
-        verify: bool = True,
         transport_plan: TransportFaultPlan | None = None,
         transport_seed: int = 0,
         transport_limits: TransportLimits | None = None,
@@ -280,7 +279,6 @@ class ShardPool:
             )
         self.configs = list(configs)
         self.calibrations = calibrations
-        self.verify = verify
         self.transport_plan = transport_plan
         self.transport_seed = int(transport_seed)
         self.transport_limits = (
@@ -447,12 +445,10 @@ class ShardPool:
                 lossless=True,
             )
         diffs: list[str] = []
-        if reply is None or not self.verify:
+        if reply is None:
             return diffs
         for shard_id in owned:
-            expected = self._summaries.get(shard_id)
-            if expected is None:
-                continue
+            expected = self._summaries[shard_id]
             # Replayed frames are discarded: the coordinator already
             # ingested those barriers; the summary's frame chain still
             # proves the regenerated frames matched the shipped ones.
@@ -528,7 +524,7 @@ class ShardPool:
                 _CMD_EPOCH, end,
                 {config.shard_id: directives.get(config.shard_id, [])
                  for config in worker.configs},
-                self.verify,
+                True,  # every barrier's summary is recorded for replay
             )
             for index, worker in enumerate(self._workers)
         }, overlap)
@@ -542,9 +538,8 @@ class ShardPool:
             completions.append(shard_completions)
             failovers.append(shard_failovers)
             frames.append(frame)
-            if summary is not None:
-                self._summaries[config.shard_id] = summary
-                self._digests[config.shard_id] = payload_digest(summary)
+            self._summaries[config.shard_id] = summary
+            self._digests[config.shard_id] = payload_digest(summary)
             self._history[config.shard_id].append(
                 (end, directives.get(config.shard_id, []))
             )
@@ -600,11 +595,14 @@ class ShardPool:
 
     # -- coordinator checkpoint integration ------------------------------
     def snapshot_history(self) -> dict:
-        """Plain-data directive history + digests (checkpoint layer)."""
+        """Plain-data directive history + digests (checkpoint layer).
+
+        Revive counts are left out: a replay cannot reproduce revives
+        from before the coordinator crashed.
+        """
         return {
-            "v": 1,
+            "v": 2,
             "epochs": self._epochs_run,
-            "restarts": self.worker_restarts,
             "history": {
                 str(shard_id): [[end, directives]
                                 for end, directives in steps]
@@ -619,45 +617,6 @@ class ShardPool:
                 for shard_id, summary in self._summaries.items()
             },
         }
-
-    def restore_history(self, state: dict) -> None:
-        """Rebuild every worker's shard state from a history snapshot.
-
-        Replays each worker's directive history over a lossless link and
-        re-verifies every shard's digest against the snapshot --
-        divergence raises
-        :class:`~repro.checkpoint.state.RestoreMismatchError` rather than
-        resuming from wrong state.
-        """
-        if state.get("v") != 1:
-            raise ValueError(
-                f"unknown pool history snapshot version {state.get('v')!r}"
-            )
-        restored = {int(key): value for key, value in state["history"].items()}
-        if set(restored) != set(self._history):
-            raise RestoreMismatchError(
-                f"snapshot shards {sorted(restored)} != pool shards "
-                f"{sorted(self._history)}"
-            )
-        self._history = {
-            shard_id: [(end, directives) for end, directives in steps]
-            for shard_id, steps in restored.items()
-        }
-        self._digests = {
-            int(key): value for key, value in state["digests"].items()
-        }
-        self._summaries = {
-            int(key): value for key, value in state["summaries"].items()
-        }
-        self._epochs_run = int(state["epochs"])
-        self.worker_restarts = int(state["restarts"])
-        for index in range(len(self._workers)):
-            diffs = self._replay(index, self._links[index])
-            if diffs:
-                raise RestoreMismatchError(
-                    f"resume: worker {index} replay diverged from "
-                    f"checkpointed digests: " + "; ".join(diffs)
-                )
 
     def close(self) -> None:
         """Shut every worker down (idempotent)."""

@@ -323,8 +323,7 @@ class PowerAwareScheduler:
 
         Heaps are deliberately absent: they are a lazy cache over
         ``predicted_watts``/``alive`` (stale entries are discarded on
-        pop), so rebuilding them fresh on restore pops the exact same
-        ``(-headroom, name)`` winners the original run's heaps would.
+        pop), so the fields below decide every later placement.
         """
         return {
             "v": 1,
@@ -359,48 +358,6 @@ class PowerAwareScheduler:
                 "failovers": self.failovers,
             },
         }
-
-    def restore_state(self, state: dict) -> None:
-        """Adopt a snapshot taken from an identically-configured run."""
-        if state.get("v") != 1:
-            raise ValueError(
-                f"unknown scheduler snapshot version {state.get('v')!r}"
-            )
-        for name, watts, alive in state["machines"]:
-            machine = self.machines[name]
-            machine.predicted_watts = watts
-            machine.alive = alive
-        for index, watts in state["racks"]:
-            self.racks[index].predicted_watts = watts
-        self.profiles = {
-            (arch, key): _Profile(
-                count=count, energy_sum=energy_sum, service_sum=service_sum
-            )
-            for arch, key, count, energy_sum, service_sum
-            in state["profiles"]
-        }
-        self._inflight = {
-            request_id: (machine, demand, key)
-            for request_id, machine, demand, key in state["inflight"]
-        }
-        self._defers = {
-            request_id: count for request_id, count in state["defers"]
-        }
-        self.shed_log = list(state["shed_log"])
-        counters = state["counters"]
-        self.placed = counters["placed"]
-        self.completed = counters["completed"]
-        self.shed = counters["shed"]
-        self.deferred_total = counters["deferred_total"]
-        self.failovers = counters["failovers"]
-        self._rack_heap = []
-        self._machine_heaps = {
-            rack.index: [] for rack in self.racks.values()
-        }
-        for rack in self.racks.values():
-            self._push_rack(rack)
-            for name in rack.machine_names:
-                self._push_machine(self.machines[name])
 
     # -- reporting ------------------------------------------------------
     def inflight_count(self) -> int:

@@ -423,24 +423,6 @@ class TelemetryAggregator:
             ),
         }
 
-    def restore_state(self, state: dict) -> None:
-        if state.get("v") != 2:
-            raise ValueError(
-                f"unknown TelemetryAggregator snapshot version "
-                f"{state.get('v')!r}"
-            )
-        self.chain = state["chain"]
-        self.events_merged = int(state["events_merged"])
-        self.frames_merged = int(state["frames_merged"])
-        self.registry.restore_state(state["registry"])
-        self.capacity = state["capacity"]
-        self._kept = None
-        self._kept_events = 0
-        if state["kept"] is not None:
-            self._kept = deque(
-                (count, tuple(bodies)) for count, bodies in state["kept"]
-            )
-            self._kept_events = sum(count for count, _ in self._kept)
 
 
 class ClusterObservability:
@@ -585,21 +567,3 @@ class ClusterObservability:
             "store": self.store.snapshot_state(),
             "engine": self.engine.snapshot_state(),
         }
-
-    def restore_state(self, state: dict) -> None:
-        if state.get("v") != 1:
-            raise ValueError(
-                f"unknown ClusterObservability snapshot version "
-                f"{state.get('v')!r}"
-            )
-        self.frames_enabled = state["frames_enabled"]
-        self._prev_shed = int(state["prev_shed"])
-        self._prev_deferred = int(state["prev_deferred"])
-        if state["aggregator"] is not None:
-            if self.aggregator is None:
-                self.aggregator = TelemetryAggregator()
-            self.aggregator.restore_state(state["aggregator"])
-        else:
-            self.aggregator = None
-        self.store.restore_state(state["store"])
-        self.engine.restore_state(state["engine"])

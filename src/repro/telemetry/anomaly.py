@@ -68,10 +68,6 @@ class AlertRecord:
             "message": self.message,
         }
 
-    @classmethod
-    def from_wire(cls, wire: dict) -> "AlertRecord":
-        return cls(**wire)
-
 
 def alert_fingerprint(alerts: list[AlertRecord]) -> str:
     """sha256[:16] over the canonical alert lines in emission order."""
@@ -264,18 +260,3 @@ class AnomalyEngine:
             "shed_history": list(self._shed_history),
             "windows_observed": self.windows_observed,
         }
-
-    def restore_state(self, state: dict) -> None:
-        if state.get("v") != 1:
-            raise ValueError(
-                f"unknown AnomalyEngine snapshot version {state.get('v')!r}"
-            )
-        self.alerts = [
-            AlertRecord.from_wire(wire) for wire in state["alerts"]
-        ]
-        self._cap_streaks = {
-            int(rack): int(streak)
-            for rack, streak in state["cap_streaks"].items()
-        }
-        self._shed_history = [int(n) for n in state["shed_history"]]
-        self.windows_observed = int(state["windows_observed"])

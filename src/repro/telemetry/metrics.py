@@ -185,31 +185,6 @@ class MetricsRegistry:
                 ]
         return {"v": 1, "metrics": metrics}
 
-    def restore_state(self, state: dict) -> None:
-        """Recreate every snapshotted metric; registry is rebuilt whole."""
-        if state.get("v") != 1:
-            raise ValueError(
-                f"unknown MetricsRegistry snapshot version {state.get('v')!r}"
-            )
-        self._metrics = {}
-        for name, entry in state["metrics"].items():
-            kind = entry[0]
-            if kind == "counter":
-                metric = self.counter(name, help=entry[1])
-                metric.value = entry[2]
-            elif kind == "gauge":
-                metric = self.gauge(name, help=entry[1])
-                metric.value = entry[2]
-            elif kind == "histogram":
-                metric = self.histogram(
-                    name, tuple(entry[2]), help=entry[1]
-                )
-                metric.bucket_counts = list(entry[3])
-                metric.count = entry[4]
-                metric.sum = entry[5]
-            else:
-                raise ValueError(f"unknown metric kind {kind!r} for {name!r}")
-
     # ------------------------------------------------------------------
     # Export
     # ------------------------------------------------------------------

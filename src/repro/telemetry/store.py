@@ -346,35 +346,3 @@ class TelemetryStore:
             },
             "topk": [list(entry) for entry in sorted(self._topk)],
         }
-
-    def restore_state(self, state: dict) -> None:
-        """Adopt a snapshot taken from an identically-configured store."""
-        if state.get("v") != 1:
-            raise ValueError(
-                f"unknown TelemetryStore snapshot version {state.get('v')!r}"
-            )
-        self.epoch_seconds = float(state["epoch_seconds"])
-        self.top_k = int(state["top_k"])
-        self.requests_seen = int(state["requests_seen"])
-        self.total_joules = float(state["total_joules"])
-        self.rack_of = dict(state["rack_of"])
-        self._machines = {
-            name: list(row) for name, row in state["machines"].items()
-        }
-        self._rack_windows = {
-            int(rack): {int(w): j for w, j in windows.items()}
-            for rack, windows in state["rack_windows"].items()
-        }
-        self._windows = {
-            int(w): list(row) for w, row in state["windows"].items()
-        }
-        self._rtypes = {
-            rtype: list(row) for rtype, row in state["rtypes"].items()
-        }
-        self._rtype_energies = {
-            rtype: list(values)
-            for rtype, values in state["rtype_energies"].items()
-        }
-        topk = [tuple(entry) for entry in state["topk"]]
-        heapq.heapify(topk)
-        self._topk = topk

@@ -10,7 +10,6 @@ from repro.checkpoint import (
     diff_states,
     generator_state,
     payload_digest,
-    set_generator_state,
     validate_plain,
 )
 
@@ -114,7 +113,7 @@ def test_generator_state_roundtrip_is_bit_exact():
     validate_plain(state)
     ahead = gen.random(5).tolist()
     clone = np.random.Generator(np.random.PCG64(0))
-    set_generator_state(clone, state)
+    clone.bit_generator.state = state
     assert clone.random(5).tolist() == ahead
 
 

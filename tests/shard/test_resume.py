@@ -1,5 +1,6 @@
 """Coordinator crash recovery: barrier checkpoints, resume identity,
-and the scheduler's snapshot/restore discipline."""
+and the replay verification that rejects a checkpoint the run disagrees
+with."""
 
 import json
 import os
@@ -11,15 +12,16 @@ import sys
 import pytest
 
 from repro.checkpoint import CheckpointManager
-from repro.checkpoint.state import CorruptCheckpointError
-from repro.server.dispatch import DispatchTicket
+from repro.checkpoint.state import (
+    CorruptCheckpointError,
+    RestoreMismatchError,
+)
 from repro.shard import (
     ShardCheckpointPolicy,
     ShardRunConfig,
     resume_sharded,
     run_sharded,
 )
-from repro.shard.scheduler import MachineSlot, PowerAwareScheduler
 from repro.shard.transport import lossy_preset
 
 KEYS = ("report", "shed", "batch", "energy")
@@ -41,47 +43,6 @@ def _config(**overrides) -> ShardRunConfig:
     )
     values.update(overrides)
     return ShardRunConfig(**values)
-
-
-# -- scheduler snapshot/restore ----------------------------------------
-def _scheduler() -> PowerAwareScheduler:
-    slots = [
-        MachineSlot(f"m{i}", "archA", i // 2, 4, 5.0, 40.0)
-        for i in range(4)
-    ]
-    return PowerAwareScheduler(
-        slots, rack_caps={0: 60.0, 1: 60.0},
-        bootstrap_joules={"archA": 2.0}, epoch_seconds=0.25,
-    )
-
-
-def _ticket(request_id: int, arrival: float = 0.1) -> DispatchTicket:
-    return DispatchTicket(
-        request_id=request_id, workload="solr", rtype="query",
-        params={}, arrival=arrival, machine="",
-    )
-
-
-def test_scheduler_snapshot_round_trip():
-    original = _scheduler()
-    placed, _ = original.place([_ticket(i) for i in range(6)], 0)
-    assert placed
-    original.note_crashed("m1")
-    state = original.snapshot_state()
-
-    restored = _scheduler()
-    restored.restore_state(state)
-    assert restored.snapshot_state() == original.snapshot_state()
-    # The rebuilt heaps must pick the same winner as the live ones.
-    next_original, _ = original.place([_ticket(100, 0.5)], 1)
-    next_restored, _ = restored.place([_ticket(100, 0.5)], 1)
-    assert [t.machine for t in next_restored] == \
-        [t.machine for t in next_original]
-
-
-def test_scheduler_rejects_unknown_snapshot_version():
-    with pytest.raises(ValueError):
-        _scheduler().restore_state({"v": 99})
 
 
 # -- in-process checkpoint/resume identity -----------------------------
@@ -162,41 +123,107 @@ def test_resume_from_missing_directory_is_refused_not_created(tmp_path):
     assert not directory.exists()
 
 
+def _resave(directory: str, edit) -> None:
+    """Re-save the newest checkpoint with ``edit(body)`` applied; the file
+    digest is valid, so only replay verification can catch the edit."""
+    manager = CheckpointManager(directory)
+    body = manager.load_latest()
+    edit(body)
+    manager.save(
+        body["index"], body["sim_time"], body["config"], body["layers"],
+    )
+
+
+def test_tampered_coordinator_state_fails_verification(
+    calibrations, tmp_path
+):
+    run_sharded(
+        _config(), calibrations=calibrations,
+        checkpoint=ShardCheckpointPolicy(directory=str(tmp_path), every=1),
+    )
+
+    def bump_shed(body):
+        body["layers"]["coordinator"]["scheduler"]["counters"]["shed"] += 1
+
+    _resave(str(tmp_path), bump_shed)
+    with pytest.raises(
+        RestoreMismatchError,
+        match=re.escape("['scheduler']['counters']['shed']"),
+    ):
+        resume_sharded(str(tmp_path), calibrations=calibrations)
+
+
+def test_checkpoint_past_the_last_epoch_is_never_reached(
+    calibrations, tmp_path
+):
+    run_sharded(
+        _config(), calibrations=calibrations,
+        checkpoint=ShardCheckpointPolicy(directory=str(tmp_path), every=1),
+    )
+
+    def move_past_end(body):
+        body["index"] += 100
+
+    _resave(str(tmp_path), move_past_end)
+    with pytest.raises(RestoreMismatchError, match="without reaching"):
+        resume_sharded(str(tmp_path), calibrations=calibrations)
+
+
 # -- the cross-process SIGKILL path ------------------------------------
+_ROOT = os.path.join(os.path.dirname(__file__), "..", "..")
+_CASE = [
+    "--scenario", "chaos", "--shards", "4", "--workers", "2",
+    "--duration", "1.0", "--transport", "lossy",
+]
+
+
+def _shard_cli(args):
+    """Run ``repro shard`` with ``args``; return the process and, on
+    success, its fingerprint JSON line."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "repro", "shard", *args], cwd=_ROOT,
+        env=dict(os.environ, PYTHONPATH=os.path.join(_ROOT, "src")),
+        text=True, stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
+    )
+    return proc, (
+        json.loads(proc.stdout.strip().splitlines()[-1])
+        if proc.returncode == 0 else None
+    )
+
+
 @pytest.mark.slow
 def test_cli_coordinator_sigkill_then_resume(tmp_path):
-    root = os.path.join(os.path.dirname(__file__), "..", "..")
-    env = dict(
-        os.environ,
-        PYTHONPATH=os.path.join(root, "src"),
-    )
-    case = [
-        sys.executable, "-m", "repro", "shard",
-        "--scenario", "chaos", "--shards", "4", "--workers", "2",
-        "--duration", "1.0", "--transport", "lossy",
-    ]
-
-    def last_json(argv):
-        proc = subprocess.run(
-            argv, cwd=root, env=env, text=True,
-            stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
-        )
-        return proc, (
-            json.loads(proc.stdout.strip().splitlines()[-1])
-            if proc.returncode == 0 else None
-        )
-
-    _, clean = last_json(case)
+    _, clean = _shard_cli(_CASE)
     assert clean is not None
-    crashed, _ = last_json(
-        case + ["--ckpt-dir", str(tmp_path), "--ckpt-every", "1",
-                "--kill-after-checkpoint", "1", "--kill-worker-at", "1"],
+    crashed, _ = _shard_cli(
+        _CASE + ["--ckpt-dir", str(tmp_path), "--ckpt-every", "1",
+                 "--kill-after-checkpoint", "1", "--kill-worker-at", "1"],
     )
     assert crashed.returncode == -signal.SIGKILL
-    _, resumed = last_json(
-        [sys.executable, "-m", "repro", "shard", "--resume",
-         "--ckpt-dir", str(tmp_path), "--transport", "lossy"],
+    _, resumed = _shard_cli(
+        ["--resume", "--ckpt-dir", str(tmp_path), "--transport", "lossy"],
     )
+    assert resumed is not None
+    assert resumed["resumed"] is True
+    for key in KEYS:
+        assert resumed[key] == clean[key], key
+
+
+@pytest.mark.slow
+def test_cli_resumed_run_keeps_checkpointing_through_a_second_crash(
+    tmp_path
+):
+    _, clean = _shard_cli(_CASE)
+    assert clean is not None
+    crashed, _ = _shard_cli(
+        _CASE + ["--ckpt-dir", str(tmp_path), "--kill-after-checkpoint", "1"],
+    )
+    assert crashed.returncode == -signal.SIGKILL
+    resume = ["--resume", "--ckpt-dir", str(tmp_path), "--transport", "lossy"]
+    crashed_again, _ = _shard_cli(resume + ["--kill-after-checkpoint", "2"])
+    assert crashed_again.returncode == -signal.SIGKILL
+    assert (tmp_path / "checkpoint-000002.ckpt").exists()
+    _, resumed = _shard_cli(resume)
     assert resumed is not None
     assert resumed["resumed"] is True
     for key in KEYS:
