@@ -22,6 +22,7 @@ tag the injected request message with its id, and
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Any, Optional
 
@@ -42,9 +43,27 @@ from repro.core.recalibration import OnlineRecalibrator, RecalibrationGuard
 from repro.core.registry import ContainerRegistry
 from repro.hardware.core import Core
 from repro.hardware.counters import COUNTER_WRAP
-from repro.hardware.meters import _PeriodicMeter
+from repro.hardware.meters import MeterSample, _PeriodicMeter
 from repro.kernel import Kernel, KernelHooks, Message, Process
 from repro.kernel.sockets import Endpoint
+
+
+#: Smallest capacity of the model-trace and measured buffers once used
+#: (they start empty, so an untraced facility allocates nothing).
+_MIN_BUFFER_CAPACITY = 1024
+
+
+def _grown(buffer: np.ndarray, used: int, needed: int = 0) -> np.ndarray:
+    """A buffer of at least twice (and ``needed``) the capacity, ``used`` kept."""
+    capacity = max(2 * len(buffer), needed, _MIN_BUFFER_CAPACITY)
+    grown = np.empty((capacity,) + buffer.shape[1:])
+    grown[:used] = buffer[:used]
+    return grown
+
+
+def _read_only(view: np.ndarray) -> np.ndarray:
+    view.flags.writeable = False
+    return view
 
 
 @dataclass(frozen=True)
@@ -75,15 +94,6 @@ def default_approaches() -> list[ApproachConfig]:
             "recal", FEATURES_FULL, chipshare_mode="mailbox", recalibrated=True
         ),
     ]
-
-
-@dataclass
-class ModelTracePoint:
-    """One machine-level model sample (interval ending at ``time``)."""
-
-    time: float
-    row: np.ndarray  # over FEATURES_FULL
-    watts: float  # primary-model machine active power estimate
 
 
 @dataclass
@@ -235,14 +245,25 @@ class PowerContainerFacility(KernelHooks):
             else (meter.period if meter is not None else 10e-3)
         )
         self.os_subsample = min(os_subsample, self.trace_period)
-        self.trace: list[ModelTracePoint] = []
+        #: The model trace, in columns: interval-end times, the primary
+        #: model's machine active watts, and the FEATURES_FULL row of each
+        #: trace tick.  Growable buffers; the first ``_trace_len`` entries
+        #: are live (see :meth:`model_trace_series` / :meth:`model_trace_rows`).
+        self._trace_times = np.empty(0)
+        self._trace_watts = np.empty(0)
+        self._trace_rows = np.empty((0, len(FEATURES_FULL)))
+        self._trace_len = 0
+        #: Delivered meter watts minus ``meter_idle_watts`` (non-finite
+        #: readings zeroed), mirroring the meter's delivered list.
+        self._measured = np.empty(0)
         self.estimated_delay_samples: Optional[int] = None
         #: When true, estimated_delay_samples was set externally (ablation)
         #: and must not be re-estimated.
         self._delay_pinned = False
         #: Delivery-time watermark of meter samples already consumed.  A
         #: watermark (rather than a list index) stays correct when faults
-        #: duplicate samples or deliver them out of order.
+        #: duplicate samples or deliver them out of order: each round
+        #: consumes the newly delivered samples past it.
         self._meter_consumed_until = 0.0
 
         # --- self-healing guards (robustness hardening) -----------------
@@ -409,18 +430,20 @@ class PowerContainerFacility(KernelHooks):
         self._tick_net = 0
         self._tick_subsamples = 0
 
-        row = np.array(
-            [
-                t_cycles / elapsed_cycles,
-                t_ins / elapsed_cycles,
-                t_flops / elapsed_cycles,
-                t_cache / elapsed_cycles,
-                t_mem / elapsed_cycles,
-                chipshare,
-                mdisk,
-                mnet,
-            ]
-        )
+        n = self._trace_len
+        if n == len(self._trace_times):
+            self._grow_trace()
+        # The preallocated buffer row is this tick's row: filled in place,
+        # no per-tick array.
+        row = self._trace_rows[n]
+        row[0] = t_cycles / elapsed_cycles
+        row[1] = t_ins / elapsed_cycles
+        row[2] = t_flops / elapsed_cycles
+        row[3] = t_cache / elapsed_cycles
+        row[4] = t_mem / elapsed_cycles
+        row[5] = chipshare
+        row[6] = mdisk
+        row[7] = mnet
         primary_model = self.models[self.primary]
         if self._trace_identity_features:
             # Full-feature primary: the fancy-index gather would copy the
@@ -433,7 +456,16 @@ class PowerContainerFacility(KernelHooks):
             )
         if watts < 0.0:
             watts = 0.0
-        self.trace.append(ModelTracePoint(time=now, row=row, watts=watts))
+        self._trace_times[n] = now
+        self._trace_watts[n] = watts
+        self._trace_len = n + 1
+
+    def _grow_trace(self) -> None:
+        """Double the trace buffers' capacity."""
+        n = self._trace_len
+        self._trace_times = _grown(self._trace_times, n)
+        self._trace_watts = _grown(self._trace_watts, n)
+        self._trace_rows = _grown(self._trace_rows, n)
 
     def _recalib_tick(self) -> None:
         if not self._tracing:
@@ -477,18 +509,24 @@ class PowerContainerFacility(KernelHooks):
                 t.tracer.instant(now, self._t_facility_track, "meter.recovered")
 
     def _run_recalibration(self) -> None:
-        """Align newly delivered meter samples and refit the live model."""
+        """Align newly delivered meter samples and refit the live model.
+
+        Everything but the delay estimate is O(samples delivered since the
+        previous round): the measured series is refreshed from the lowest
+        delivered position that changed, and the refit batch comes from the
+        meter's delivery log (:meth:`_take_new_meter_samples`).
+        """
         if self.meter is None or not self.recalibrators:
             return
-        available = self.meter.samples_available(self.simulator.now)
+        now = self.simulator.now
+        delivered, changed = self.meter.delivery_changes()
+        n_measured = len(delivered)
+        self._refresh_measured(delivered, changed)
         max_delay_samples = int(round(self.max_delay_seconds / self.trace_period))
-        if len(available) < max_delay_samples + 5 or len(self.trace) < 5:
+        if n_measured < max_delay_samples + 5 or self._trace_len < 5:
             return
-        measured = np.array([s.watts - self.meter_idle_watts for s in available])
-        # Non-finite readings carry no alignment information; zero them so
-        # one NaN cannot blank the whole cross-correlation (Eq. 4).
-        measured[~np.isfinite(measured)] = 0.0
-        modeled = np.array([p.watts for p in self.trace])
+        measured = self._measured[:n_measured]
+        modeled = self._trace_watts[: self._trace_len]
         if not self._delay_pinned:
             # Re-estimate with the full series each round (the correlation
             # over a handful of delays is cheap); the estimate stabilizes
@@ -498,17 +536,14 @@ class PowerContainerFacility(KernelHooks):
             )
         delay = self.estimated_delay_samples
 
-        new_samples = [
-            s for s in available if s.available_at > self._meter_consumed_until
-        ]
+        new_samples = self._take_new_meter_samples()
         if not new_samples:
             return
-        self._meter_consumed_until = max(s.available_at for s in new_samples)
 
-        rows = []
+        model_indexes = []
         watts = []
         for sample in new_samples:
-            if not np.isfinite(sample.watts):
+            if not math.isfinite(sample.watts):
                 self.health.rejected_meter_samples += 1
                 continue
             # Software sees only the delivery time; shifting it back by the
@@ -516,37 +551,76 @@ class PowerContainerFacility(KernelHooks):
             # actually describes (Section 3.2).
             observed_index = int(round(sample.available_at / self.trace_period)) - 1
             model_index = observed_index - delay
-            if model_index < 0 or model_index >= len(self.trace):
+            if model_index < 0 or model_index >= self._trace_len:
                 continue
-            row = self.trace[model_index].row
-            active = sample.watts - self.meter_idle_watts
-            if self.meter_covers_peripherals:
-                # Remove the (offline-modelled) peripheral power so the CPU
-                # model is fitted against CPU active power only.
-                active -= self.io_model.coefficient("mdisk") * row[
-                    FEATURES_FULL.index("mdisk")
-                ]
-                active -= self.io_model.coefficient("mnet") * row[
-                    FEATURES_FULL.index("mnet")
-                ]
-            rows.append(row)
-            watts.append(max(active, 0.0))
-        if not rows:
+            model_indexes.append(model_index)
+            watts.append(sample.watts)
+        if not model_indexes:
             return
-        row_matrix = np.vstack(rows)
+        row_matrix = self._trace_rows[model_indexes]
+        active = np.array(watts) - self.meter_idle_watts
+        if self.meter_covers_peripherals:
+            # Remove the (offline-modelled) peripheral power so the CPU
+            # model is fitted against CPU active power only.
+            active -= self.io_model.coefficient("mdisk") * row_matrix[
+                :, FEATURES_FULL.index("mdisk")
+            ]
+            active -= self.io_model.coefficient("mnet") * row_matrix[
+                :, FEATURES_FULL.index("mnet")
+            ]
+        # ``max(active, 0.0)`` per reading: NaN and -0.0 pass through.
+        active = np.where(active < 0.0, 0.0, active)
         for name, recalibrator in self.recalibrators.items():
             features = self.models[name].features
             indexes = [FEATURES_FULL.index(f) for f in features]
-            recalibrator.add_pairs(row_matrix[:, indexes], np.array(watts))
+            recalibrator.add_pairs(row_matrix[:, indexes], active)
             recalibrator.recalibrate()
         t = self.telemetry
         if t is not None and t.enabled:
             t.tracer.instant(
-                self.simulator.now,
+                now,
                 self._t_facility_track,
                 "recal.refit",
-                {"rows": len(rows), "delay_samples": delay},
+                {"rows": len(model_indexes), "delay_samples": delay},
             )
+
+    def _take_new_meter_samples(self) -> list[MeterSample]:
+        """Delivered samples past the watermark, in production order.
+
+        Advances ``_meter_consumed_until`` past them.  The meter's delivery
+        log holds every delivered sample not taken by an earlier round, so
+        this is the batch ``available_at > _meter_consumed_until`` selects
+        from the whole delivered history; the watermark test drops only
+        samples delivered after the watermark had already moved past them.
+        """
+        batch = self.meter.take_new_deliveries()
+        batch.sort()  # by production index (unique, so samples never compare)
+        consumed_until = self._meter_consumed_until
+        new_samples = []
+        for _index, sample in batch:
+            if sample.available_at > consumed_until:
+                new_samples.append(sample)
+        if new_samples:
+            self._meter_consumed_until = max(s.available_at for s in new_samples)
+        return new_samples
+
+    def _refresh_measured(self, delivered: list, changed: int) -> None:
+        """Mirror the meter's delivered list from position ``changed`` on.
+
+        Non-finite readings carry no alignment information; they are zeroed
+        so one NaN cannot blank the whole cross-correlation (Eq. 4).
+        """
+        n = len(delivered)
+        if changed >= n:
+            return
+        if n > len(self._measured):
+            self._measured = _grown(self._measured, changed, n)
+        buffer = self._measured
+        idle = self.meter_idle_watts
+        for position in range(changed, n):
+            buffer[position] = delivered[position].watts - idle
+        tail = buffer[changed:n]
+        tail[~np.isfinite(tail)] = 0.0
 
     # ------------------------------------------------------------------
     # Kernel hook implementations
@@ -765,10 +839,20 @@ class PowerContainerFacility(KernelHooks):
         self.batch_engine.sample_all(self.simulator.now)
 
     def model_trace_series(self) -> tuple[np.ndarray, np.ndarray]:
-        """(interval-end times, modelled machine active watts) arrays."""
-        times = np.array([p.time for p in self.trace])
-        watts = np.array([p.watts for p in self.trace])
-        return times, watts
+        """(interval-end times, modelled machine active watts) arrays.
+
+        Read-only views of the trace so far; later ticks do not change them.
+        """
+        n = self._trace_len
+        return _read_only(self._trace_times[:n]), _read_only(self._trace_watts[:n])
+
+    def model_trace_rows(self) -> np.ndarray:
+        """Read-only ``(ticks, len(FEATURES_FULL))`` view of the trace rows.
+
+        Row ``i`` holds the machine-level feature vector of the interval
+        ending at ``model_trace_series()[0][i]``.
+        """
+        return _read_only(self._trace_rows[: self._trace_len])
 
     def pin_delay(self, delay_samples: int) -> None:
         """Force a fixed measurement delay (alignment ablation)."""
@@ -808,8 +892,12 @@ class PowerContainerFacility(KernelHooks):
                 for name, recalibrator in sorted(self.recalibrators.items())
             },
             "trace": [
-                [point.time, point.row.tolist(), point.watts]
-                for point in self.trace
+                [time, row, watts]
+                for time, row, watts in zip(
+                    self._trace_times[: self._trace_len].tolist(),
+                    self._trace_rows[: self._trace_len].tolist(),
+                    self._trace_watts[: self._trace_len].tolist(),
+                )
             ],
             "estimated_delay_samples": self.estimated_delay_samples,
             "delay_pinned": self._delay_pinned,

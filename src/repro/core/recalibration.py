@@ -27,7 +27,6 @@ overhead assessment benchmark.
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Optional
 
 import numpy as np
@@ -202,9 +201,17 @@ class OnlineRecalibrator:
         self.model = model
         self._offline_X = offline_samples
         self._offline_y = offline_watts
-        self._online: deque[tuple[np.ndarray, float]] = deque(
-            maxlen=max_online_samples
-        )
+        if max_online_samples < 0:
+            raise ValueError("max_online_samples must be non-negative")
+        self.max_online_samples = max_online_samples
+        #: Online pairs in a fixed ring, allocated by the first
+        #: :meth:`add_pairs`: ``_online_len`` pairs starting at row
+        #: ``_online_start`` (the oldest), wrapping at the end.  The start
+        #: only moves once the ring is full.
+        self._online_X = np.empty((0, len(model.features)))
+        self._online_y = np.empty(0)
+        self._online_start = 0
+        self._online_len = 0
         self.offline_weight = offline_weight
         self.online_weight = online_weight
         self.guard = guard
@@ -220,7 +227,12 @@ class OnlineRecalibrator:
     @property
     def online_sample_count(self) -> int:
         """Number of online samples currently retained."""
-        return len(self._online)
+        return self._online_len
+
+    def _oldest_first(self, ring: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The retained part of ``ring`` as two views, oldest pair first."""
+        start = self._online_start
+        return ring[start : self._online_len], ring[:start]
 
     def add_pairs(self, metric_rows: np.ndarray, measured_watts: np.ndarray) -> None:
         """Add aligned online (metrics, measured active power) pairs.
@@ -235,12 +247,37 @@ class OnlineRecalibrator:
         measured_watts = np.asarray(measured_watts, dtype=float)
         if metric_rows.ndim != 2 or metric_rows.shape[1] != len(self.model.features):
             raise ValueError("online sample matrix does not match model features")
-        for row, watts in zip(metric_rows, measured_watts):
-            watts = float(watts)
-            if not (np.isfinite(watts) and watts >= 0.0 and np.isfinite(row).all()):
-                self.rejected_sample_count += 1
-                continue
-            self._online.append((row.copy(), watts))
+        n = min(len(metric_rows), len(measured_watts))
+        metric_rows = metric_rows[:n]
+        measured_watts = measured_watts[:n]
+        keep = (
+            np.isfinite(measured_watts)
+            & (measured_watts >= 0.0)
+            & np.isfinite(metric_rows).all(axis=1)
+        )
+        rows = metric_rows[keep]
+        watts = measured_watts[keep]
+        self.rejected_sample_count += n - len(watts)
+        capacity = self.max_online_samples
+        if len(self._online_y) != capacity:
+            self._online_X = np.empty((capacity, len(self.model.features)))
+            self._online_y = np.empty(capacity)
+        if len(watts) >= capacity:
+            # The batch alone fills the window: keep its newest pairs.
+            self._online_X[:] = rows[len(watts) - capacity :]
+            self._online_y[:] = watts[len(watts) - capacity :]
+            self._online_start = 0
+            self._online_len = capacity
+            return
+        end = (self._online_start + self._online_len) % capacity
+        first = min(len(watts), capacity - end)
+        self._online_X[end : end + first] = rows[:first]
+        self._online_y[end : end + first] = watts[:first]
+        self._online_X[: len(watts) - first] = rows[first:]
+        self._online_y[: len(watts) - first] = watts[first:]
+        overflow = max(0, self._online_len + len(watts) - capacity)
+        self._online_start = (self._online_start + overflow) % capacity
+        self._online_len = min(capacity, self._online_len + len(watts))
 
     def last_good_coefficients(self) -> np.ndarray:
         """The most recent trusted coefficient vector.
@@ -261,18 +298,16 @@ class OnlineRecalibrator:
         validated first; a rejected candidate leaves the live model on its
         current (last good) coefficients and starts the guard's backoff.
         """
-        if not self._online:
+        if not self._online_len:
             return self.model.coefficients
         if self.guard is not None and self.guard.should_skip():
             return self.model.coefficients
-        online_X = np.vstack([row for row, _ in self._online])
-        online_y = np.array([w for _, w in self._online])
-        X = np.vstack([self._offline_X, online_X])
-        y = np.concatenate([self._offline_y, online_y])
+        X = np.concatenate((self._offline_X, *self._oldest_first(self._online_X)))
+        y = np.concatenate((self._offline_y, *self._oldest_first(self._online_y)))
         weights = np.concatenate(
             [
                 np.full(len(self._offline_y), self.offline_weight),
-                np.full(len(online_y), self.online_weight),
+                np.full(self._online_len, self.online_weight),
             ]
         )
         fitted = PowerModel.fit(
@@ -305,7 +340,11 @@ class OnlineRecalibrator:
         return {
             "v": 1,
             "online": [
-                [row.tolist(), watts] for row, watts in self._online
+                [row, watts]
+                for row, watts in zip(
+                    np.concatenate(self._oldest_first(self._online_X)).tolist(),
+                    np.concatenate(self._oldest_first(self._online_y)).tolist(),
+                )
             ],
             "recalibration_count": self.recalibration_count,
             "rejected_sample_count": self.rejected_sample_count,

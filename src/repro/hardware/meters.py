@@ -12,10 +12,20 @@ Two instruments from the paper's testbed are reproduced:
 Meters observe ground truth (plus optional measurement noise) but publish
 samples only after their delay, so the alignment machinery in
 :mod:`repro.core.alignment` has a genuine inference problem to solve.
+
+Delivery is incremental.  Published samples wait on a heap keyed by
+``(available_at, production index)``; a delivery step moves the due ones
+into a delivered list kept in production order (an append for in-order
+delivery, an insert for a sample the fault hook delayed).  The meter
+remembers the lowest delivered position that changed and logs each newly
+delivered sample, so a consumer that polls every round -- the facility's
+recalibration -- touches only what changed instead of rescanning the run.
 """
 
 from __future__ import annotations
 
+import bisect
+import heapq
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
@@ -60,7 +70,20 @@ class _PeriodicMeter:
         self.delay = delay
         self.noise_std_watts = noise_std_watts
         self._rng = rng if rng is not None else np.random.default_rng(0)
+        #: Every published sample, in production order.
         self._samples: list[MeterSample] = []
+        #: Published, not yet delivered: ``(available_at, index, sample)``.
+        self._pending: list[tuple[float, int, MeterSample]] = []
+        #: Delivered samples and their production indexes, production order.
+        self._delivered: list[MeterSample] = []
+        self._delivered_order: list[int] = []
+        #: The latest query time the delivered list is complete for.
+        self._delivered_through = float("-inf")
+        #: Lowest delivered position changed since :meth:`delivery_changes`.
+        self._changed_from = 0
+        #: ``(index, sample)`` delivered since :meth:`take_new_deliveries`;
+        #: ``None`` until the first take, so an unpolled meter logs nothing.
+        self._new_deliveries: Optional[list[tuple[int, MeterSample]]] = None
         self._last_energy = 0.0
         self._running = False
         #: Optional fault-injection hook (see :mod:`repro.faults`): maps each
@@ -111,9 +134,58 @@ class _PeriodicMeter:
             interval_end=now, available_at=now + self.delay, watts=watts
         )
         if self.fault_hook is None:
-            self._samples.append(sample)
+            self._publish(sample)
         else:
-            self._samples.extend(self.fault_hook(sample))
+            for published in self.fault_hook(sample):
+                self._publish(published)
+
+    def _publish(self, sample: MeterSample) -> None:
+        index = len(self._samples)
+        self._samples.append(sample)
+        # A NaN delivery time never compares due; keep it off the heap,
+        # whose order a NaN key would break.
+        if sample.available_at == sample.available_at:
+            heapq.heappush(self._pending, (sample.available_at, index, sample))
+
+    def _deliver(self, now: float) -> None:  # hot-path
+        """Move every published sample due by ``now`` into delivery order."""
+        pending = self._pending
+        self._delivered_through = now
+        if not pending or pending[0][0] > now:
+            return
+        delivered = self._delivered
+        order = self._delivered_order
+        log = self._new_deliveries
+        changed = self._changed_from
+        while pending and pending[0][0] <= now:
+            _, index, sample = heapq.heappop(pending)
+            if not order or index > order[-1]:
+                position = len(order)
+                order.append(index)
+                delivered.append(sample)
+            else:
+                # Delayed past a later reading: back into production order.
+                position = bisect.bisect_left(order, index)
+                order.insert(position, index)
+                delivered.insert(position, sample)
+            if position < changed:
+                changed = position
+            if log is not None:
+                log.append((index, sample))
+        self._changed_from = changed
+
+    def _delivered_by(self, now: float) -> Optional[list[MeterSample]]:
+        """The delivered list for ``now``, or ``None`` off the cursor.
+
+        The cursor only moves forward and never past the simulator clock
+        (a sample published later may still be due by a future ``now``),
+        so queries before its position or ahead of the clock return
+        ``None`` and the caller scans the history instead.
+        """
+        if not self._delivered_through <= now <= self.simulator.now:
+            return None
+        self._deliver(now)
+        return self._delivered
 
     def _read_energy(self) -> float:  # pragma: no cover - overridden
         raise NotImplementedError
@@ -125,13 +197,46 @@ class _PeriodicMeter:
         return list(self._samples)
 
     def samples_available(self, now: float) -> list[MeterSample]:
-        """Samples whose readings have been delivered by time ``now``."""
-        return [s for s in self._samples if s.available_at <= now]
+        """Samples whose readings have been delivered by time ``now``.
+
+        A new list (the caller may keep or change it), in production order.
+        """
+        delivered = self._delivered_by(now)
+        if delivered is None:
+            return [s for s in self._samples if s.available_at <= now]
+        return list(delivered)
 
     def latest_available(self, now: float) -> MeterSample | None:
-        """Most recent delivered sample, or ``None``."""
-        available = self.samples_available(now)
-        return available[-1] if available else None
+        """Most recent delivered sample (production order), or ``None``."""
+        delivered = self._delivered_by(now)
+        if delivered is None:
+            delivered = self.samples_available(now)
+        return delivered[-1] if delivered else None
+
+    def delivery_changes(self) -> tuple[list[MeterSample], int]:
+        """Deliver what is due at the clock; return the list and what changed.
+
+        The list is the meter's own, in production order -- read it, never
+        change it.  The int is the lowest position that changed since the
+        previous call (``len`` of the list when nothing did), so a consumer
+        mirroring the list refreshes only its tail.
+        """
+        self._deliver(self.simulator.now)
+        changed = self._changed_from
+        self._changed_from = len(self._delivered)
+        return self._delivered, changed
+
+    def take_new_deliveries(self) -> list[tuple[int, MeterSample]]:
+        """``(production index, sample)`` pairs delivered since the last take.
+
+        In delivery order.  The first take returns every sample delivered
+        so far; from then on the meter logs deliveries for the next take.
+        """
+        batch = self._new_deliveries
+        if batch is None:
+            batch = list(zip(self._delivered_order, self._delivered))
+        self._new_deliveries = []
+        return batch
 
     def mean_watts(self, start: float = 0.0, end: float | None = None) -> float:
         """Mean measured power over sample intervals ending in a window."""

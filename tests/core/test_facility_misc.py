@@ -63,7 +63,8 @@ def test_start_tracing_idempotent(sb_cal):
     facility.start_tracing()
     sim.run_until(0.1)
     # A doubled tracer would produce ~20 points for a 0.1 s run.
-    assert 8 <= len(facility.trace) <= 11
+    times, _watts = facility.model_trace_series()
+    assert 8 <= len(times) <= 11
 
 
 @pytest.mark.slow

@@ -39,9 +39,11 @@ def test_trace_period_spacing(traced):
 
 def test_trace_rows_have_full_feature_width(traced):
     _sim, _machine, facility = traced
-    for point in facility.trace[:10]:
-        assert point.row.shape == (len(FEATURES_FULL),)
-        assert (point.row >= -1e-9).all()
+    rows = facility.model_trace_rows()
+    times, _watts = facility.model_trace_series()
+    assert rows.shape == (len(times), len(FEATURES_FULL))
+    assert len(rows) >= 10
+    assert (rows >= -1e-9).all()
 
 
 def test_trace_watts_track_activity(traced):
@@ -54,13 +56,27 @@ def test_trace_watts_track_activity(traced):
 
 def test_trace_mcore_never_exceeds_core_count(traced):
     _sim, _machine, facility = traced
-    mcore_index = FEATURES_FULL.index("mcore")
-    for point in facility.trace:
-        assert point.row[mcore_index] <= 4.0 + 0.05
+    mcore = facility.model_trace_rows()[:, FEATURES_FULL.index("mcore")]
+    assert len(mcore) >= 10
+    assert (mcore <= 4.0 + 0.05).all()
 
 
 def test_trace_chipshare_bounded_by_chip_count(traced):
     _sim, _machine, facility = traced
-    index = FEATURES_FULL.index("mchipshare")
-    for point in facility.trace:
-        assert 0.0 <= point.row[index] <= 1.0 + 1e-9
+    share = facility.model_trace_rows()[:, FEATURES_FULL.index("mchipshare")]
+    assert len(share) >= 10
+    assert ((0.0 <= share) & (share <= 1.0 + 1e-9)).all()
+
+
+def test_trace_views_are_read_only_snapshots(traced):
+    sim, _machine, facility = traced
+    times, watts = facility.model_trace_series()
+    rows = facility.model_trace_rows()
+    for view in (times, watts, rows):
+        with pytest.raises(ValueError):
+            view[0] = 0.0
+    before = (times.copy(), watts.copy(), rows.copy())
+    sim.run_until(sim.now + 5.5)  # past 1024 ticks: the buffers regrow
+    assert len(facility.model_trace_series()[0]) > 1024
+    for view, copy in zip((times, watts, rows), before):
+        assert np.array_equal(view, copy)

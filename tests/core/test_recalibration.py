@@ -1,7 +1,11 @@
 """Tests for online recalibration, from unit level to closed loop."""
 
+from collections import deque
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import OnlineRecalibrator, PowerContainerFacility, PowerModel
 from repro.hardware import PackageMeter, RateProfile, SANDYBRIDGE, build_machine
@@ -73,14 +77,94 @@ def test_equal_weighting_balances_offline_and_online():
     assert model.coefficient("mcore") == pytest.approx(12.0, abs=0.2)
 
 
+class _DequeRecalibrator:
+    """The online window as a ``deque(maxlen=...)`` of ``(row, watts)``:
+    the reference the ring buffer must reproduce exactly."""
+
+    def __init__(self, model, X_off, y_off, max_online_samples):
+        self.model = model
+        self.X_off, self.y_off = X_off, y_off
+        self.online = deque(maxlen=max_online_samples)
+        self.rejected_sample_count = 0
+
+    def add_pairs(self, rows, watts):
+        for row, w in zip(rows, watts):
+            w = float(w)
+            if not (np.isfinite(w) and w >= 0.0 and np.isfinite(row).all()):
+                self.rejected_sample_count += 1
+                continue
+            self.online.append((row.copy(), w))
+
+    def recalibrate(self):
+        X = np.vstack([self.X_off] + [row for row, _ in self.online])
+        y = np.concatenate([self.y_off, [w for _, w in self.online]])
+        weights = np.ones(len(y))
+        return PowerModel.fit(X, y, self.model.features,
+                              sample_weights=weights).coefficients
+
+    def snapshot_online(self):
+        return [[row.tolist(), w] for row, w in self.online]
+
+
+#: Values a corrupted online pair may carry in either its watts or a row.
+_BAD_VALUES = (np.nan, np.inf, -np.inf, -1.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    capacity=st.integers(1, 9),
+    batches=st.lists(st.integers(0, 25), min_size=1, max_size=8),
+    seed=st.integers(0, 2**16),
+)
+def test_ring_window_matches_a_deque(capacity, batches, seed):
+    """Batches that wrap the ring, batches larger than the whole window,
+    and rejected rows (NaN, negative watts, non-finite features) leave
+    the same window, counts and refit as a ``deque(maxlen=capacity)``."""
+    rng = np.random.default_rng(seed)
+    X_off = rng.uniform(0.0, 1.0, (6, 2))
+    y_off = X_off @ np.array([10.0, 4.0])
+    recal = OnlineRecalibrator(
+        PowerModel(("mcore", "mins"), np.array([10.0, 4.0])), X_off, y_off,
+        max_online_samples=capacity,
+    )
+    reference = _DequeRecalibrator(
+        PowerModel(("mcore", "mins"), np.array([10.0, 4.0])), X_off, y_off,
+        capacity,
+    )
+    for size in batches:
+        rows = rng.uniform(0.0, 1.0, (size, 2))
+        watts = rows @ np.array([14.0, 3.0]) + rng.normal(0.0, 0.1, size)
+        for i in range(size):
+            corrupt = rng.integers(0, 6)
+            if corrupt < len(_BAD_VALUES):
+                if rng.integers(0, 2):
+                    watts[i] = _BAD_VALUES[corrupt]
+                else:
+                    rows[i, rng.integers(0, 2)] = _BAD_VALUES[corrupt]
+        recal.add_pairs(rows, watts)
+        reference.add_pairs(rows, watts)
+        assert recal.rejected_sample_count == reference.rejected_sample_count
+        assert recal.online_sample_count == len(reference.online)
+        assert recal.snapshot_state()["online"] == reference.snapshot_online()
+        if reference.online:
+            assert recal.recalibrate().tolist() == reference.recalibrate().tolist()
+
+
 # ----------------------------------------------------------------------
 # Closed loop on the simulated machine
 # ----------------------------------------------------------------------
-def _run_hidden_workload(sb_cal, with_meter):
+class _NoScanMeter(PackageMeter):
+    """A package meter that fails the run if anyone copies its history."""
+
+    def samples_available(self, now):
+        raise AssertionError("samples_available called during the run")
+
+
+def _run_hidden_workload(sb_cal, with_meter, meter_class=PackageMeter):
     sim = Simulator()
     machine = build_machine(SANDYBRIDGE, sim)
     kernel = Kernel(machine, sim)
-    meter = PackageMeter(machine, sim, period=1e-3, delay=1e-3) if with_meter else None
+    meter = meter_class(machine, sim, period=1e-3, delay=1e-3) if with_meter else None
     facility = PowerContainerFacility(
         kernel,
         sb_cal,
@@ -142,3 +226,13 @@ def test_model_trace_recorded(sb_cal):
     assert len(times) > 1000
     assert watts.max() > 5.0      # busy phases visible
     assert watts.min() < 1.0      # idle gaps visible
+
+
+def test_recalibration_rounds_never_copy_the_meter_history(sb_cal):
+    """A round reads the meter incrementally (delivery cursor and log),
+    never through the copying ``samples_available`` history scan."""
+    facility, _, _ = _run_hidden_workload(
+        sb_cal, with_meter=True, meter_class=_NoScanMeter
+    )
+    assert facility.recalibrators["recal"].recalibration_count >= 1
+    assert facility.estimated_delay_samples is not None
