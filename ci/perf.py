@@ -1,36 +1,26 @@
-"""The benchmark suite behind ``python -m repro perf``.
+"""The perf gate behind ``python -m ci perf``: benchmarks + BENCH_perf.json.
 
-Two kinds of benchmarks guard the attribution stack's speed:
+**Micro** benchmarks time isolated hot kernels (event-vector math,
+``active_power``, the simulator queue, ``correlation_curve``, batched
+accounting) and the machine-independent ratios (vectorized code vs its
+loop oracle, disabled telemetry vs none); **macro** benchmarks time the
+seeded Solr run the determinism gate replays and the sharded cluster at
+1, 2 and 4 workers.
 
-* **micro** -- isolated hot kernels (event-vector math, ``active_power``,
-  the simulator queue, ``correlation_curve``), each timed over enough
-  iterations that per-call overhead dominates noise;
-* **macro** -- one end-to-end seeded Solr workload run, the same shape the
-  determinism gate replays, timing the whole simulator -> accounting ->
-  tracing pipeline.
-
-Results are emitted as ``BENCH_perf.json`` (schema 2).  The committed copy
-at the repo root records, per benchmark: the wall time measured when the
-file was last regenerated (``seconds`` -- always a wall time), derived
-throughput (events/sec, samples/sec), an explicit ``ratio`` field for the
-machine-independent ratio benchmarks, and -- for the benchmarks that
-existed before the optimization PR -- the pre-optimization wall time
-(``pre_pr_seconds``) measured with the same methodology, so the speedup is
-an apples-to-apples ratio inside one file.  Schema 1 files stored ratios
-*in* the ``seconds`` field; :func:`load_bench_json` migrates them.
-
-:func:`check_regressions` is the CI contract (the ``perf`` lane): a fresh
-run must stay under ``threshold`` x the committed wall times, and every
-machine-independent ratio (vectorized ``correlation_curve`` vs its loop
-oracle, batch accounting vs the scalar oracle, the disabled-telemetry tax)
-must hold its bound.  Wall-clock comparisons against a committed file are
-inherently machine-relative, hence the generous default threshold; the
-ratio checks have no such dependence.
+``BENCH_perf.json`` (schema 2) records per benchmark a wall time
+(``seconds``), derived throughput, an explicit ``ratio`` on the ratio
+benchmarks, and the frozen pre-optimization wall time where one exists.
+:func:`check_regressions` holds a fresh run to it.  Wall-clock limits are
+machine-relative, hence the generous default threshold; the ratio bounds
+are not.  numpy is imported at the top, so ``ci.runner`` loads this module
+lazily.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import subprocess
 import time
 from dataclasses import dataclass, field
 
@@ -49,6 +39,14 @@ PRE_PR_SECONDS = {
 #: the committed wall time (absorbs machine and load variance).
 DEFAULT_THRESHOLD = 3.0
 
+#: Regression threshold for ``perf --trend``: the nightly lane runs on one
+#: runner class, so it can afford a much tighter bound than the default
+#: merge-gate threshold -- fail on >20% regression vs the committed file.
+TREND_THRESHOLD = 1.2
+
+#: Where ``perf --trend`` appends its one-line-per-run history.
+TREND_HISTORY = os.path.join("results", "BENCH_history.jsonl")
+
 #: Minimum required speed ratio of the vectorized ``correlation_curve``
 #: over the loop oracle (machine-independent; measured ~27x).
 MIN_CORRELATION_RATIO = 5.0
@@ -62,11 +60,6 @@ MIN_ACCOUNTING_RATIO = 2.0
 #: disabled-mode guards (``if t is not None and t.enabled``) on every hot
 #: path must stay within this budget (machine-independent; measured ~1.0).
 MAX_TELEMETRY_DISABLED_RATIO = 1.05
-
-#: Iterations per arm of the telemetry-overhead benchmark.  Module-level
-#: because the schema-1 migration reconstructs that benchmark's wall time
-#: from its recorded samples/sec.
-_TELEMETRY_ITERATIONS = 10_000
 
 #: Maximum wall-time ratio of a shard worker's epoch-barrier loop with a
 #: disabled telemetry handle over the telemetry-off loop.  The frame
@@ -88,10 +81,9 @@ _FRAME_ROUNDS = 12
 #: over the single-process run.  Unlike the other ratio floors this one is
 #: machine-*dependent* -- it needs real cores to parallelize onto -- so
 #: :func:`check_regressions` only enforces it when the host exposes at
-#: least :data:`_SHARD_SPEEDUP_MIN_CORES` cores; on smaller hosts the
-#: honestly-measured ratio is still recorded in ``BENCH_perf.json``.
+#: least four cores; on smaller hosts the honestly-measured ratio is
+#: still recorded in ``BENCH_perf.json``.
 MIN_SHARD_SPEEDUP = 2.5
-_SHARD_SPEEDUP_MIN_CORES = 4
 
 #: Minimum 2-worker speedup of the same run, enforced on hosts with at
 #: least two cores.  The scatter/gather barrier measured 1.47-1.94x
@@ -105,8 +97,7 @@ class BenchResult:
     """One benchmark's timing plus derived throughput numbers.
 
     ``seconds`` is always a wall time.  Ratio benchmarks additionally set
-    ``ratio`` -- the machine-independent quantity their CI bound checks --
-    instead of smuggling it through ``seconds`` as schema 1 did.
+    ``ratio`` -- the machine-independent quantity their CI bound checks.
     """
 
     name: str
@@ -275,7 +266,7 @@ def bench_telemetry_overhead() -> BenchResult:
 
     calibration = calibrate_machine(SANDYBRIDGE, duration=0.1)
     spin = RateProfile(name="bench-spin", ipc=1.0)
-    iterations = _TELEMETRY_ITERATIONS
+    iterations = 10_000
 
     def build_accountant(telemetry):
         sim = Simulator()
@@ -638,17 +629,32 @@ def run_suite() -> dict[str, BenchResult]:
 # ---------------------------------------------------------------------------
 # BENCH_perf.json I/O and the CI regression contract
 # ---------------------------------------------------------------------------
-#: Ratio benchmarks with a required *minimum* ratio (speedup floors).
-RATIO_MINIMUMS = {
-    "micro-correlation-vs-oracle-ratio": MIN_CORRELATION_RATIO,
-    "micro-accounting-vs-oracle-ratio": MIN_ACCOUNTING_RATIO,
-}
+#: Every ratio bound: (benchmark, measured quantity, label, bound, whether
+#: the bound is a floor (else a budget, i.e. a ceiling), the cores a host
+#: needs before the bound applies).  ``"ratio"`` reads the benchmark's
+#: ``ratio``; any other quantity is read from its ``throughput``.
+RATIO_BOUNDS = (
+    ("micro-correlation-vs-oracle-ratio", "ratio", "ratio",
+     MIN_CORRELATION_RATIO, True, 1),
+    ("micro-accounting-vs-oracle-ratio", "ratio", "ratio",
+     MIN_ACCOUNTING_RATIO, True, 1),
+    ("micro-telemetry-disabled-ratio", "ratio", "ratio",
+     MAX_TELEMETRY_DISABLED_RATIO, False, 1),
+    ("micro-telemetry-frame-overhead", "ratio", "ratio",
+     MAX_TELEMETRY_FRAME_RATIO, False, 1),
+    ("macro-cluster-sharded", "speedup_2_workers", "2-worker speedup",
+     MIN_SHARD_SPEEDUP_2_WORKERS, True, 2),
+    ("macro-cluster-sharded", "ratio", "4-worker speedup",
+     MIN_SHARD_SPEEDUP, True, 4),
+)
 
-#: Ratio benchmarks with a required *maximum* ratio (overhead budgets).
-RATIO_MAXIMUMS = {
-    "micro-telemetry-disabled-ratio": MAX_TELEMETRY_DISABLED_RATIO,
-    "micro-telemetry-frame-overhead": MAX_TELEMETRY_FRAME_RATIO,
-}
+
+def _entry(result: BenchResult) -> dict:
+    """The fields both the baseline file and the trend history record."""
+    entry: dict = {"kind": result.kind, "seconds": result.seconds}
+    if result.ratio is not None:
+        entry["ratio"] = result.ratio
+    return entry
 
 
 def write_bench_json(results: dict[str, BenchResult], path: str) -> dict:
@@ -660,9 +666,7 @@ def write_bench_json(results: dict[str, BenchResult], path: str) -> dict:
     """
     benchmarks = {}
     for name, result in results.items():
-        entry: dict = {"kind": result.kind, "seconds": result.seconds}
-        if result.ratio is not None:
-            entry["ratio"] = result.ratio
+        entry = _entry(result)
         entry.update(result.throughput)
         pre = PRE_PR_SECONDS.get(name)
         if pre is not None:
@@ -676,38 +680,34 @@ def write_bench_json(results: dict[str, BenchResult], path: str) -> dict:
     return payload
 
 
-def _migrate_schema1(payload: dict) -> dict:
-    """Schema 1 -> 2 in place: un-smuggle the ratios out of ``seconds``.
-
-    Schema 1 stored the two ratio benchmarks' ratios *as* their
-    ``seconds``.  The migration moves those into ``ratio`` and recovers a
-    real wall time from the recorded throughput fields (the vectorized
-    correlation arm's seconds; the telemetry bench's bare arm via its
-    samples/sec and the fixed iteration count).  When the throughput field
-    is missing the wall time is set to ``0.0``, which
-    :func:`check_regressions` treats as "no wall baseline".
-    """
-    for name, entry in payload.get("benchmarks", {}).items():
-        if "ratio" in entry:
-            continue
-        if name == "micro-correlation-vs-oracle-ratio":
-            entry["ratio"] = entry["seconds"]
-            entry["seconds"] = entry.get("vectorized_seconds", 0.0)
-        elif name == "micro-telemetry-disabled-ratio":
-            entry["ratio"] = entry["seconds"]
-            bare = entry.get("bare_samples_per_sec")
-            entry["seconds"] = _TELEMETRY_ITERATIONS / bare if bare else 0.0
-    payload["schema"] = 2
-    return payload
-
-
 def load_bench_json(path: str) -> dict:
-    """Load a committed ``BENCH_perf.json``, migrating old schemas."""
+    """Load a committed ``BENCH_perf.json``."""
     with open(path) as fh:
-        payload = json.load(fh)
-    if payload.get("schema", 1) < 2:
-        payload = _migrate_schema1(payload)
-    return payload
+        return json.load(fh)
+
+
+def append_trend_history(results, problems, path: str) -> None:
+    """Append one JSON line summarizing this perf run to ``path``."""
+    try:
+        sha = subprocess.run(
+            ["git", "rev-parse", "--short", "HEAD"],
+            cwd=os.path.dirname(os.path.abspath(__file__)),
+            stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True,
+        ).stdout.strip() or None
+    except OSError:
+        sha = None
+    line = {
+        "ts": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
+        "sha": sha,
+        "threshold": TREND_THRESHOLD,
+        "problems": list(problems),
+        "benchmarks": {
+            name: _entry(result) for name, result in results.items()
+        },
+    }
+    os.makedirs(os.path.dirname(path), exist_ok=True)
+    with open(path, "a") as fh:
+        fh.write(json.dumps(line, sort_keys=True) + "\n")
 
 
 def check_regressions(
@@ -718,63 +718,41 @@ def check_regressions(
     """Compare a fresh run against the committed baselines.
 
     Returns a list of human-readable problems (empty = pass).  Every
-    benchmark's wall time must stay under ``threshold`` x its committed
-    ``seconds`` (skipped when a schema-1 migration could not recover a
-    wall baseline); ratio benchmarks must additionally hold their
-    machine-independent bounds (:data:`RATIO_MINIMUMS` speedup floors,
-    :data:`RATIO_MAXIMUMS` overhead budgets).
+    committed benchmark must be in ``results`` -- a benchmark the run
+    dropped would otherwise take its bounds with it -- every benchmark's
+    wall time must stay under ``threshold`` x its committed ``seconds``,
+    and every :data:`RATIO_BOUNDS` entry the host has the cores for must
+    hold.
     """
     from repro.analysis.parallel import available_cores
 
     committed = load_bench_json(committed_path)["benchmarks"]
-    problems = []
+    problems = [
+        f"{name}: committed in {committed_path} but not produced by this run"
+        for name in committed if name not in results
+    ]
     cores = available_cores()
+    for name, quantity, label, bound, floor, min_cores in RATIO_BOUNDS:
+        result = results.get(name)
+        if result is None or cores < min_cores:
+            continue
+        value = (result.ratio if quantity == "ratio"
+                 else result.throughput.get(quantity))
+        if value is None:
+            problems.append(f"{name}: no {label} was measured")
+        elif floor and value < bound:
+            problems.append(
+                f"{name}: {label} {value:.2f}x below required {bound:.1f}x"
+            )
+        elif not floor and value > bound:
+            problems.append(
+                f"{name}: {label} {value:.3f}x exceeds budget {bound:.2f}x"
+            )
     for name, result in results.items():
-        # Machine-dependent floors: only meaningful with real cores to
-        # parallelize onto (a 1-core CI host records the honest ratios
-        # but cannot be held to a speedup it physically cannot reach).
-        if name == "macro-cluster-sharded" and cores >= 2:
-            two = result.throughput.get("speedup_2_workers")
-            if two is None:
-                problems.append(f"{name}: no 2-worker speedup was measured")
-            elif two < MIN_SHARD_SPEEDUP_2_WORKERS:
-                problems.append(
-                    f"{name}: 2-worker speedup {two:.2f}x below required "
-                    f"{MIN_SHARD_SPEEDUP_2_WORKERS:.1f}x"
-                )
-        if name == "macro-cluster-sharded" and \
-                cores >= _SHARD_SPEEDUP_MIN_CORES:
-            if result.ratio is None:
-                problems.append(f"{name}: no speedup ratio was measured")
-            elif result.ratio < MIN_SHARD_SPEEDUP:
-                problems.append(
-                    f"{name}: 4-worker speedup {result.ratio:.2f}x below "
-                    f"required {MIN_SHARD_SPEEDUP:.1f}x"
-                )
-        minimum = RATIO_MINIMUMS.get(name)
-        if minimum is not None:
-            if result.ratio is None:
-                problems.append(f"{name}: no ratio was measured")
-            elif result.ratio < minimum:
-                problems.append(
-                    f"{name}: speed ratio {result.ratio:.1f}x below "
-                    f"required {minimum:.1f}x"
-                )
-        maximum = RATIO_MAXIMUMS.get(name)
-        if maximum is not None:
-            if result.ratio is None:
-                problems.append(f"{name}: no ratio was measured")
-            elif result.ratio > maximum:
-                problems.append(
-                    f"{name}: overhead ratio {result.ratio:.3f}x exceeds "
-                    f"budget {maximum:.2f}x"
-                )
         baseline = committed.get(name)
         if baseline is None:
             problems.append(f"{name}: no committed baseline in {committed_path}")
             continue
-        if baseline["seconds"] <= 0.0:
-            continue  # migrated entry without a recoverable wall time
         limit = baseline["seconds"] * threshold
         if result.seconds > limit:
             problems.append(

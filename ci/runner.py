@@ -1,10 +1,15 @@
-"""CI lane orchestration: subprocess lanes + the combined merge gate."""
+"""CI lane orchestration: subprocess lanes, the lanes that run rows of the
+fingerprint case table (:mod:`ci.cases`), and the combined merge gate."""
 
 from __future__ import annotations
 
+import json
 import os
 import subprocess
 import sys
+import tempfile
+from functools import partial
+
 from ci.report import Finding, Reporter
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -20,22 +25,22 @@ EXAMPLES = (
 )
 
 
-def _env() -> dict[str, str]:
+def _run(argv: list[str], extra_env=None) -> subprocess.CompletedProcess:
+    """Run ``argv`` from the repo root with ``src`` importable; output
+    (stdout and stderr together) is captured."""
     env = dict(os.environ)
     src = os.path.join(ROOT, "src")
     existing = env.get("PYTHONPATH")
     env["PYTHONPATH"] = src + (os.pathsep + existing if existing else "")
-    return env
-
-
-def _subprocess_lane(argv: list[str], label: str, extra_env=None):
-    env = _env()
-    if extra_env:
-        env.update(extra_env)
-    proc = subprocess.run(
+    env.update(extra_env or {})
+    return subprocess.run(
         argv, cwd=ROOT, env=env,
         stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
     )
+
+
+def _subprocess_lane(argv: list[str], label: str, extra_env=None):
+    proc = _run(argv, extra_env)
     if proc.returncode == 0:
         return True, [], label
     tail = "\n".join(proc.stdout.splitlines()[-30:])
@@ -43,6 +48,18 @@ def _subprocess_lane(argv: list[str], label: str, extra_env=None):
     return False, [Finding(
         label, 0, "EXIT", f"exited with status {proc.returncode}",
     )], label
+
+
+def run_json(argv: list[str]):
+    """Run a CLI subprocess; return (process, parsed-last-line-or-None)."""
+    proc = _run(argv, {"CI": "true"})
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode == 0 and lines:
+        try:
+            return proc, json.loads(lines[-1])
+        except ValueError:
+            pass
+    return proc, None
 
 
 def run_tests(full: bool = False):
@@ -76,578 +93,138 @@ def run_chaos():
                             extra_env={"CI": "true"})
 
 
-def run_overload():
-    """Overload lane: brownout scenarios double-run + the CLI demo.
+def _compare_lane(lane: str, after=None):
+    """Run ``lane``'s rows of the case table, then its other steps.
 
-    Each overload scenario runs twice with the same seed and the two report
-    fingerprints must match bit-for-bit -- the shed set, the brownout
-    ladder, and every admission counter are part of the fingerprint, so a
-    nondeterministic shedding decision fails here even if both runs pass
-    their invariants.
+    ``after(runs, workdir) -> findings`` is the lane's non-comparison
+    step; ``runs`` maps each case name to its runners' outputs, and
+    ``workdir`` still holds the crash drills' checkpoints.
     """
     sys.path.insert(0, os.path.join(ROOT, "src"))
-    from repro.faults import run_scenario, scenario_by_name
+    from ci.cases import case_table, compare
 
     findings = []
-    names = ("arrival-storm", "cap-squeeze", "storm-during-crash")
-    for name in names:
-        first = run_scenario(scenario_by_name(name), seed=42)
-        second = run_scenario(scenario_by_name(name), seed=42)
-        for violation in first.violations:
-            findings.append(Finding(
-                "ci/runner.py", 1, "CHAOS", f"{name}: {violation}",
-            ))
-        if first.fingerprint() != second.fingerprint():
-            findings.append(Finding(
-                "ci/runner.py", 1, "NDET",
-                f"overload scenario {name!r} fingerprint differs between "
-                f"identically-seeded runs",
-            ))
-    ok, lane_findings, _ = _subprocess_lane(
-        [sys.executable, "-m", "repro", "overload", "--seed", "42"],
-        "repro overload --seed 42", extra_env={"CI": "true"},
-    )
-    findings.extend(lane_findings)
-    detail = f"{len(names)} scenarios double-run + CLI demo"
+    runs: dict = {}
+    with tempfile.TemporaryDirectory(prefix=f"repro-ci-{lane}-") as workdir:
+        rows = [case for case in case_table(workdir) if case.lane == lane]
+        for case in rows:
+            findings += compare(case, runs.setdefault(case.name, {}))
+        if after is not None:
+            findings += after(runs, workdir)
+    comparisons = sum(len(case.variants) * len(case.keys) for case in rows)
+    detail = f"cases: {len(rows)}, fingerprint comparisons: {comparisons}"
     return not findings, findings, detail
+
+
+def run_determinism():
+    """Seeded double-runs plus in-process checkpoint/resume identity."""
+    return _compare_lane("determinism")
+
+
+def run_overload():
+    """Brownout scenarios double-run, plus the CLI demo.
+
+    The shed set, the brownout ladder, and every admission counter are in
+    the report fingerprint, so a nondeterministic shedding decision fails
+    even if both runs pass their invariants.
+    """
+    def demo(runs, workdir):
+        return _subprocess_lane(
+            [sys.executable, "-m", "repro", "overload", "--seed", "42"],
+            "repro overload --seed 42", extra_env={"CI": "true"},
+        )[1]
+
+    return _compare_lane("overload", demo)
 
 
 def run_telemetry():
-    """Telemetry lane: tracing must be deterministic and strictly neutral.
-
-    For every determinism-gate chaos scenario: (1) a baseline run without
-    telemetry and an instrumented run must produce bit-identical report
-    fingerprints (enabling telemetry never changes attribution); (2) two
-    instrumented runs with the same seed must produce bit-identical
-    ``trace_fingerprint()`` digests; (3) a run with a disabled handle must
-    record zero events.  A Solr workload run repeats the neutrality check
-    against the determinism gate's own fingerprint dict.
-    """
-    sys.path.insert(0, os.path.join(ROOT, "src"))
-    from ci.determinism import _CHAOS_SCENARIOS, _CHAOS_SEED, _run_once
-    from repro.faults import run_scenario, scenario_by_name
-    from repro.telemetry import Telemetry
-
-    findings = []
-    for name in _CHAOS_SCENARIOS:
-        scenario = scenario_by_name(name)
-        baseline = run_scenario(scenario, seed=_CHAOS_SEED)
-        first = Telemetry()
-        traced = run_scenario(scenario, seed=_CHAOS_SEED, telemetry=first)
-        if baseline.fingerprint() != traced.fingerprint():
-            findings.append(Finding(
-                "ci/runner.py", 1, "TELEM",
-                f"scenario {name!r}: enabling telemetry changed the report "
-                f"fingerprint (instrumentation is not neutral)",
+    """Telemetry neutrality and trace determinism, single-machine and
+    sharded, plus the dashboard the bench workflow uploads."""
+    def export_dashboard(runs, workdir):
+        on = runs["sharded-workers"]["reference"]["result"]
+        path = os.path.join(ROOT, "results", "dashboard-ci.json")
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        with open(path, "w") as fh:
+            fh.write(on.observability.store.dashboard_json(
+                meta={"lane": "telemetry", "scenario": "solr", "shards": 2},
+                alerts=on.observability.engine.alert_table(),
             ))
-        second = Telemetry()
-        run_scenario(scenario, seed=_CHAOS_SEED, telemetry=second)
-        if first.trace_fingerprint() != second.trace_fingerprint():
-            findings.append(Finding(
-                "ci/runner.py", 1, "NDET",
-                f"scenario {name!r}: trace fingerprint differs between "
-                f"identically-seeded runs",
-            ))
-        disabled = Telemetry(enabled=False)
-        off = run_scenario(scenario, seed=_CHAOS_SEED, telemetry=disabled)
-        if len(disabled.tracer.events) or len(disabled.registry):
-            findings.append(Finding(
-                "ci/runner.py", 1, "TELEM",
-                f"scenario {name!r}: a disabled telemetry handle recorded "
-                f"events or metrics",
-            ))
-        if baseline.fingerprint() != off.fingerprint():
-            findings.append(Finding(
-                "ci/runner.py", 1, "TELEM",
-                f"scenario {name!r}: a disabled telemetry handle changed "
-                f"the report fingerprint",
-            ))
+        return []
 
-    solr_baseline = _run_once()
-    solr_traced = _run_once(facility_kwargs={"telemetry": Telemetry()})
-    for key in solr_baseline:
-        if solr_baseline[key] != solr_traced[key]:
-            findings.append(Finding(
-                "ci/runner.py", 1, "TELEM",
-                f"determinism-gate key {key!r} changed when telemetry was "
-                f"enabled on the Solr run",
-            ))
-
-    # Cluster half: sharded neutrality + merged-stream determinism.  One
-    # sharded Solr world per telemetry mode -- all four fingerprint sets
-    # must be bit-identical -- then the telemetry-on case rerun on two
-    # fork workers, where observation overlaps the next barrier, with
-    # equal merged trace/alert/store digests, and the dashboard exported
-    # as the bench workflow's artifact.
-    from repro.shard.scenario import run_scenario as run_shard_scenario
-
-    sharded = {
-        mode: run_shard_scenario("solr", n_shards=2, telemetry=mode,
-                                 duration=0.5)
-        for mode in ("off", "disabled", "store", "on")
-    }
-    for mode in ("disabled", "store", "on"):
-        if sharded[mode].fingerprints != sharded["off"].fingerprints:
-            findings.append(Finding(
-                "ci/runner.py", 1, "TELEM",
-                f"sharded telemetry mode {mode!r} changed the run "
-                f"fingerprints (cluster instrumentation is not neutral)",
-            ))
-    rerun = run_shard_scenario("solr", n_shards=2, workers=2,
-                               telemetry="on", duration=0.5)
-    for key in ("trace_fingerprint", "alert_fingerprint",
-                "store_fingerprint"):
-        if (rerun.telemetry_summary[key]
-                != sharded["on"].telemetry_summary[key]):
-            findings.append(Finding(
-                "ci/runner.py", 1, "NDET",
-                f"merged {key} differs between the workers=1 and "
-                f"workers=2 sharded runs",
-            ))
-    dashboard_path = os.path.join(ROOT, "results", "dashboard-ci.json")
-    os.makedirs(os.path.dirname(dashboard_path), exist_ok=True)
-    with open(dashboard_path, "w") as fh:
-        fh.write(sharded["on"].observability.store.dashboard_json(
-            meta={"lane": "telemetry", "scenario": "solr", "shards": 2},
-            alerts=sharded["on"].observability.engine.alert_table(),
-        ))
-
-    detail = (f"{len(_CHAOS_SCENARIOS)} scenarios x (neutrality + double-run "
-              f"+ disabled identity) + Solr gate neutrality + sharded "
-              f"4-mode neutrality + merged streams at workers 1 and 2")
-    return not findings, findings, detail
-
-
-#: Regression threshold for ``perf --trend``: the nightly lane runs on one
-#: runner class, so it can afford a much tighter bound than the default
-#: merge-gate threshold -- fail on >20% regression vs the committed file.
-TREND_THRESHOLD = 1.2
-
-#: Where ``perf --trend`` appends its one-line-per-run history.
-TREND_HISTORY = os.path.join("results", "BENCH_history.jsonl")
-
-
-def _append_trend_history(results, problems) -> str:
-    """Append one JSON line summarizing this perf run; returns the path."""
-    import json
-    import time
-
-    try:
-        sha = subprocess.run(
-            ["git", "rev-parse", "--short", "HEAD"], cwd=ROOT,
-            stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True,
-        ).stdout.strip() or None
-    except OSError:
-        sha = None
-    benchmarks = {}
-    for name, result in results.items():
-        entry = {"kind": result.kind, "seconds": result.seconds}
-        if result.ratio is not None:
-            entry["ratio"] = result.ratio
-        benchmarks[name] = entry
-    line = {
-        "ts": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-        "sha": sha,
-        "threshold": TREND_THRESHOLD,
-        "problems": list(problems),
-        "benchmarks": benchmarks,
-    }
-    path = os.path.join(ROOT, TREND_HISTORY)
-    os.makedirs(os.path.dirname(path), exist_ok=True)
-    with open(path, "a") as fh:
-        fh.write(json.dumps(line, sort_keys=True) + "\n")
-    return path
-
-
-def run_perf_lane(trend: bool = False):
-    """Perf lane: benchmark regression check bracketed by fingerprint runs.
-
-    ``ci/determinism.py``'s seeded experiment runs once before and once
-    after the benchmark suite; the two fingerprints must be identical, so a
-    benchmark that leaks global state (or an optimization that changes
-    attribution math) fails here even if it is fast.
-
-    ``trend=True`` is the nightly mode: the wall-time threshold tightens
-    to :data:`TREND_THRESHOLD` (>20% over the committed baseline fails),
-    and every run appends a one-line JSON summary to
-    ``results/BENCH_history.jsonl`` so the Actions artifact accumulates a
-    queryable per-commit trend.
-    """
-    sys.path.insert(0, os.path.join(ROOT, "src"))
-    from ci.determinism import _run_once
-    from repro.perf import check_regressions, run_suite
-
-    findings = []
-    before = _run_once()
-    results = run_suite()
-    problems = check_regressions(
-        results, os.path.join(ROOT, "BENCH_perf.json"),
-        **({"threshold": TREND_THRESHOLD} if trend else {}),
-    )
-    for problem in problems:
-        findings.append(Finding("BENCH_perf.json", 1, "PERF", problem))
-    after = _run_once()
-    for key in before:
-        if before[key] != after[key]:
-            findings.append(Finding(
-                "ci/runner.py", 1, "NDET",
-                f"fingerprint {key!r} differs across the perf suite -- "
-                f"a benchmark perturbed global state",
-            ))
-    detail = (f"{len(results)} benchmarks, "
-              f"{len(before)} fingerprint keys compared")
-    if trend:
-        _append_trend_history(results, problems)
-        detail += f", trend line appended to {TREND_HISTORY}"
-    return not findings, findings, detail
-
-
-#: Restore-lane cases: (label, ``repro run-ckpt`` arguments, checkpoint
-#: index to SIGKILL after).  One Solr macro run and one chaos scenario, both
-#: short enough for the merge gate but long enough to cross several
-#: auto-checkpoint safe-points.
-RESTORE_CASES = (
-    ("solr", ["--kind", "solr", "--duration", "0.6", "--warmup", "0.1",
-              "--period", "0.2"], 1),
-    ("chaos", ["--kind", "chaos", "--scenario", "meter-nan-burst",
-               "--duration-scale", "0.5", "--period", "0.3"], 1),
-    # Checkpoint 3 is taken while the meter is stale (mid-outage), so the
-    # SIGKILL/resume path must reproduce the watchdog's demotion by replay.
-    ("chaos-stale", ["--kind", "chaos", "--scenario", "meter-flapping",
-                     "--duration-scale", "1.0", "--period", "0.2"], 3),
-)
-
-#: Fingerprint keys every resumed run must reproduce bit-for-bit.
-RESTORE_KEYS = ("report", "trace", "shed", "batch")
-
-
-def _run_json(argv: list[str]):
-    """Run a CLI subprocess; return (returncode, parsed-last-line-or-None)."""
-    import json
-
-    env = _env()
-    env["CI"] = "true"
-    proc = subprocess.run(
-        argv, cwd=ROOT, env=env,
-        stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
-    )
-    lines = proc.stdout.strip().splitlines()
-    payload = None
-    if proc.returncode == 0 and lines:
-        try:
-            payload = json.loads(lines[-1])
-        except ValueError:
-            payload = None
-    return proc, payload
+    return _compare_lane("telemetry", export_dashboard)
 
 
 def run_restore():
-    """Restore lane: kill a checkpointed run mid-flight, resume, compare.
+    """Kill checkpointed runs mid-flight, resume, compare; then flip one
+    byte in the newest Solr checkpoint and demand the resume is
+    *rejected* with a diagnostic, never silently loaded."""
+    def corrupt_checkpoint(runs, workdir):
+        from ci.cases import scratch
 
-    For each case in :data:`RESTORE_CASES`: (1) a clean one-shot
-    checkpointed run records its four fingerprints (report, trace, shed,
-    batch); (2) the same run is SIGKILLed by its own ``on_checkpoint`` hook
-    right after a checkpoint is durably on disk; (3) ``python -m repro
-    resume`` restarts from that checkpoint and must reproduce all four
-    fingerprints bit-for-bit.  A corrupt-file smoke then flips one byte in
-    the newest checkpoint and demands the resume is *rejected* with a
-    diagnostic, never silently loaded.
-    """
-    import shutil
-    import signal
-    import tempfile
+        directory = scratch(workdir, "restore", "solr")
+        names = sorted(os.listdir(directory)) if os.path.isdir(directory) \
+            else []
+        if not names:
+            return []
+        path = os.path.join(directory, names[-1])
+        with open(path, "rb") as handle:
+            raw = bytearray(handle.read())
+        raw[len(raw) // 2] ^= 0xFF
+        with open(path, "wb") as handle:
+            handle.write(raw)
+        proc, _ = run_json(
+            [sys.executable, "-m", "repro", "resume", "--dir", directory],
+        )
+        if proc.returncode == 0:
+            problem = "corrupt checkpoint was silently loaded"
+        elif "digest mismatch" not in proc.stdout:
+            problem = ("corrupt checkpoint rejection lacks a diagnostic "
+                       "(no 'digest mismatch' in output)")
+        else:
+            return []
+        return [Finding("ci/runner.py", 1, "RESTORE", problem)]
 
-    findings = []
-    workdir = tempfile.mkdtemp(prefix="repro-restore-")
-    solr_dir = None
-    try:
-        for name, case_args, kill_after in RESTORE_CASES:
-            base = [sys.executable, "-m", "repro", "run-ckpt", *case_args]
-            _, clean = _run_json(base)
-            if clean is None:
-                findings.append(Finding(
-                    "ci/runner.py", 1, "RESTORE",
-                    f"{name}: clean checkpointed run failed",
-                ))
-                continue
-            ckpt_dir = os.path.join(workdir, name)
-            if name == "solr":
-                solr_dir = ckpt_dir
-            crashed, _ = _run_json(
-                base + ["--dir", ckpt_dir,
-                        "--kill-after-checkpoint", str(kill_after)],
-            )
-            if crashed.returncode != -signal.SIGKILL:
-                findings.append(Finding(
-                    "ci/runner.py", 1, "RESTORE",
-                    f"{name}: crash run exited {crashed.returncode}, "
-                    f"expected SIGKILL",
-                ))
-                continue
-            _, resumed = _run_json(
-                [sys.executable, "-m", "repro", "resume", "--dir", ckpt_dir],
-            )
-            if resumed is None:
-                findings.append(Finding(
-                    "ci/runner.py", 1, "RESTORE",
-                    f"{name}: resume after SIGKILL failed",
-                ))
-                continue
-            if not resumed.get("resumed"):
-                findings.append(Finding(
-                    "ci/runner.py", 1, "RESTORE",
-                    f"{name}: resume did not restore from a checkpoint",
-                ))
-            for key in RESTORE_KEYS:
-                if clean[key] != resumed[key]:
-                    findings.append(Finding(
-                        "ci/runner.py", 1, "RESTORE",
-                        f"{name}: resumed {key} fingerprint "
-                        f"{resumed[key]!r} != uninterrupted {clean[key]!r}",
-                    ))
-        if solr_dir is not None and os.path.isdir(solr_dir):
-            names = sorted(os.listdir(solr_dir))
-            if names:
-                path = os.path.join(solr_dir, names[-1])
-                with open(path, "rb") as handle:
-                    raw = bytearray(handle.read())
-                raw[len(raw) // 2] ^= 0xFF
-                with open(path, "wb") as handle:
-                    handle.write(raw)
-                proc, _ = _run_json(
-                    [sys.executable, "-m", "repro", "resume",
-                     "--dir", solr_dir],
-                )
-                if proc.returncode == 0:
-                    findings.append(Finding(
-                        "ci/runner.py", 1, "RESTORE",
-                        "corrupt checkpoint was silently loaded",
-                    ))
-                elif "digest mismatch" not in proc.stdout:
-                    findings.append(Finding(
-                        "ci/runner.py", 1, "RESTORE",
-                        "corrupt checkpoint rejection lacks a diagnostic "
-                        "(no 'digest mismatch' in output)",
-                    ))
-    finally:
-        shutil.rmtree(workdir, ignore_errors=True)
-    detail = (f"{len(RESTORE_CASES)} crash/resume cases x "
-              f"{len(RESTORE_KEYS)} fingerprints + corrupt-file rejection")
-    return not findings, findings, detail
-
-
-#: Shard counts whose fingerprints must be identical in the shard lane.
-SHARD_COUNTS = (1, 2, 4)
-
-#: Fingerprint keys every sharded run must reproduce bit-for-bit.
-SHARD_KEYS = ("report", "shed", "batch", "energy")
+    return _compare_lane("restore", corrupt_checkpoint)
 
 
 def run_shard():
-    """Shard lane: shard-count invariance + pool-worker-kill recovery.
-
-    (1) The Solr macro world is run with 1, 2, and 4 shards and every
-    fingerprint key must match the 1-shard run bit-for-bit; (2) the same
-    invariance is checked on the chaos world (crashes, failover,
-    re-placement in the loop); (3) the chaos world is run again on two
-    fork workers with one worker SIGKILLed mid-run -- the pool must
-    replay the dead worker's shards from directive history, verify the
-    replayed state digest, and still produce identical fingerprints.
-    """
-    sys.path.insert(0, os.path.join(ROOT, "src"))
-    from repro.shard import run_scenario, run_sharded
-    from repro.shard.scenario import SCENARIOS
-
-    findings = []
-    baselines = {}
-    for world in ("solr", "chaos"):
-        fingerprints = {}
-        for n_shards in SHARD_COUNTS:
-            result = run_scenario(world, n_shards=n_shards)
-            fingerprints[n_shards] = result.fingerprints
-        baselines[world] = fingerprints[SHARD_COUNTS[0]]
-        for n_shards in SHARD_COUNTS[1:]:
-            for key in SHARD_KEYS:
-                if fingerprints[n_shards][key] != baselines[world][key]:
-                    findings.append(Finding(
-                        "ci/runner.py", 1, "SHARD",
-                        f"{world}: {n_shards}-shard {key} fingerprint "
-                        f"differs from 1-shard",
-                    ))
-    killed = {"done": False}
-
-    def kill_hook(pool, epoch_index):
-        if epoch_index == 2 and pool.parallel and not killed["done"]:
-            pool.kill_worker(0)
-            killed["done"] = True
-
-    result = run_sharded(
-        SCENARIOS["chaos"](n_shards=4, workers=2), pool_hook=kill_hook
-    )
-    if killed["done"]:
-        if result.worker_restarts < 1:
-            findings.append(Finding(
-                "ci/runner.py", 1, "SHARD",
-                "worker-kill case recorded no worker restart",
-            ))
-        for key in SHARD_KEYS:
-            if result.fingerprints[key] != baselines["chaos"][key]:
-                findings.append(Finding(
-                    "ci/runner.py", 1, "SHARD",
-                    f"worker-kill resume: {key} fingerprint differs "
-                    f"from the uninterrupted run",
-                ))
-    detail = (
-        f"{len(SHARD_COUNTS)} shard counts x 2 worlds x "
-        f"{len(SHARD_KEYS)} fingerprints"
-    )
-    if killed["done"]:
-        detail += " + worker-kill resume"
-    else:  # fork unavailable: invariance still checked, recovery skipped
-        detail += " (worker-kill skipped: no fork)"
-    return not findings, findings, detail
-
-
-#: Worlds whose fingerprints must survive transport weather unchanged.
-TRANSPORT_WORLDS = ("solr", "chaos")
-
-#: Per-world duration overrides keeping the transport sweep affordable.
-TRANSPORT_DURATIONS = {"solr": 0.75, "chaos": 1.0}
-
-#: Transport-stat suffixes that count an injected channel fault.
-TRANSPORT_FAULT_SUFFIXES = (
-    "dropped", "duplicated", "reordered", "delayed", "corrupted",
-)
-
-
-def _transport_faults_injected(stats: dict) -> int:
-    """Total channel faults a run's transport stats record."""
-    return sum(
-        value for key, value in stats.items()
-        if key.endswith(TRANSPORT_FAULT_SUFFIXES)
-    )
+    """Shard-count invariance plus pool-worker-kill recovery."""
+    return _compare_lane("shard")
 
 
 def run_transport():
-    """Transport lane: lossy-channel invariance + coordinator recovery.
+    """Lossy-channel invariance plus coordinator SIGKILL/resume."""
+    return _compare_lane("transport")
 
-    (1) Both invariance worlds run under the ``chaos`` transport preset
-    (drops, duplicates, reorders, multi-epoch delays, and detectable
-    corruption on every worker link) and must reproduce the fault-free
-    fingerprints bit-for-bit, with the channel stats proving faults
-    actually fired; (2) the ``corrupt`` preset must show checksummed
-    frames being *rejected* (coordinator- and worker-side) while the
-    fingerprints still match; (3) a two-fork-worker chaos run under lossy
-    transport is SIGKILLed by its own barrier-checkpoint hook -- after one
-    worker was already SIGKILLed and revived in the same run -- and
-    ``python -m repro shard --resume`` must land on the uninterrupted
-    run's fingerprints exactly.
+
+def run_perf_lane(trend: bool = False, write: str | None = None):
+    """The perf suite's bounds, bracketed by the determinism guard.
+
+    The guard case runs the seeded Solr gate before and after the suite;
+    the two must be identical.  Then :func:`ci.perf.check_regressions`
+    holds the suite to the committed ``BENCH_perf.json``: the wall-time
+    threshold (tightened under ``trend``), the oracle ratios, the
+    telemetry budgets and the shard speedup floors.  ``trend`` also
+    appends a line to the history file; ``write`` saves the fresh
+    results as a new baseline file.
     """
-    import shutil
-    import signal
-    import tempfile
+    def bounds(runs, workdir):
+        from ci import perf
 
-    sys.path.insert(0, os.path.join(ROOT, "src"))
-    from repro.shard import run_scenario
-
-    findings = []
-    baselines = {}
-    for world in TRANSPORT_WORLDS:
-        duration = TRANSPORT_DURATIONS[world]
-        clean = run_scenario(world, n_shards=2, duration=duration)
-        baselines[world] = clean.fingerprints
-        faulty = run_scenario(
-            world, n_shards=2, duration=duration, transport="chaos",
+        results = runs["solr-guard"]["after-suite"]["suite"]
+        problems = perf.check_regressions(
+            results, os.path.join(ROOT, "BENCH_perf.json"),
+            perf.TREND_THRESHOLD if trend else perf.DEFAULT_THRESHOLD,
         )
-        if _transport_faults_injected(faulty.transport_stats) == 0:
-            findings.append(Finding(
-                "ci/runner.py", 1, "TRANSPORT",
-                f"{world}: chaos transport preset injected no faults",
-            ))
-        for key in SHARD_KEYS:
-            if faulty.fingerprints[key] != clean.fingerprints[key]:
-                findings.append(Finding(
-                    "ci/runner.py", 1, "TRANSPORT",
-                    f"{world}: {key} fingerprint diverged under chaos "
-                    f"transport weather",
-                ))
-    corrupt = run_scenario(
-        "chaos", n_shards=2, duration=TRANSPORT_DURATIONS["chaos"],
-        transport="corrupt",
-    )
-    rejected = (
-        corrupt.transport_stats.get("corrupt_rejected", 0)
-        + corrupt.transport_stats.get("worker_corrupt_rejected", 0)
-    )
-    if rejected == 0:
-        findings.append(Finding(
-            "ci/runner.py", 1, "TRANSPORT",
-            "corrupt preset: no corrupted frame was checksum-rejected",
-        ))
-    for key in SHARD_KEYS:
-        if corrupt.fingerprints[key] != baselines["chaos"][key]:
-            findings.append(Finding(
-                "ci/runner.py", 1, "TRANSPORT",
-                f"corrupt preset: {key} fingerprint diverged from the "
-                f"fault-free run",
-            ))
-    # -- coordinator SIGKILL + resume over the CLI ----------------------
-    case = [
-        sys.executable, "-m", "repro", "shard",
-        "--scenario", "chaos", "--shards", "4", "--workers", "2",
-        "--duration", "1.0", "--transport", "lossy",
-    ]
-    workdir = tempfile.mkdtemp(prefix="repro-transport-")
-    try:
-        _, clean = _run_json(case)
-        if clean is None:
-            findings.append(Finding(
-                "ci/runner.py", 1, "TRANSPORT",
-                "clean lossy CLI run failed",
-            ))
-        else:
-            crashed, _ = _run_json(
-                case + ["--ckpt-dir", workdir, "--ckpt-every", "1",
-                        "--kill-after-checkpoint", "1",
-                        "--kill-worker-at", "1"],
+        if trend:
+            perf.append_trend_history(
+                results, problems, os.path.join(ROOT, perf.TREND_HISTORY),
             )
-            if crashed.returncode != -signal.SIGKILL:
-                findings.append(Finding(
-                    "ci/runner.py", 1, "TRANSPORT",
-                    f"crash run exited {crashed.returncode}, expected "
-                    f"SIGKILL",
-                ))
-            else:
-                _, resumed = _run_json(
-                    [sys.executable, "-m", "repro", "shard", "--resume",
-                     "--ckpt-dir", workdir, "--transport", "lossy"],
-                )
-                if resumed is None:
-                    findings.append(Finding(
-                        "ci/runner.py", 1, "TRANSPORT",
-                        "resume after coordinator SIGKILL failed",
-                    ))
-                else:
-                    if not resumed.get("resumed"):
-                        findings.append(Finding(
-                            "ci/runner.py", 1, "TRANSPORT",
-                            "resume did not restore from a checkpoint",
-                        ))
-                    for key in SHARD_KEYS:
-                        if resumed[key] != clean[key]:
-                            findings.append(Finding(
-                                "ci/runner.py", 1, "TRANSPORT",
-                                f"resumed {key} fingerprint {resumed[key]!r}"
-                                f" != uninterrupted {clean[key]!r}",
-                            ))
-    finally:
-        shutil.rmtree(workdir, ignore_errors=True)
-    detail = (
-        f"{len(TRANSPORT_WORLDS)} worlds x {len(SHARD_KEYS)} fingerprints "
-        f"under chaos weather + corrupt-frame rejection + coordinator "
-        f"SIGKILL/resume identity"
-    )
-    return not findings, findings, detail
+        if write:
+            perf.write_bench_json(results, write)
+        return [Finding("BENCH_perf.json", 1, "PERF", p) for p in problems]
+
+    return _compare_lane("perf", bounds)
 
 
 def run_examples():
@@ -664,116 +241,86 @@ def run_examples():
     return not findings, findings, f"{len(EXAMPLES)} examples"
 
 
+#: The merge gate (``all``) in run order, and what ``all --fast`` keeps.
+MERGE_GATE = (
+    "lint", "docs", "test", "examples", "chaos", "overload", "telemetry",
+    "restore", "shard", "transport", "bench", "perf", "determinism",
+)
+FAST_GATE = ("lint", "docs", "test", "determinism")
+
+
 def main(argv: list[str] | None = None) -> int:
     import argparse
 
+    lanes = {
+        "lint": (run_lint_lane, "AST lint over the repository"),
+        "docs": (run_docs_lane, "docs/README cross-reference check"),
+        "determinism": (run_determinism, "seeded double-run equality gate"),
+        "test": (run_tests, "tier-1 pytest lane"),
+        "examples": (run_examples, "run every example in quick mode"),
+        "figures": (run_figures, "regenerate the paper tables/figures"),
+        "bench": (run_bench,
+                  "the repo benchmark's tests (--quick workload runs)"),
+        "chaos": (run_chaos, "fault-injection scenarios + invariants"),
+        "overload": (run_overload,
+                     "overload/brownout scenarios double-run + the CLI demo"),
+        "perf": (run_perf_lane,
+                 "benchmark regression check + fingerprint guard"),
+        "telemetry": (run_telemetry, "trace-fingerprint double-run + "
+                                     "telemetry-neutrality gate"),
+        "restore": (run_restore, "SIGKILL/resume fingerprint identity + "
+                                 "corrupt-file rejection"),
+        "shard": (run_shard,
+                  "shard-count invariance + pool-worker-kill recovery"),
+        "transport": (run_transport, "lossy-transport fingerprint "
+                                     "invariance + coordinator "
+                                     "SIGKILL/resume identity + "
+                                     "corrupt-frame rejection"),
+    }
     parser = argparse.ArgumentParser(
         prog="python -m ci",
         description=sys.modules["ci"].__doc__.splitlines()[0],
     )
     sub = parser.add_subparsers(dest="lane", required=True)
-    lint_parser = sub.add_parser("lint", help="AST lint over the repository")
-    lint_parser.add_argument(
+    parsers = {
+        name: sub.add_parser(name, help=help_text)
+        for name, (_, help_text) in lanes.items()
+    }
+    parsers["lint"].add_argument(
         "--fix", action="store_true",
         help="rewrite tab-indent/trailing-whitespace/final-newline findings",
     )
-    sub.add_parser("docs", help="docs/README cross-reference check")
-    sub.add_parser("determinism", help="seeded double-run equality gate")
-    test_parser = sub.add_parser("test", help="tier-1 pytest lane")
-    test_parser.add_argument(
+    parsers["test"].add_argument(
         "--full", action="store_true", help="include tests marked slow",
     )
-    sub.add_parser("examples", help="run every example in quick mode")
-    sub.add_parser("figures", help="regenerate the paper tables/figures")
-    sub.add_parser(
-        "bench", help="the repo benchmark's tests (--quick workload runs)",
-    )
-    sub.add_parser("chaos", help="fault-injection scenarios + invariants")
-    sub.add_parser(
-        "overload",
-        help="overload/brownout scenarios double-run + the CLI demo",
-    )
-    perf_parser = sub.add_parser(
-        "perf", help="benchmark regression check + fingerprint guard",
-    )
-    perf_parser.add_argument(
+    parsers["perf"].add_argument(
         "--trend", action="store_true",
-        help="nightly mode: tighten the threshold to "
-             f"{TREND_THRESHOLD}x and append a summary line to "
-             "results/BENCH_history.jsonl",
+        help="nightly mode: the tighter trend threshold, plus a summary "
+             "line appended to results/BENCH_history.jsonl",
+    )
+    parsers["perf"].add_argument(
+        "--write", metavar="PATH",
+        help="also write this run's results as a BENCH_perf.json baseline",
     )
     sub.add_parser(
-        "telemetry",
-        help="trace-fingerprint double-run + telemetry-neutrality gate",
-    )
-    sub.add_parser(
-        "restore",
-        help="SIGKILL/resume fingerprint identity + corrupt-file rejection",
-    )
-    sub.add_parser(
-        "shard",
-        help="shard-count invariance + pool-worker-kill recovery",
-    )
-    sub.add_parser(
-        "transport",
-        help="lossy-transport fingerprint invariance + coordinator "
-             "SIGKILL/resume identity + corrupt-frame rejection",
-    )
-    all_parser = sub.add_parser(
-        "all", help="the merge gate: lint + docs + tests + examples "
-                    "+ chaos + overload + telemetry + restore + shard "
-                    "+ transport + bench + perf + determinism",
-    )
-    all_parser.add_argument(
+        "all", help="the merge gate: " + " + ".join(MERGE_GATE),
+    ).add_argument(
         "--fast", action="store_true",
-        help="skip slow tests and the examples lane",
+        help="skip slow tests and every lane but " + ", ".join(FAST_GATE),
     )
-    args = parser.parse_args(argv)
+    options = vars(parser.parse_args(argv))
+    lane = options.pop("lane")
 
     reporter = Reporter()
-    if args.lane == "lint":
-        reporter.run("lint", lambda: run_lint_lane(fix=args.fix))
-    elif args.lane == "docs":
-        reporter.run("docs", run_docs_lane)
-    elif args.lane == "determinism":
-        reporter.run("determinism", run_determinism_lane)
-    elif args.lane == "test":
-        reporter.run("test", lambda: run_tests(full=args.full))
-    elif args.lane == "examples":
-        reporter.run("examples", run_examples)
-    elif args.lane == "figures":
-        reporter.run("figures", run_figures)
-    elif args.lane == "bench":
-        reporter.run("bench", run_bench)
-    elif args.lane == "chaos":
-        reporter.run("chaos", run_chaos)
-    elif args.lane == "overload":
-        reporter.run("overload", run_overload)
-    elif args.lane == "perf":
-        reporter.run("perf", lambda: run_perf_lane(trend=args.trend))
-    elif args.lane == "telemetry":
-        reporter.run("telemetry", run_telemetry)
-    elif args.lane == "restore":
-        reporter.run("restore", run_restore)
-    elif args.lane == "shard":
-        reporter.run("shard", run_shard)
-    elif args.lane == "transport":
-        reporter.run("transport", run_transport)
-    elif args.lane == "all":
-        reporter.run("lint", run_lint_lane)
-        reporter.run("docs", run_docs_lane)
-        reporter.run("test", lambda: run_tests(full=not args.fast))
-        if not args.fast:
-            reporter.run("examples", run_examples)
-            reporter.run("chaos", run_chaos)
-            reporter.run("overload", run_overload)
-            reporter.run("telemetry", run_telemetry)
-            reporter.run("restore", run_restore)
-            reporter.run("shard", run_shard)
-            reporter.run("transport", run_transport)
-            reporter.run("bench", run_bench)
-            reporter.run("perf", run_perf_lane)
-        reporter.run("determinism", run_determinism_lane)
+    if lane == "all":
+        fast = options["fast"]
+        for name in FAST_GATE if fast else MERGE_GATE:
+            run = lanes[name][0]
+            reporter.run(
+                name, partial(run, full=not fast) if name == "test" else run,
+            )
+    else:
+        reporter.run(lane, partial(lanes[lane][0], **options))
 
     print(reporter.summary())
     return 0 if reporter.ok else 1
@@ -790,10 +337,3 @@ def run_docs_lane():
     from ci.docscheck import run_docscheck
 
     return run_docscheck(ROOT)
-
-
-def run_determinism_lane():
-    sys.path.insert(0, os.path.join(ROOT, "src"))
-    from ci.determinism import run_determinism
-
-    return run_determinism(ROOT)

@@ -57,7 +57,7 @@ class RunConfig:
     """Everything needed to rebuild a checkpointable world from scratch.
 
     ``kind`` selects the world: ``"solr"`` is the macro workload used by
-    the determinism gate (same parameters as ``ci/determinism.py``);
+    the determinism gate (same parameters as ``ci/cases.py``);
     ``"chaos"`` runs the named fault scenario through the chaos harness.
     """
 

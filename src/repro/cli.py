@@ -183,35 +183,6 @@ def cmd_distribution(args) -> None:
     ))
 
 
-def cmd_perf(args) -> int:
-    """Run the performance suite; write or check ``BENCH_perf.json``."""
-    from repro.perf import check_regressions, run_suite, write_bench_json
-
-    results = run_suite()
-    rows = []
-    for result in results.values():
-        throughput = ", ".join(
-            f"{key}={value:,.0f}" for key, value in result.throughput.items()
-        )
-        rows.append([result.name, result.kind, result.seconds, throughput])
-    print(render_table(
-        ["benchmark", "kind", "seconds", "throughput"], rows,
-        title="performance suite", float_format="{:.5f}",
-    ))
-    if args.check:
-        problems = check_regressions(
-            results, args.check, threshold=args.threshold
-        )
-        for problem in problems:
-            print(f"REGRESSION: {problem}")
-        if not problems:
-            print(f"no regressions against {args.check}")
-        return 1 if problems else 0
-    write_bench_json(results, args.output)
-    print(f"wrote {args.output}")
-    return 0
-
-
 def cmd_chaos(args) -> int:
     """Run chaos scenarios: seeded faults + invariant checks (robustness)."""
     from repro.faults import SCENARIOS, run_scenario, scenario_by_name
@@ -722,7 +693,6 @@ COMMANDS: dict[str, tuple[Callable, str]] = {
     "sweep": (cmd_sweep, "load sweep of one workload on one machine"),
     "chaos": (cmd_chaos, "chaos scenarios: seeded faults + invariant checks"),
     "overload": (cmd_overload, "overload demo: storm + cap-squeeze brownout"),
-    "perf": (cmd_perf, "performance suite: micro/macro benchmarks"),
     "trace": (cmd_trace, "trace a chaos scenario: spans + energy timeline"),
     "metrics": (cmd_metrics, "unified metrics exposition for one scenario"),
     "run-ckpt": (cmd_run_ckpt, "checkpointed run: periodic snapshots + "
@@ -768,20 +738,6 @@ def main(argv: list[str] | None = None) -> int:
             cmd_parser.add_argument(
                 "--jobs", type=int, default=None,
                 help="worker processes for policies (default: all cores)",
-            )
-        elif name == "perf":
-            cmd_parser.add_argument(
-                "--output", default="BENCH_perf.json",
-                help="where to write results (default: BENCH_perf.json)",
-            )
-            cmd_parser.add_argument(
-                "--check", metavar="BASELINE",
-                help="compare against a committed BENCH_perf.json instead "
-                     "of writing; non-zero exit on regression",
-            )
-            cmd_parser.add_argument(
-                "--threshold", type=float, default=3.0,
-                help="allowed slowdown multiple vs the committed baseline",
             )
         elif name == "chaos":
             cmd_parser.add_argument(

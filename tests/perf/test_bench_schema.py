@@ -1,28 +1,28 @@
-"""BENCH_perf.json schema 2: ratio fields, migration, regression gates.
+"""BENCH_perf.json schema 2: ratio fields and the regression gates.
 
-Schema 1 stored the ratio benchmarks' machine-independent ratios *in* the
-``seconds`` field, which made them look like multi-second wall times to
-anything consuming the file.  Schema 2 keeps ``seconds`` as a wall time
-everywhere and adds an explicit ``ratio`` field; these tests pin the
-writer, the schema-1 migration, and the ``check_regressions`` contract on
-both fields.
+Schema 2 keeps ``seconds`` as a wall time everywhere and carries each
+ratio benchmark's machine-independent quantity in an explicit ``ratio``
+field; these tests pin the writer and the ``check_regressions`` contract
+on both fields.
 """
 
 import json
+import os
 
-from repro.perf import (
+from ci.perf import (
+    MAX_TELEMETRY_DISABLED_RATIO,
+    MIN_ACCOUNTING_RATIO,
+    MIN_CORRELATION_RATIO,
+    MIN_SHARD_SPEEDUP_2_WORKERS,
     BenchResult,
     check_regressions,
     load_bench_json,
     write_bench_json,
 )
-from repro.perf.suite import (
-    MAX_TELEMETRY_DISABLED_RATIO,
-    MIN_ACCOUNTING_RATIO,
-    MIN_CORRELATION_RATIO,
-    MIN_SHARD_SPEEDUP_2_WORKERS,
-    _TELEMETRY_ITERATIONS,
-)
+
+ROOT = os.path.dirname(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__)
+)))
 
 
 def _results(**overrides):
@@ -59,66 +59,8 @@ def test_write_emits_schema_2_with_ratio_fields(tmp_path):
     assert entry["seconds"] == 0.0002  # a wall time, not the ratio
     assert entry["ratio"] == MIN_CORRELATION_RATIO * 4
     assert "ratio" not in benchmarks["macro-solr-workload"]
-    # Round trip through the loader: schema 2 passes through unchanged.
+    # Round trip through the loader.
     assert load_bench_json(path) == json.load(open(path))
-
-
-def test_load_migrates_schema_1_ratios(tmp_path):
-    legacy = {
-        "schema": 1,
-        "benchmarks": {
-            "micro-correlation-vs-oracle-ratio": {
-                "kind": "micro",
-                "seconds": 18.52,  # the smuggled ratio
-                "vectorized_seconds": 0.0002,
-                "reference_seconds": 0.0037,
-            },
-            "micro-telemetry-disabled-ratio": {
-                "kind": "micro",
-                "seconds": 1.01,
-                "bare_samples_per_sec": 200_000.0,
-            },
-            "macro-solr-workload": {"kind": "macro", "seconds": 0.29},
-        },
-    }
-    path = tmp_path / "legacy.json"
-    path.write_text(json.dumps(legacy))
-    migrated = load_bench_json(str(path))
-    assert migrated["schema"] == 2
-    correlation = migrated["benchmarks"]["micro-correlation-vs-oracle-ratio"]
-    assert correlation["ratio"] == 18.52
-    assert correlation["seconds"] == 0.0002
-    telemetry = migrated["benchmarks"]["micro-telemetry-disabled-ratio"]
-    assert telemetry["ratio"] == 1.01
-    assert telemetry["seconds"] == _TELEMETRY_ITERATIONS / 200_000.0
-    # Non-ratio entries are untouched.
-    assert migrated["benchmarks"]["macro-solr-workload"]["seconds"] == 0.29
-
-
-def test_load_migration_without_throughput_disables_wall_check(tmp_path):
-    legacy = {
-        "schema": 1,
-        "benchmarks": {
-            "micro-correlation-vs-oracle-ratio": {
-                "kind": "micro", "seconds": 18.52,
-            },
-        },
-    }
-    path = tmp_path / "legacy.json"
-    path.write_text(json.dumps(legacy))
-    migrated = load_bench_json(str(path))
-    entry = migrated["benchmarks"]["micro-correlation-vs-oracle-ratio"]
-    assert entry["ratio"] == 18.52
-    assert entry["seconds"] == 0.0
-
-    results = {
-        "micro-correlation-vs-oracle-ratio": BenchResult(
-            "micro-correlation-vs-oracle-ratio", "micro", 999.0,
-            ratio=MIN_CORRELATION_RATIO * 2,
-        ),
-    }
-    # A huge wall time passes because the migrated baseline has none.
-    assert check_regressions(results, str(path)) == []
 
 
 def _committed(tmp_path):
@@ -129,6 +71,19 @@ def _committed(tmp_path):
 
 def test_check_regressions_passes_healthy_run(tmp_path):
     assert check_regressions(_results(), _committed(tmp_path)) == []
+
+
+def test_check_regressions_flags_every_dropped_benchmark():
+    """A run that drops benchmarks must not drop their bounds with them:
+    against the committed file, a one-benchmark run flags all the rest."""
+    committed = os.path.join(ROOT, "BENCH_perf.json")
+    partial = {"micro-event-vector": _results()["micro-event-vector"]}
+    problems = check_regressions(partial, committed)
+    dropped = set(load_bench_json(committed)["benchmarks"]) - set(partial)
+    assert len(dropped) == 10
+    assert len(problems) == len(dropped)
+    assert {problem.split(":")[0] for problem in problems} == dropped
+    assert all("not produced by this run" in p for p in problems)
 
 
 def test_check_regressions_flags_wall_time(tmp_path):
@@ -210,12 +165,7 @@ def test_sharded_speedup_floors_follow_core_count(tmp_path, monkeypatch):
 def test_committed_bench_json_is_schema_2_with_real_wall_times():
     """The repo-root BENCH_perf.json must carry explicit ratios and keep
     every ``seconds`` field a plausible wall time (< 60 s)."""
-    import os
-
-    root = os.path.dirname(os.path.dirname(os.path.dirname(
-        os.path.abspath(__file__)
-    )))
-    payload = load_bench_json(os.path.join(root, "BENCH_perf.json"))
+    payload = load_bench_json(os.path.join(ROOT, "BENCH_perf.json"))
     assert payload["schema"] == 2
     for name, entry in payload["benchmarks"].items():
         assert entry["seconds"] < 60.0, name
