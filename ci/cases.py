@@ -67,6 +67,11 @@ SHARD_KEYS = ("report", "shed", "batch", "energy")
 #: A sharded run's merged observability digests (telemetry on).
 TELEMETRY_KEYS = ("trace_fingerprint", "alert_fingerprint", "store_fingerprint")
 
+#: The telemetry lane's flash world: four machines through the flash
+#: scenario's five crashes (failovers leave energy-timeline windows open
+#: on dead machines) and, from t = 3 s, its flash crowd (alerts fire).
+TELEMETRY_FLASH = {"n_machines": 4, "duration": 3.5, "telemetry": "on"}
+
 #: Restore-lane crash drills: (name, ``repro run-ckpt`` arguments,
 #: checkpoint index to SIGKILL after).  One Solr macro run and one chaos
 #: scenario, both short enough for the merge gate but long enough to
@@ -470,6 +475,13 @@ def case_table(workdir: str) -> list[Case]:
         Case("telemetry", "sharded-workers", partial(solr, telemetry="on"),
              {"workers-2": partial(solr, workers=2, telemetry="on")},
              TELEMETRY_KEYS),
+        Case("telemetry", "flash",
+             partial(_sharded, "flash", n_shards=1, **TELEMETRY_FLASH),
+             {"4-shards": partial(_sharded, "flash", n_shards=4,
+                                  **TELEMETRY_FLASH),
+              "workers-2": partial(_sharded, "flash", n_shards=4, workers=2,
+                                   **TELEMETRY_FLASH)},
+             SHARD_KEYS + TELEMETRY_KEYS + ("events_merged",)),
     ]
     for name, args, kill_after in RESTORE_CASES:
         run = [*repro, "run-ckpt", *args]

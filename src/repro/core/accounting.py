@@ -36,6 +36,7 @@ original vector-based sampler lives in :func:`repro.core.batch
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -74,6 +75,59 @@ class ObserverEffect:
         )
 
 
+#: Length of one energy-timeline window in sim seconds.  A binary
+#: fraction, so every window end ``k * ENERGY_WINDOW`` is exact.
+ENERGY_WINDOW = 0.125
+
+
+class EnergyTimeline:
+    """One machine's per-window container energy timeline (Section 3.3).
+
+    ``rows`` holds the open window: container id -> ``[time, energy_j,
+    chipshare, observer_ops]``, where the first three are the values at
+    the container's last charge in the window and ``observer_ops`` sums
+    the window's observer-effect corrections.  A window closes at every
+    shard barrier, at ``Facility.flush()``, and lazily at the first charge
+    at or past :attr:`end` (see :meth:`roll`); nothing is scheduled on the
+    simulator.  Closing emits, per container in ascending id order,
+    ``energy_j`` and ``chipshare`` counters stamped at its last charge,
+    plus ``observer_ops`` when nonzero -- an exact subsample of the
+    per-charge series with exact per-window observer totals.
+    """
+
+    __slots__ = ("telemetry", "prefix", "rows", "end")
+
+    def __init__(self, telemetry, prefix: str = "") -> None:
+        self.telemetry = telemetry
+        #: Track-name prefix (``"<node>/"`` on cluster machines).
+        self.prefix = prefix
+        self.rows: dict[int, list] = {}
+        #: End of the open window on the fixed ``ENERGY_WINDOW`` grid.
+        self.end = ENERGY_WINDOW
+
+    def close(self) -> None:
+        """Emit the open window's rows as counters and start a new one."""
+        rows = self.rows
+        if not rows:
+            return
+        tracer = self.telemetry.tracer
+        prefix = self.prefix
+        for cid in sorted(rows):
+            now, energy_j, chipshare, ops = rows[cid]
+            track = f"container:{prefix}{cid}"
+            tracer.counter(now, track, "energy_j", energy_j)
+            tracer.counter(now, track, "chipshare", chipshare)
+            if ops:
+                tracer.counter(now, track, "observer_ops", float(ops))
+        self.rows = {}
+
+    def roll(self, now: float) -> None:
+        """Close the window a charge at ``now >= end`` falls past, and move
+        :attr:`end` to the first grid point after ``now``."""
+        self.close()
+        self.end = (math.floor(now / ENERGY_WINDOW) + 1) * ENERGY_WINDOW
+
+
 @dataclass
 class _Approach:
     """One accounting approach evaluated in parallel."""
@@ -97,7 +151,7 @@ class CoreAccountant:
         subtract_observer: bool = True,
         record_power_history: bool = False,
         telemetry=None,
-        telemetry_prefix: str = "",
+        timeline: Optional[EnergyTimeline] = None,
     ) -> None:
         if not approaches:
             raise ValueError("at least one accounting approach is required")
@@ -113,10 +167,11 @@ class CoreAccountant:
         self.subtract_observer = subtract_observer
         self.record_power_history = record_power_history
         #: Optional :class:`~repro.telemetry.Telemetry` handle; when
-        #: enabled, every accounting event emits the container's energy
-        #: timeline (cumulative joules, chip share, observer correction).
+        #: enabled, every charge updates the charged container's row in
+        #: the machine's open energy-timeline window (``timeline``, which
+        #: must then be given).
         self.telemetry = telemetry
-        self._telemetry_prefix = telemetry_prefix
+        self._timeline = timeline
         self.current_container_id: Optional[int] = None
         #: Name of the process (server stage) currently on the core; used
         #: for the per-stage breakdown (paper Fig. 4 annotations).
@@ -373,9 +428,12 @@ class CoreAccountant:
 
         Back half of :meth:`sample`, shared with the batch accounting
         engine: model evaluation, container statistics, the Eq. 3 mailbox
-        post, the maintenance work, and telemetry.  Callers must invoke it
-        per core in machine core-index order -- mailbox posts feed sibling
-        chip-share estimates, so ordering is part of the semantics.
+        post, the maintenance work, and, with telemetry enabled, the
+        container's row in the open energy-timeline window (the counters
+        themselves are emitted when the window closes).  Callers must
+        invoke it per core in machine core-index order -- mailbox posts
+        feed sibling chip-share estimates, so ordering is part of the
+        semantics.
         """
         core = self.core
         container = self.registry.get(self.current_container_id)
@@ -473,16 +531,23 @@ class CoreAccountant:
             self._pending_overhead_ops += 1
         t = self.telemetry
         if t is not None and t.enabled:
-            # Energy-timeline profiling (Section 3.3): one counter sample
-            # per accounting event, on the charged container's track.
-            tracer = t.tracer
-            track = f"container:{self._telemetry_prefix}{container.id}"
-            tracer.counter(
-                now, track, "energy_j", container.total_energy(self.primary)
-            )
-            tracer.counter(now, track, "chipshare", primary_sample.mchipshare)
-            if ops:
-                tracer.counter(now, track, "observer_ops", float(ops))
+            # Energy-timeline profiling (Section 3.3): record this charge
+            # in the container's row of the open window; the window emits
+            # one counter sample per series when it closes.
+            timeline = self._timeline
+            if now >= timeline.end:
+                timeline.roll(now)
+            energy_j = container.total_energy(self.primary)
+            row = timeline.rows.get(container.id)
+            if row is None:
+                timeline.rows[container.id] = [
+                    now, energy_j, primary_sample.mchipshare, ops
+                ]
+            else:
+                row[0] = now
+                row[1] = energy_j
+                row[2] = primary_sample.mchipshare
+                row[3] += ops
         return primary_sample
 
     def sample_and_rebind(
@@ -504,20 +569,6 @@ class CoreAccountant:
         if occupied is not None:
             self.occupied = occupied
             self.current_stage = stage if occupied else None
-
-    def _perform_maintenance_work(self) -> None:
-        """Charge the sampling operation's own cost to hardware truth.
-
-        Retained for tests and tools; :meth:`_charge` inlines the same
-        arithmetic on the hot path.
-        """
-        if self.observer is None:
-            return
-        self.core.inject_events(self._observer_unit)
-        self.machine.add_impulse_energy(
-            self._maintenance_joules, core_index=self.core.index
-        )
-        self._pending_overhead_ops += 1
 
     # ------------------------------------------------------------------
     # Checkpoint protocol

@@ -28,7 +28,12 @@ from typing import Any, Optional
 
 import numpy as np
 
-from repro.core.accounting import CoreAccountant, ObserverEffect, _Approach
+from repro.core.accounting import (
+    CoreAccountant,
+    EnergyTimeline,
+    ObserverEffect,
+    _Approach,
+)
 from repro.core.alignment import estimate_delay
 from repro.core.batch import BatchAccountingEngine
 from repro.core.calibration import CalibrationResult
@@ -214,6 +219,13 @@ class PowerContainerFacility(KernelHooks):
         self.io_model = calibration.fit(FEATURES_FULL, label="io")
 
         self.observer = observer
+        #: The machine's open energy-timeline window (``None`` without a
+        #: telemetry handle); every accountant charges into it.
+        self.energy_timeline = (
+            EnergyTimeline(telemetry, self._tprefix)
+            if telemetry is not None
+            else None
+        )
         self.accountants: dict[int, CoreAccountant] = {
             core.index: CoreAccountant(
                 core=core,
@@ -225,7 +237,7 @@ class PowerContainerFacility(KernelHooks):
                 subtract_observer=subtract_observer,
                 record_power_history=record_power_history,
                 telemetry=telemetry,
-                telemetry_prefix=self._tprefix,
+                timeline=self.energy_timeline,
             )
             for core in self.machine.cores
         }
@@ -834,9 +846,13 @@ class PowerContainerFacility(KernelHooks):
 
         Runs the batch engine: one vectorized delta/correction/metrics
         pass over all cores, then the per-core charge in core-index order
-        -- bit-identical to sampling each accountant sequentially.
+        -- bit-identical to sampling each accountant sequentially.  Then
+        closes the energy-timeline window, so the timeline ends on the
+        flushed values.
         """
         self.batch_engine.sample_all(self.simulator.now)
+        if self.energy_timeline is not None:
+            self.energy_timeline.close()
 
     def model_trace_series(self) -> tuple[np.ndarray, np.ndarray]:
         """(interval-end times, modelled machine active watts) arrays.

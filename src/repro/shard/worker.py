@@ -202,12 +202,15 @@ class ShardWorld:
     def drain_frame(self):
         """This barrier's telemetry frame wire tuple (``None`` unless "on").
 
-        Call once per barrier, after :meth:`run_epoch`: the drain empties
-        the tracer ring and snapshots the registry, so the frame carries
+        Call once per barrier, after :meth:`run_epoch`: every machine's
+        energy-timeline window closes first, then the drain empties the
+        tracer ring and snapshots the registry, so the frame carries
         exactly this epoch's deltas.
         """
         if self.drain is None:
             return None
+        for member in self.cluster.machines:
+            member.facility.energy_timeline.close()
         return self.drain.drain(
             self.config.shard_id, self.epochs_run - 1
         ).to_wire()

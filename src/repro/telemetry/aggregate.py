@@ -67,8 +67,9 @@ FRAME_TAG = "tframe"
 #: match shipped ones via ``state_summary()``).
 FRAME_CHAIN_SEED = hashlib.sha256(b"telemetry-frame-chain-v1").hexdigest()
 
-#: Seed for the coordinator-side merged-stream digest.
-MERGE_CHAIN_SEED = hashlib.sha256(b"telemetry-merge-chain-v1").hexdigest()
+#: Seed for the coordinator-side merged-stream digest.  v2: container
+#: energy timelines are per window, not per accounting sample.
+MERGE_CHAIN_SEED = hashlib.sha256(b"telemetry-merge-chain-v2").hexdigest()
 
 
 class FrameChecksumError(ValueError):

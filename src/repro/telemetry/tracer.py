@@ -16,7 +16,9 @@ events, and shed/reject/brownout decisions.  Three event shapes:
     firing, brownout transition...).
 ``counter``
     A sampled numeric series -- used for the per-container cumulative
-    energy timeline so the Chrome viewer can plot joules against spans.
+    energy timeline (one sample per container per window, see
+    :class:`~repro.core.accounting.EnergyTimeline`) so the Chrome viewer
+    can plot joules against spans.
 
 All timestamps are **explicit caller-provided sim-clock floats**; the
 tracer never reads a wall clock, so identically seeded runs produce
@@ -153,7 +155,8 @@ class RequestTracer:
     def counter(
         self, now: float, track: str, name: str, value: float
     ) -> None:
-        """Record one sample of a numeric series (energy timeline)."""
+        """Record one sample of a numeric series (the energy timeline
+        records one per container per window, not per accounting sample)."""
         self._append(
             TraceSpanEvent(
                 KIND_COUNTER, now, track, name, (("value", float(value)),)

@@ -60,11 +60,30 @@ def _query_surface(result):
     )
 
 
+def _run_counting_events(config):
+    """``run_sharded`` plus each shard's simulated event count."""
+    pools = []
+
+    def hook(pool, _epoch_index):
+        if not pools:
+            pools.append(pool)
+
+    result = run_sharded(config, pool_hook=hook)
+    summaries = pools[0].snapshot_history()["summaries"]
+    events = {shard: summary["events"] for shard, summary in summaries.items()}
+    return result, events
+
+
 def test_telemetry_modes_never_change_run_fingerprints():
-    baseline = run_sharded(_config(42, 2, telemetry="off"))
+    """Telemetry changes no fingerprint and schedules no simulator event
+    (energy-timeline windows close inline, never on a timer)."""
+    baseline, baseline_events = _run_counting_events(
+        _config(42, 2, telemetry="off")
+    )
     for mode in ("disabled", "store", "on"):
-        result = run_sharded(_config(42, 2, telemetry=mode))
+        result, events = _run_counting_events(_config(42, 2, telemetry=mode))
         assert result.fingerprints == baseline.fingerprints, mode
+        assert events == baseline_events, mode
     assert baseline.observability is None
     assert baseline.telemetry_summary == {}
 
@@ -92,12 +111,14 @@ def test_merged_telemetry_invariant_across_shard_counts(seed, capacity):
 
 #: The merged digests of ``_config(42, 2)``, recorded independently of
 #: the code under test: a rendering or merge change that still agrees
-#: with itself across shard counts fails here.
+#: with itself across shard counts fails here.  The trace digest and
+#: event count are those of the v2 merge chain (per-window container
+#: energy timelines; ``test_energy_timeline`` proves the windows exact).
 PINNED_SEED_42 = {
-    "trace_fingerprint": "fdbbdf58e3c24db4",
+    "trace_fingerprint": "5939314018f0f697",
     "alert_fingerprint": "e3b0c44298fc1c14",
     "store_fingerprint": "94b98c892dc28553",
-    "events_merged": 43946,
+    "events_merged": 15040,
 }
 
 
