@@ -70,7 +70,10 @@ TELEMETRY_KEYS = ("trace_fingerprint", "alert_fingerprint", "store_fingerprint")
 #: The telemetry lane's flash world: four machines through the flash
 #: scenario's five crashes (failovers leave energy-timeline windows open
 #: on dead machines) and, from t = 3 s, its flash crowd (alerts fire).
-TELEMETRY_FLASH = {"n_machines": 4, "duration": 3.5, "telemetry": "on"}
+#: The merged tracer keeps the whole run (about 72k events), so the
+#: overflow closure check reads every ``overflows`` counter.
+TELEMETRY_FLASH = {"n_machines": 4, "duration": 3.5, "telemetry": "on",
+                   "telemetry_capacity": 1 << 17}
 
 #: Restore-lane crash drills: (name, ``repro run-ckpt`` arguments,
 #: checkpoint index to SIGKILL after).  One Solr macro run and one chaos
@@ -389,6 +392,38 @@ def _disabled_recorded_nothing(runs: dict) -> list[str]:
     return ["disabled: a disabled telemetry handle recorded events or metrics"]
 
 
+def _overflows_closed(runs: dict) -> list[str]:
+    """Every counter-overflow interrupt is counted exactly once: the
+    merged per-window ``overflows`` counters sum to the merged registry's
+    ``facility_*_overflow_interrupts_total`` (read from a lossless trace)."""
+    from repro.telemetry.tracer import KIND_COUNTER
+
+    problems = []
+    for name, run in runs.items():
+        aggregator = run["result"].observability.aggregator
+        tracer = aggregator.tracer
+        if tracer.dropped_events:
+            problems.append(
+                f"{name}: merged tracer dropped {tracer.dropped_events} events"
+            )
+            continue
+        counted = sum(
+            dict(event.args)["value"] for event in tracer.events
+            if event.kind == KIND_COUNTER and event.name == "overflows"
+        )
+        taken = sum(
+            value for key, value in aggregator.registry.snapshot().items()
+            if key.startswith("facility_")
+            and key.endswith("_overflow_interrupts_total")
+        )
+        if not taken or counted != taken:
+            problems.append(
+                f"{name}: merged overflows counters sum to {counted}, "
+                f"registry counts {taken} overflow interrupts"
+            )
+    return problems
+
+
 def _worker_restarted(runs: dict) -> list[str]:
     run = runs["worker-kill"]
     if run["killed"] and run["worker_restarts"] < 1:
@@ -481,7 +516,8 @@ def case_table(workdir: str) -> list[Case]:
                                   **TELEMETRY_FLASH),
               "workers-2": partial(_sharded, "flash", n_shards=4, workers=2,
                                    **TELEMETRY_FLASH)},
-             SHARD_KEYS + TELEMETRY_KEYS + ("events_merged",)),
+             SHARD_KEYS + TELEMETRY_KEYS + ("events_merged",),
+             _overflows_closed),
     ]
     for name, args, kill_after in RESTORE_CASES:
         run = [*repro, "run-ckpt", *args]

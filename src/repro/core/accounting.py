@@ -44,7 +44,7 @@ import numpy as np
 
 from repro.core.chipshare import ChipShareEstimator
 from repro.core.container import PowerContainer
-from repro.core.model import MetricSample, PowerModel
+from repro.core.model import PowerModel
 from repro.core.registry import ContainerRegistry
 from repro.hardware.core import Core
 from repro.hardware.counters import COUNTER_WRAP
@@ -81,34 +81,41 @@ ENERGY_WINDOW = 0.125
 
 
 class EnergyTimeline:
-    """One machine's per-window container energy timeline (Section 3.3).
+    """One machine's per-window energy and overflow timeline (Section 3.3).
 
-    ``rows`` holds the open window: container id -> ``[time, energy_j,
-    chipshare, observer_ops]``, where the first three are the values at
-    the container's last charge in the window and ``observer_ops`` sums
-    the window's observer-effect corrections.  A window closes at every
-    shard barrier, at ``Facility.flush()``, and lazily at the first charge
-    at or past :attr:`end` (see :meth:`roll`); nothing is scheduled on the
+    ``rows`` holds the open window's containers: container id ->
+    ``[time, energy_j, chipshare, observer_ops]``, where the first three
+    are the values at the container's last charge in the window and
+    ``observer_ops`` sums the window's observer-effect corrections.
+    ``overflows`` holds its cores: core index -> ``[time, count]``, the
+    core's last counter-overflow interrupt in the window and how many it
+    took.  A window closes at every shard barrier, at
+    ``Facility.flush()``, and lazily at the first charge or overflow at or
+    past :attr:`end` (see :meth:`roll`); nothing is scheduled on the
     simulator.  Closing emits, per container in ascending id order,
     ``energy_j`` and ``chipshare`` counters stamped at its last charge,
     plus ``observer_ops`` when nonzero -- an exact subsample of the
-    per-charge series with exact per-window observer totals.
+    per-charge series with exact per-window observer totals -- then, per
+    core in ascending index order, one ``overflows`` counter stamped at
+    its last overflow.
     """
 
-    __slots__ = ("telemetry", "prefix", "rows", "end")
+    __slots__ = ("telemetry", "prefix", "rows", "overflows", "end")
 
     def __init__(self, telemetry, prefix: str = "") -> None:
         self.telemetry = telemetry
         #: Track-name prefix (``"<node>/"`` on cluster machines).
         self.prefix = prefix
         self.rows: dict[int, list] = {}
+        self.overflows: dict[int, list] = {}
         #: End of the open window on the fixed ``ENERGY_WINDOW`` grid.
         self.end = ENERGY_WINDOW
 
     def close(self) -> None:
         """Emit the open window's rows as counters and start a new one."""
         rows = self.rows
-        if not rows:
+        overflows = self.overflows
+        if not rows and not overflows:
             return
         tracer = self.telemetry.tracer
         prefix = self.prefix
@@ -119,13 +126,28 @@ class EnergyTimeline:
             tracer.counter(now, track, "chipshare", chipshare)
             if ops:
                 tracer.counter(now, track, "observer_ops", float(ops))
+        for index in sorted(overflows):
+            now, count = overflows[index]
+            tracer.counter(now, f"core:{prefix}{index}", "overflows", count)
         self.rows = {}
+        self.overflows = {}
 
     def roll(self, now: float) -> None:
-        """Close the window a charge at ``now >= end`` falls past, and move
-        :attr:`end` to the first grid point after ``now``."""
+        """Close the window an update at ``now >= end`` falls past, and
+        move :attr:`end` to the first grid point after ``now``."""
         self.close()
         self.end = (math.floor(now / ENERGY_WINDOW) + 1) * ENERGY_WINDOW
+
+    def overflow(self, now: float, core_index: int) -> None:
+        """Count one counter-overflow interrupt on ``core_index``."""
+        if now >= self.end:
+            self.roll(now)
+        row = self.overflows.get(core_index)
+        if row is None:
+            self.overflows[core_index] = [now, 1]
+        else:
+            row[0] = now
+            row[1] += 1
 
 
 @dataclass
@@ -210,7 +232,10 @@ class CoreAccountant:
             self._ob_flops = 0.0
             self._ob_cache = 0.0
             self._ob_mem = 0.0
-        # Fixed topology facts, cached to skip lookups per sample.
+        # Fixed topology facts, cached to skip lookups per sample; the
+        # ground-truth impulse entry point is bound once for the same
+        # reason (the integrator lives as long as the machine).
+        self._add_impulse = machine.integrator.add_impulse
         self._core_index = core.index
         self._chip_index = core.chip.index
         self._siblings = core.chip.siblings_of(core)
@@ -218,9 +243,21 @@ class CoreAccountant:
         # configuration (mode, idle_task_check) produce identical shares
         # for the same (core, mcore) input and have no side effects, so
         # duplicates within one facility's approach list are computed once
-        # per sample.  Entries are (name, model, estimator-or-None,
-        # share-slot, is-primary); a ``None`` estimator reuses the slot
-        # value computed by an earlier entry.
+        # per sample.  Entries are (name, model, feature-prefix view,
+        # estimator-or-None, share-slot, is-primary); a ``None`` estimator
+        # reuses the slot value computed by an earlier entry.
+        #
+        # Reusable per-sample buffers: one feature row laid out over
+        # ALL_FEATURES (mdisk/mnet stay 0 -- per-core accounting has no
+        # peripheral metrics), and the per-approach energy dict (its key
+        # set is fixed by the plan; values are overwritten every sample
+        # and consumed synchronously by the container update).  All paper
+        # feature sets are canonical-order prefixes, and a model's feature
+        # set never changes, so each plan entry holds a view of its
+        # model's prefix of the row (the row itself at full width, ``None``
+        # for a non-prefix model) instead of slicing it per sample.
+        row = self._row = np.zeros(8, dtype=float)
+        self._energy: dict[str, float] = {}
         plan: list[tuple] = []
         group_keys: list[tuple] = []
         for a in approaches:
@@ -234,11 +271,12 @@ class CoreAccountant:
                 # Mode "none" always estimates 0.0: fold it to a constant
                 # (the share slot is initialized to 0.0 and never written).
                 estimator = None if a.chipshare.mode == "none" else a.chipshare
+            k = a.model._prefix_len
             plan.append(
                 (
                     a.name,
                     a.model,
-                    a.model._prefix_len,
+                    row if k == 8 else row[:k] if k else None,
                     estimator,
                     slot,
                     a.name == primary,
@@ -246,13 +284,6 @@ class CoreAccountant:
             )
         self._plan = plan
         self._shares = [0.0] * len(group_keys)
-        # Reusable per-sample buffers: one feature row laid out over
-        # ALL_FEATURES (mdisk/mnet stay 0 -- per-core accounting has no
-        # peripheral metrics), and the per-approach energy dict (its key
-        # set is fixed by the plan; values are overwritten every sample
-        # and consumed synchronously by the container update).
-        self._row = np.zeros(8, dtype=float)
-        self._energy: dict[str, float] = {}
 
     # ------------------------------------------------------------------
     # Counter baseline (structure-of-arrays storage)
@@ -285,11 +316,11 @@ class CoreAccountant:
     # ------------------------------------------------------------------
     # Sampling
     # ------------------------------------------------------------------
-    def sample(self, now: float) -> Optional[MetricSample]:  # hot-path
+    def sample(self, now: float) -> Optional[float]:  # hot-path
         """Account the interval since the last sample on this core.
 
-        Returns the primary-approach metric sample (``None`` for an empty
-        interval), mainly for tests and the conditioning policy.
+        Returns the primary approach's Eq. 3 chip share for the interval
+        (``None`` for an empty or idle interval), mainly for tests.
         """
         core = self.core
         bank = core.counters
@@ -423,17 +454,19 @@ class CoreAccountant:
         mcache: float,
         mmem: float,
         ops: int,
-    ) -> MetricSample:
+    ) -> float:
         """Charge one sampled interval to the bound container.
 
         Back half of :meth:`sample`, shared with the batch accounting
         engine: model evaluation, container statistics, the Eq. 3 mailbox
         post, the maintenance work, and, with telemetry enabled, the
         container's row in the open energy-timeline window (the counters
-        themselves are emitted when the window closes).  Callers must
-        invoke it per core in machine core-index order -- mailbox posts
-        feed sibling chip-share estimates, so ordering is part of the
-        semantics.
+        themselves are emitted when the window closes).  Returns the
+        primary approach's chip share -- the one metric the timeline row
+        keeps; nothing is allocated per sample to carry the others.
+        Callers must invoke it per core in machine core-index order --
+        mailbox posts feed sibling chip-share estimates, so ordering is
+        part of the semantics.
         """
         core = self.core
         container = self.registry.get(self.current_container_id)
@@ -446,9 +479,9 @@ class CoreAccountant:
         row[4] = mmem
         shares = self._shares
         energy = self._energy
-        primary_sample: Optional[MetricSample] = None
+        primary_share = 0.0
         record_history = self.record_power_history
-        for name, model, k, estimator, slot, is_primary in self._plan:
+        for name, model, prefix, estimator, slot, is_primary in self._plan:
             if estimator is not None:
                 # Inlined ChipShareEstimator.estimate for the common
                 # mailbox mode (checks in the same order as the method;
@@ -461,26 +494,20 @@ class CoreAccountant:
                     for sibling in self._siblings:
                         if idle_check and sibling.active_profile is None:
                             continue
-                        sibling_sum += sibling.mailbox._latest.mcore
+                        sibling_sum += sibling.mailbox.mcore
                     value = mcore / (1.0 + sibling_sum)
                     shares[slot] = value if value < 1.0 else 1.0
                 else:
                     shares[slot] = estimator.estimate(core, mcore)
             share = shares[slot]
             row[5] = share
-            # Inlined PowerModel.active_power_row prefix fast path (all
-            # paper feature sets are canonical-order prefixes; ``k`` is the
-            # prefix length, fixed at construction since a model's feature
-            # set never changes).  A full-width prefix dots the row itself
-            # -- slicing the whole row would only allocate an equal view.
+            # Inlined PowerModel.active_power_row prefix fast path: the
+            # plan's prefix view shares the row's memory, so it dots the
+            # same values a per-sample ``row[:k]`` slice would.
             # ``ndarray.dot`` over ``@`` skips the __matmul__ protocol; both
             # run the same ddot kernel, so the result is bit-identical.
-            if k == 8:
-                watts = float(model._coef.dot(row))
-                if watts < 0.0:
-                    watts = 0.0
-            elif k:
-                watts = float(model._coef.dot(row[:k]))
+            if prefix is not None:
+                watts = float(model._coef.dot(prefix))
                 if watts < 0.0:
                     watts = 0.0
             else:
@@ -501,9 +528,7 @@ class CoreAccountant:
                         container.full_speed_power_ewma = (
                             (1.0 - 0.3) * ewma + 0.3 * full
                         )
-                primary_sample = MetricSample(
-                    mcore, mins, mfloat, mcache, mmem, share
-                )
+                primary_share = share
                 if record_history:
                     container.power_history.append((now, watts))
 
@@ -525,7 +550,7 @@ class CoreAccountant:
             totals.flops += self._ob_flops
             totals.cache_refs += self._ob_cache
             totals.mem_trans += self._ob_mem
-            self.machine.add_impulse_energy(
+            self._add_impulse(
                 self._maintenance_joules, self._core_index, self._chip_index
             )
             self._pending_overhead_ops += 1
@@ -541,14 +566,14 @@ class CoreAccountant:
             row = timeline.rows.get(container.id)
             if row is None:
                 timeline.rows[container.id] = [
-                    now, energy_j, primary_sample.mchipshare, ops
+                    now, energy_j, primary_share, ops
                 ]
             else:
                 row[0] = now
                 row[1] = energy_j
-                row[2] = primary_sample.mchipshare
+                row[2] = primary_share
                 row[3] += ops
-        return primary_sample
+        return primary_share
 
     def sample_and_rebind(
         self,

@@ -60,6 +60,6 @@ class ChipShareEstimator:
         for sibling in core.chip.siblings_of(core):
             if idle_task_check and sibling.active_profile is None:
                 continue  # OS runs the idle task there: rate is zero
-            sibling_sum += sibling.mailbox._latest.mcore
+            sibling_sum += sibling.mailbox.mcore
         share = own_mcore / (1.0 + sibling_sum)
         return min(share, 1.0)

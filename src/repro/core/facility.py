@@ -675,12 +675,7 @@ class PowerContainerFacility(KernelHooks):
         t = self.telemetry
         if t is not None and t.enabled:
             self._m_overflows.inc()
-            t.tracer.instant(
-                self.simulator.now,
-                f"core:{self._tprefix}{core.index}",
-                "overflow",
-                {"container": process.container_id},
-            )
+            self.energy_timeline.overflow(self.simulator.now, core.index)
 
     def on_binding_change(
         self, process: Process, old_id: Optional[int], new_id: Optional[int]

@@ -150,10 +150,19 @@ class UtilizationSample:
 
 
 class SampleMailbox:
-    """Latest-sample mailbox a core posts for unsynchronized sibling reads."""
+    """Latest-sample mailbox a core posts for unsynchronized sibling reads.
+
+    The latest post is kept as two plain floats, :attr:`time` and
+    :attr:`mcore` (posted once per accounting sample; siblings read
+    ``mcore`` directly); :meth:`peek` wraps them in a
+    :class:`UtilizationSample` on demand.
+    """
+
+    __slots__ = ("time", "mcore", "frozen")
 
     def __init__(self) -> None:
-        self._latest = UtilizationSample(time=0.0, mcore=0.0)
+        self.time = 0.0
+        self.mcore = 0.0
         #: Fault-injection switch (see :mod:`repro.faults`): while frozen,
         #: posts are discarded and siblings keep reading the stale sample --
         #: the pathological extreme of the unsynchronized mailbox design.
@@ -165,7 +174,8 @@ class SampleMailbox:
             raise ValueError(f"mcore out of range: {mcore}")
         if self.frozen:
             return
-        self._latest = UtilizationSample(time=time, mcore=min(mcore, 1.0))
+        self.time = time
+        self.mcore = min(mcore, 1.0)
 
     def post_trusted(self, time: float, mcore: float) -> None:  # hot-path
         """:meth:`post` without the range check, for the accounting engine.
@@ -177,11 +187,12 @@ class SampleMailbox:
         """
         if self.frozen:
             return
-        self._latest = UtilizationSample(time=time, mcore=mcore)
+        self.time = time
+        self.mcore = mcore
 
     def peek(self) -> UtilizationSample:
         """Read the latest posted sample (possibly stale)."""
-        return self._latest
+        return UtilizationSample(time=self.time, mcore=self.mcore)
 
     # ------------------------------------------------------------------
     # Checkpoint protocol
@@ -189,7 +200,7 @@ class SampleMailbox:
     def snapshot_state(self) -> dict:
         return {
             "v": 1,
-            "time": self._latest.time,
-            "mcore": self._latest.mcore,
+            "time": self.time,
+            "mcore": self.mcore,
             "frozen": self.frozen,
         }

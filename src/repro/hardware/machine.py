@@ -347,19 +347,6 @@ class Machine:
         acc.peripheral_joules += peripheral * dt
         integrator._last_time = now
 
-    def add_impulse_energy(
-        self,
-        joules: float,
-        core_index: int | None = None,
-        chip_index: int | None = None,
-    ) -> None:
-        """Charge instantaneous energy to ground truth (observer effect).
-
-        Callers that already know the core's package (the accounting engine
-        caches it) pass ``chip_index`` to skip the core->chip lookup.
-        """
-        self.integrator.add_impulse(joules, core_index, chip_index)
-
     # ------------------------------------------------------------------
     # Checkpoint protocol
     # ------------------------------------------------------------------

@@ -21,7 +21,6 @@ instrumentation points:
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from heapq import heappush as _heappush
 from typing import Any, Generator, Optional
@@ -474,17 +473,32 @@ class Kernel:
     # Compute slices
     # ------------------------------------------------------------------
     def _start_slice(
-        self, process: Process, core: Core, quantum_deadline: float
+        self,
+        process: Process,
+        core: Core,
+        quantum_deadline: float,
+        event: Optional[ScheduledEvent] = None,
     ) -> None:
+        """Start a compute slice ending at the first of: action done,
+        counter overflow, quantum expiry.
+
+        ``event`` is the fired slice-end handle of the slice this one
+        continues (see :meth:`_end_slice`); it is re-armed instead of
+        allocating a new handle.  It was already popped, so the queue
+        never holds it twice.
+        """
         action = process.current_action
         assert isinstance(action, Compute)
-        self.machine.checkpoint()
+        machine = self.machine
+        simulator = self.simulator
+        if machine.integrator._last_time != simulator._now:
+            machine.checkpoint()
         core.begin_activity(action.profile, owner=process)
         # Contention (if modelled) is evaluated at slice start and held for
         # the slice's ~1 ms duration; stalls stretch the cycles needed.
         work_fraction = (
-            self.machine.contention.work_fraction(core)
-            if self.machine.contention is not None
+            machine.contention.work_fraction(core)
+            if machine.contention is not None
             else 1.0
         )
         core.set_work_fraction(work_fraction)
@@ -506,7 +520,7 @@ class Kernel:
             ) / effective_hz
             if dt_overflow < dt:
                 dt = dt_overflow
-        now = self.now
+        now = simulator._now
         dt_quantum = quantum_deadline - now
         if dt_quantum < 0.0:
             dt_quantum = 0.0
@@ -515,17 +529,20 @@ class Kernel:
         planned_cycles = dt * effective_hz
         # Inlined Simulator.schedule (one slice-end event per compute
         # slice): same guards and push, minus the wrapper call.  ``dt`` is
-        # non-negative by construction, so only finiteness is checked.
-        simulator = self.simulator
-        end_time = simulator._now + dt
-        if math.isnan(end_time) or math.isinf(end_time):
+        # non-negative by construction, so only finiteness is checked:
+        # ``t - t`` is 0.0 for finite ``t`` and NaN for NaN, +inf and -inf.
+        end_time = now + dt
+        if end_time - end_time != 0.0:
             raise SimulationError(f"non-finite event time {end_time!r}")
-        event = ScheduledEvent(
-            time=end_time,
-            callback=self._end_slice,
-            args=(core.index,),
-            label="slice-end",
-        )
+        if event is None:
+            event = ScheduledEvent(
+                time=end_time,
+                callback=self._end_slice,
+                args=(core.index,),
+                label="slice-end",
+            )
+        else:
+            event.time = end_time
         _heappush(simulator._queue, (end_time, next(simulator._seq), event))
         if len(simulator._queue) >= simulator._sweep_threshold:
             simulator._sweep_cancelled()
@@ -630,7 +647,7 @@ class Kernel:
         deadline = (
             now + self.quantum if quantum_expired else active.quantum_deadline
         )
-        self._start_slice(process, core, deadline)
+        self._start_slice(process, core, deadline, active.end_event)
 
     # ------------------------------------------------------------------
     # Messaging

@@ -68,8 +68,10 @@ FRAME_TAG = "tframe"
 FRAME_CHAIN_SEED = hashlib.sha256(b"telemetry-frame-chain-v1").hexdigest()
 
 #: Seed for the coordinator-side merged-stream digest.  v2: container
-#: energy timelines are per window, not per accounting sample.
-MERGE_CHAIN_SEED = hashlib.sha256(b"telemetry-merge-chain-v2").hexdigest()
+#: energy timelines are per window, not per accounting sample.  v3:
+#: counter-overflow interrupts are per-core ``overflows`` counts per
+#: window, not one ``overflow`` instant each.
+MERGE_CHAIN_SEED = hashlib.sha256(b"telemetry-merge-chain-v3").hexdigest()
 
 
 class FrameChecksumError(ValueError):

@@ -2,8 +2,9 @@
 
 The tracer records the paper's natural request-lifecycle boundaries
 (§3.3): request arrival, stage entry/exit, socket tag propagation,
-context-switch accounting samples, overflow interrupts, recalibration
-events, and shed/reject/brownout decisions.  Three event shapes:
+context-switch accounting samples, recalibration events, and
+shed/reject/brownout decisions, plus per-window counts of the periodic
+counter-overflow interrupts.  Three event shapes:
 
 ``span``
     A ``begin``/``end`` pair keyed by ``(track, name)``.  Tracks are
@@ -12,13 +13,15 @@ events, and shed/reject/brownout decisions.  Three event shapes:
     supported via a per-track stack (``end`` closes the innermost open
     span with the matching name, or the innermost span if unnamed).
 ``instant``
-    A point event (overflow interrupt, tag loss, shed decision, fault
-    firing, brownout transition...).
+    A point event (tag loss, shed decision, fault firing, brownout
+    transition...).
 ``counter``
-    A sampled numeric series -- used for the per-container cumulative
-    energy timeline (one sample per container per window, see
-    :class:`~repro.core.accounting.EnergyTimeline`) so the Chrome viewer
-    can plot joules against spans.
+    A sampled numeric series -- used for the energy timeline (see
+    :class:`~repro.core.accounting.EnergyTimeline`): one cumulative
+    energy sample per container per window, so the Chrome viewer can
+    plot joules against spans, and one overflow-interrupt count per core
+    per window.  The overflow interrupt is the most frequent event in a
+    run, so it is counted, not traced one instant per interrupt.
 
 All timestamps are **explicit caller-provided sim-clock floats**; the
 tracer never reads a wall clock, so identically seeded runs produce

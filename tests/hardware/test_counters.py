@@ -84,3 +84,15 @@ def test_mailbox_clamps_tiny_overshoot():
     box = SampleMailbox()
     box.post(1.0, 1.0 + 5e-10)
     assert box.peek().mcore == 1.0
+
+
+def test_frozen_mailbox_ignores_trusted_posts():
+    box = SampleMailbox()
+    box.post(1.0, 0.4)
+    box.frozen = True
+    box.post_trusted(2.0, 0.9)
+    box.post(3.0, 0.1)
+    assert box.peek() == UtilizationSample(time=1.0, mcore=0.4)
+    box.frozen = False
+    box.post_trusted(4.0, 0.9)
+    assert box.peek() == UtilizationSample(time=4.0, mcore=0.9)

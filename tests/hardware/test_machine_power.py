@@ -160,7 +160,7 @@ def test_package_energy_includes_package_idle(sb):
 
 def test_impulse_energy_charged_to_core_and_package(sb):
     machine, _ = sb
-    machine.add_impulse_energy(0.5, core_index=1)
+    machine.integrator.add_impulse(0.5, core_index=1)
     assert machine.integrator.machine_joules == pytest.approx(0.5)
     assert machine.integrator.per_core_joules(1) == pytest.approx(0.5)
     assert machine.integrator.package_joules(0) == pytest.approx(0.5)

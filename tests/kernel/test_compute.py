@@ -96,6 +96,71 @@ def test_mid_slice_duty_change_preserves_total_cycles(world):
     )
 
 
+def test_continued_slices_reuse_the_fired_slice_end_handle(world):
+    """A slice that continues the same action re-arms the handle that just
+    fired.  Across overflow and quantum boundaries and two mid-slice duty
+    changes: a cancelled handle never fires, every started slice ends
+    exactly once, and the queue never holds one handle twice."""
+    sim, machine, kernel = world
+    core = machine.cores[0]
+    started = []  # (slice ordinal, end handle), in start order
+    ended = []  # slice ordinals, in end order
+    cancelled = set()  # ids of handles cancelled by duty changes
+    fired = []  # the slice-end handles that fired, in firing order
+    start_slice = kernel._start_slice
+    end_slice = kernel._end_slice
+    close_partial = kernel._close_slice_partial
+
+    def queue_unique():
+        handles = [id(entry[2]) for entry in sim._queue]
+        assert len(handles) == len(set(handles))
+
+    def spied_start(process, core_, quantum_deadline, event=None):
+        start_slice(process, core_, quantum_deadline, event)
+        started.append((len(started), kernel._slices[core_.index].end_event))
+        queue_unique()
+
+    def spied_end(core_index):
+        handle = sim.current_event
+        assert not handle.cancelled and id(handle) not in cancelled
+        fired.append(handle)
+        ordinal = next(n for n, h in reversed(started) if h is handle)
+        ended.append(ordinal)
+        end_slice(core_index)
+        queue_unique()
+
+    def spied_close(core_, active):
+        ordinal = next(
+            n for n, h in reversed(started) if h is active.end_event
+        )
+        ended.append(ordinal)
+        close_partial(core_, active)
+        cancelled.add(id(active.end_event))
+
+    kernel._start_slice = spied_start
+    kernel._end_slice = spied_end
+    kernel._close_slice_partial = spied_close
+    done = []
+
+    def program():
+        yield Compute(cycles=machine.freq_hz * 0.012, profile=SPIN)
+        done.append(sim.now)
+
+    kernel.spawn(program(), "w", pinned_core=0)
+    sim.schedule(3.3e-3, kernel.set_core_duty, core, 4)
+    sim.schedule(7.7e-3, kernel.set_core_duty, core, 8)
+    sim.run_until(0.1)
+    # Half speed for 4.4 ms costs 2.2 ms of extra wall time.
+    assert done == [pytest.approx(0.012 + (7.7e-3 - 3.3e-3) / 2, rel=1e-6)]
+    assert len(cancelled) == 2
+    assert sorted(ended) == [n for n, _ in started]  # each ends once
+    assert len(kernel.trace.of_kind("overflow")) >= 8
+    # Continuations re-armed fired handles: far fewer handles than slices.
+    handles = {id(h) for _, h in started}
+    assert len(handles) <= 4 < len(started)
+    assert len(fired) > len({id(h) for h in fired})
+
+
 def test_sleep_blocks_without_consuming_cpu(world):
     sim, machine, kernel = world
     times = []

@@ -112,13 +112,14 @@ def test_merged_telemetry_invariant_across_shard_counts(seed, capacity):
 #: The merged digests of ``_config(42, 2)``, recorded independently of
 #: the code under test: a rendering or merge change that still agrees
 #: with itself across shard counts fails here.  The trace digest and
-#: event count are those of the v2 merge chain (per-window container
-#: energy timelines; ``test_energy_timeline`` proves the windows exact).
+#: event count are those of the v3 merge chain (per-window container
+#: energy timelines and per-window core overflow counts;
+#: ``test_energy_timeline`` proves the windows exact).
 PINNED_SEED_42 = {
-    "trace_fingerprint": "5939314018f0f697",
+    "trace_fingerprint": "704ad0b46cb326a2",
     "alert_fingerprint": "e3b0c44298fc1c14",
     "store_fingerprint": "94b98c892dc28553",
-    "events_merged": 15040,
+    "events_merged": 5650,
 }
 
 

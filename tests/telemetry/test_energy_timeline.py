@@ -1,18 +1,25 @@
-"""The per-window container energy timeline is an exact subsample.
+"""The per-window energy timeline is an exact subsample.
 
 A spy on ``CoreAccountant._charge`` logs every enabled-telemetry charge
-``(now, container id, total_energy(primary), mchipshare, ops)``, and the
-window closes the run takes (shard barriers, ``Facility.flush``).  An
-independent model replays that log through the window rule -- a window
-also closes at the first charge at or past its ``ENERGY_WINDOW`` grid
-end -- and predicts every counter the timeline must emit.  The recorded
-trace must match it bit for bit:
+``(now, container id, total_energy(primary), mchipshare, ops)``, a spy on
+``PowerContainerFacility.on_overflow`` logs every counter-overflow
+interrupt ``(now, core index)``, and both log the window closes the run
+takes (shard barriers, ``Facility.flush``).  An independent model replays
+that log through the window rule -- a window also closes at the first
+charge or overflow at or past its ``ENERGY_WINDOW`` grid end -- and
+predicts every counter the timeline must emit.  The recorded trace must
+match it bit for bit:
 
 * each ``energy_j``/``chipshare`` pair is the spy's value at the
   container's last charge in the window, stamped at that charge;
 * each ``observer_ops`` is the window's exact sum (emitted when nonzero);
 * a charged container has exactly one row per window it was charged in;
-* a container's last ``energy_j`` is its final ``total_energy(primary)``.
+* a container's last ``energy_j`` is its final ``total_energy(primary)``;
+* each ``overflows`` value is the core's interrupt count in the window,
+  stamped at its last interrupt, one row per core per window with an
+  interrupt, and per machine the values sum to its
+  ``overflow_interrupts_total`` counter;
+* no per-interrupt ``overflow`` instant is recorded.
 """
 
 import math
@@ -20,40 +27,53 @@ from collections import defaultdict
 
 import pytest
 
-from repro.core.accounting import ENERGY_WINDOW, CoreAccountant
+from repro.core.accounting import ENERGY_WINDOW, CoreAccountant, EnergyTimeline
 from repro.core.facility import PowerContainerFacility
 from repro.telemetry import Telemetry, TelemetryFrame
-from repro.telemetry.tracer import KIND_COUNTER
+from repro.telemetry.tracer import KIND_COUNTER, KIND_INSTANT
 
 pytestmark = pytest.mark.slow
 
 
 class _Spy:
-    """Log of every machine's charges and window closes, in run order;
-    entries carry the machine's track prefix."""
+    """Log of every machine's charges, overflow interrupts and window
+    closes, in run order; entries carry the machine's track prefix."""
 
     def __init__(self, monkeypatch) -> None:
         self.log: list[tuple] = []
         charge = CoreAccountant._charge
+        on_overflow = PowerContainerFacility.on_overflow
         flush = PowerContainerFacility.flush
 
         def spied_charge(accountant, now, *args):
-            sample = charge(accountant, now, *args)
+            chipshare = charge(accountant, now, *args)
             t = accountant.telemetry
             if t is not None and t.enabled:
                 container = accountant.bound_container
                 self.log.append((
                     accountant._timeline.prefix, "charge", now, container.id,
                     container.total_energy(accountant.primary),
-                    sample.mchipshare, args[-1],
+                    chipshare, args[-1],
                 ))
-            return sample
+            return chipshare
+
+        def spied_on_overflow(facility, core, process):
+            on_overflow(facility, core, process)
+            t = facility.telemetry
+            if t is not None and t.enabled:
+                self.log.append((
+                    facility.energy_timeline.prefix, "overflow",
+                    facility.simulator.now, core.index,
+                ))
 
         def spied_flush(facility):
             flush(facility)
             self.close(facility)
 
         monkeypatch.setattr(CoreAccountant, "_charge", spied_charge)
+        monkeypatch.setattr(
+            PowerContainerFacility, "on_overflow", spied_on_overflow
+        )
         monkeypatch.setattr(PowerContainerFacility, "flush", spied_flush)
 
     def close(self, facility) -> None:
@@ -66,6 +86,7 @@ def _expected(log: list) -> list[tuple]:
     in emission order: the spy's log replayed through the window rule."""
     emitted = []
     rows: dict[str, dict] = defaultdict(dict)
+    cores: dict[str, dict] = defaultdict(dict)
     ends: dict[str, float] = defaultdict(lambda: ENERGY_WINDOW)
 
     def close(prefix):
@@ -77,28 +98,38 @@ def _expected(log: list) -> list[tuple]:
             emitted.append((track, now, "chipshare", chipshare))
             if ops:
                 emitted.append((track, now, "observer_ops", float(ops)))
+        for index, stamps in sorted(cores.pop(prefix, {}).items()):
+            emitted.append(
+                (f"core:{prefix}{index}", stamps[-1], "overflows",
+                 float(len(stamps)))
+            )
 
     for entry in log:
         prefix = entry[0]
         if entry[1] == "close":
             close(prefix)
             continue
-        now, cid = entry[2], entry[3]
+        now, key = entry[2], entry[3]
         if now >= ends[prefix]:
             close(prefix)
             ends[prefix] = (math.floor(now / ENERGY_WINDOW) + 1) * ENERGY_WINDOW
-        rows[prefix].setdefault(cid, []).append(entry)
+        if entry[1] == "charge":
+            rows[prefix].setdefault(key, []).append(entry)
+        else:
+            cores[prefix].setdefault(key, []).append(now)
     return emitted
 
 
 def _recorded(events) -> list[tuple]:
-    """Container-track counters of ``(kind, now, track, name, args)``
-    events as ``(track, now, name, value)``, in event order."""
-    return [
-        (track, now, name, dict(args)["value"])
-        for kind, now, track, name, args in events
-        if kind == KIND_COUNTER and track.startswith("container:")
-    ]
+    """Timeline counters (container and core tracks) of ``(kind, now,
+    track, name, args)`` events as ``(track, now, name, value)``, in event
+    order.  Fails on any per-interrupt ``overflow`` instant."""
+    recorded = []
+    for kind, now, track, name, args in events:
+        assert not (kind == KIND_INSTANT and name == "overflow"), (now, track)
+        if kind == KIND_COUNTER and track.startswith(("container:", "core:")):
+            recorded.append((track, now, name, dict(args)["value"]))
+    return recorded
 
 
 def _per_track(counters: list[tuple]) -> dict[str, list]:
@@ -108,14 +139,22 @@ def _per_track(counters: list[tuple]) -> dict[str, list]:
     return tracks
 
 
+def _overflow_total(registry, prefix: str) -> float:
+    """A machine's ``facility[_<node>]_overflow_interrupts_total``."""
+    node = f"{prefix[:-1]}_" if prefix else ""
+    return registry.get(f"facility_{node}overflow_interrupts_total").value
+
+
 def _check(recorded: list, expected: list, facilities) -> None:
     """``recorded`` equals ``expected`` per track -- bit for bit (``==``
-    on floats), same stamps, same order, one row per (container, window)
-    -- and every timeline ends on its container's final energy."""
+    on floats), same stamps, same order, one row per (container or core,
+    window) -- every timeline ends on its container's final energy, and
+    every machine's ``overflows`` sum to its interrupt counter."""
     assert expected, "the run charged nothing with telemetry on"
     tracks = _per_track(recorded)
     assert tracks == _per_track(expected)
     checked = 0
+    interrupts = 0.0
     for facility in facilities:
         prefix = facility.energy_timeline.prefix
         for container in facility.registry.all_containers():
@@ -125,7 +164,15 @@ def _check(recorded: list, expected: list, facilities) -> None:
             last = [value for _, name, value in series if name == "energy_j"]
             assert last[-1] == container.total_energy(facility.primary)
             checked += 1
+        counted = sum(
+            value for track, _, name, value in recorded
+            if name == "overflows" and track.startswith(f"core:{prefix}")
+        )
+        total = _overflow_total(facility.telemetry.registry, prefix)
+        assert counted == total, (prefix, counted, total)
+        interrupts += total
     assert checked
+    assert interrupts
 
 
 def test_sharded_flash_timeline_matches_every_charge(monkeypatch):
@@ -196,3 +243,20 @@ def test_single_process_timeline_matches_every_charge(monkeypatch, name):
     expected = _expected(spy.log)
     assert recorded == expected
     _check(recorded, expected, facilities)
+
+
+def test_overflow_counts_roll_on_the_grid_without_charges():
+    """An interrupt whose sample charges nothing still rolls the window:
+    counts never leak across a grid end, and cores close in index order."""
+    telemetry = Telemetry(capacity=None)
+    timeline = EnergyTimeline(telemetry, "m0/")
+    for now, index in ((0.01, 3), (0.02, 1), (0.03, 3),
+                       (ENERGY_WINDOW, 3), (0.3, 1), (0.31, 1)):
+        timeline.overflow(now, index)
+    timeline.close()
+    assert _recorded(telemetry.tracer.events) == [
+        ("core:m0/1", 0.02, "overflows", 1.0),
+        ("core:m0/3", 0.03, "overflows", 2.0),
+        ("core:m0/3", ENERGY_WINDOW, "overflows", 1.0),
+        ("core:m0/1", 0.31, "overflows", 2.0),
+    ]
