@@ -55,8 +55,8 @@ CHAOS_SEED = 42
 #: Brownout scenarios double-run by the overload lane.
 OVERLOAD_SCENARIOS = ("arrival-storm", "cap-squeeze", "storm-during-crash")
 
-#: The seeded batch-engine run's fingerprint (see :func:`_batch_fingerprint`).
-BATCH_KEYS = ("batch_charged", "batch_energies", "batch_samples")
+#: The seeded flush-tick run's fingerprint (see :func:`_flush_fingerprint`).
+FLUSH_KEYS = ("flush_charged", "flush_energies", "flush_samples")
 
 #: Fingerprint keys every resumed single-machine run must reproduce.
 RESTORE_KEYS = ("report", "trace", "shed", "batch")
@@ -225,15 +225,14 @@ def _chaos_telemetry(name: str, enabled: bool = True) -> dict:
     return run
 
 
-def _batch_fingerprint() -> dict:
-    """Seeded batch-engine run: synchronous ``sample_all`` accounting ticks
+def _flush_fingerprint() -> dict:
+    """Seeded run of whole-machine ``Facility.flush`` accounting ticks
     interleaved with simulated execution, fingerprinted per container.
 
     The per-event path is already covered by :func:`solr_gate`; this
-    exercises the vectorized :class:`BatchAccountingEngine` pass
-    (``Facility.flush`` / sharded-sweep ticks) end to end, so a batch
-    kernel that picks up accumulation-order or dtype nondeterminism fails
-    the gate even though no workload driver calls it on every sample.
+    samples every core at one off-grid instant, in ascending core index,
+    the way every run ends, so an order or accumulation change in the
+    flush path fails the gate even though no workload flushes mid-run.
     """
     from repro.core import PowerContainerFacility, calibrate_machine
     from repro.hardware import RateProfile, SANDYBRIDGE, build_machine
@@ -258,19 +257,22 @@ def _batch_fingerprint() -> dict:
             program(), f"det-spin-{index}", container_id=container.id,
             pinned_core=index,
         )
+    accountants = facility.accountants.values()
     charged = 0
     now = 0.0
-    # Off the facility's 1 ms OS-tick grid, so the batch pass sees real
-    # open intervals instead of already-sampled (dt == 0) ones.
+    # Off the facility's 1 ms OS-tick grid, so the flush sees real open
+    # intervals instead of already-sampled (dt == 0) ones.
     for _ in range(40):
         now += 1.37e-3
         sim.run_until(now)
-        charged += facility.batch_engine.sample_all(sim.now)
+        before = sum(a.samples_taken for a in accountants)
+        facility.flush()
+        charged += sum(a.samples_taken for a in accountants) - before
     primary = facility.primary
     return {
-        "batch_charged": charged,
-        "batch_energies": tuple(c.energy(primary) for c in containers),
-        "batch_samples": tuple(
+        "flush_charged": charged,
+        "flush_energies": tuple(c.energy(primary) for c in containers),
+        "flush_samples": tuple(
             c.stats.sample_count for c in containers
         ),
     }
@@ -472,7 +474,7 @@ def case_table(workdir: str) -> list[Case]:
         *(_twice("determinism", f"chaos-{name}", partial(_chaos, name),
                  ("report",))
           for name in CHAOS_SCENARIOS),
-        _twice("determinism", "batch", _batch_fingerprint, BATCH_KEYS),
+        _twice("determinism", "flush", _flush_fingerprint, FLUSH_KEYS),
         Case("determinism", "checkpoint-resume",
              partial(_checkpointed_solr, ckpt),
              {"resumed": partial(_resumed_solr, ckpt)},

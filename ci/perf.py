@@ -1,9 +1,9 @@
 """The perf gate behind ``python -m ci perf``: benchmarks + BENCH_perf.json.
 
 **Micro** benchmarks time isolated hot kernels (event-vector math,
-``active_power``, the simulator queue, ``correlation_curve``, batched
-accounting) and the machine-independent ratios (vectorized code vs its
-loop oracle, disabled telemetry vs none); **macro** benchmarks time the
+``active_power``, the simulator queue, ``correlation_curve``, per-core
+accounting samples) and the machine-independent ratios (vectorized code
+vs its loop oracle, disabled telemetry vs none); **macro** benchmarks time the
 seeded Solr run the determinism gate replays and the sharded cluster at
 1, 2 and 4 workers.
 
@@ -50,10 +50,6 @@ TREND_HISTORY = os.path.join("results", "BENCH_history.jsonl")
 #: Minimum required speed ratio of the vectorized ``correlation_curve``
 #: over the loop oracle (machine-independent; measured ~27x).
 MIN_CORRELATION_RATIO = 5.0
-
-#: Minimum required speed ratio of the batched accounting kernels over the
-#: per-core scalar oracle at shard scale (machine-independent).
-MIN_ACCOUNTING_RATIO = 2.0
 
 #: Maximum wall-time ratio of a run with an attached-but-disabled
 #: :class:`~repro.telemetry.Telemetry` handle over a bare run.  The
@@ -411,13 +407,14 @@ def bench_telemetry_frame_overhead() -> BenchResult:
     )
 
 
-def bench_batch_accounting() -> BenchResult:
-    """One vectorized accounting pass over every core of a machine.
+def bench_core_sample() -> BenchResult:
+    """One accounting sample on every core of a machine.
 
-    Times :meth:`BatchAccountingEngine.sample_all` -- the synchronous
-    accounting tick behind ``Facility.flush`` and sharded sweeps -- on a
-    fully occupied SANDYBRIDGE machine, so every pass runs the complete
-    gather -> vectorized kernels -> per-core ``_charge`` pipeline.
+    Times :meth:`CoreAccountant.sample` -- the counter-overflow interrupt
+    and context-switch hot path, and what ``Facility.flush`` runs per core
+    -- on a fully occupied SANDYBRIDGE machine, so every sample runs the
+    complete delta -> observer correction -> metrics -> ``_charge``
+    pipeline.
     """
     from repro.core import PowerContainerFacility, calibrate_machine
     from repro.hardware import RateProfile, SANDYBRIDGE, build_machine
@@ -441,90 +438,26 @@ def bench_batch_accounting() -> BenchResult:
             pinned_core=index,
         )
     sim.run_until(1e-3)  # dispatch the processes so every core is occupied
-    engine = facility.batch_engine
+    accountants = [
+        facility.accountants[index] for index in sorted(facility.accountants)
+    ]
     iterations = 2_000
-    n_cores = len(machine.cores)
     clock = [1e-3]  # monotone across repeats so every pass charges
 
     def body():
         now = clock[0]
         for _ in range(iterations):
             now += 1e-4
-            engine.sample_all(now)
+            for accountant in accountants:
+                accountant.sample(now)
         clock[0] = now
 
     body()  # warm
     seconds = _best_of(body)
-    samples = iterations * n_cores
+    samples = iterations * len(accountants)
     return BenchResult(
-        "micro-batch-accounting", "micro", seconds,
+        "micro-core-sample", "micro", seconds,
         throughput={"samples_per_sec": samples / seconds},
-    )
-
-
-def bench_accounting_oracle_ratio() -> BenchResult:
-    """Per-core scalar oracle vs the batched kernels at shard scale.
-
-    Runs the front-half accounting arithmetic (wrap deltas, observer
-    correction, utilization metrics) for 256 synthetic cores -- a sharded
-    sweep's accounting tick -- once per core through
-    :func:`repro.core.batch.reference_sample` and once through the batch
-    kernels, after checking the two agree bit for bit.  ``seconds`` is the
-    batched arm's wall time; ``ratio`` is oracle/batched and must stay
-    above :data:`MIN_ACCOUNTING_RATIO`.
-    """
-    from repro.core.batch import (
-        CPU_FIELDS, batch_observer_correction, batch_utilization,
-        batch_wrap_deltas, reference_sample,
-    )
-    from repro.hardware.counters import COUNTER_WRAP
-
-    rng = np.random.default_rng(3)
-    n = 256
-    baseline = rng.uniform(0.0, COUNTER_WRAP, (n, 7))
-    snapshot = (baseline + rng.uniform(0.0, 1e9, (n, 7))) % COUNTER_WRAP
-    units = rng.uniform(0.0, 100.0, (n, CPU_FIELDS))
-    ops = rng.integers(0, 50, n).astype(float)
-    dts = np.full(n, 1e-3)
-    freq = np.full(n, 2.6e9)
-
-    def batched() -> np.ndarray:
-        deltas = batch_wrap_deltas(snapshot, baseline)
-        deltas = batch_observer_correction(deltas, units, ops)
-        return batch_utilization(deltas, freq * dts)
-
-    def oracle() -> list:
-        out = []
-        for i in range(n):
-            out.append(reference_sample(
-                snapshot[i], baseline[i], float(dts[i]), float(freq[i]),
-                observer_unit=units[i], pending_ops=int(ops[i]),
-            ))
-        return out
-
-    oracle_metrics = np.array([metrics for _, metrics in oracle()])
-    if not (batched() == oracle_metrics).all():
-        raise RuntimeError("batch kernels diverged from the scalar oracle")
-
-    iterations = 50
-
-    def batch_body():
-        for _ in range(iterations):
-            batched()
-
-    def oracle_body():
-        for _ in range(iterations):
-            oracle()
-
-    batch_seconds = _best_of(batch_body)
-    oracle_seconds = _best_of(oracle_body, repeats=1)
-    return BenchResult(
-        "micro-accounting-vs-oracle-ratio", "micro", batch_seconds,
-        throughput={
-            "batched_samples_per_sec": n * iterations / batch_seconds,
-            "oracle_seconds": oracle_seconds,
-        },
-        ratio=oracle_seconds / batch_seconds,
     )
 
 
@@ -610,8 +543,7 @@ SUITE = (
     bench_correlation_ratio,
     bench_telemetry_overhead,
     bench_telemetry_frame_overhead,
-    bench_batch_accounting,
-    bench_accounting_oracle_ratio,
+    bench_core_sample,
     bench_macro_solr,
     bench_cluster_sharded,
 )
@@ -636,8 +568,6 @@ def run_suite() -> dict[str, BenchResult]:
 RATIO_BOUNDS = (
     ("micro-correlation-vs-oracle-ratio", "ratio", "ratio",
      MIN_CORRELATION_RATIO, True, 1),
-    ("micro-accounting-vs-oracle-ratio", "ratio", "ratio",
-     MIN_ACCOUNTING_RATIO, True, 1),
     ("micro-telemetry-disabled-ratio", "ratio", "ratio",
      MAX_TELEMETRY_DISABLED_RATIO, False, 1),
     ("micro-telemetry-frame-overhead", "ratio", "ratio",

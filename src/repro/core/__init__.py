@@ -38,13 +38,6 @@ from repro.core.calibration import (
     calibration_microbenchmarks,
 )
 from repro.core.accounting import CoreAccountant, ObserverEffect
-from repro.core.batch import (
-    BatchAccountingEngine,
-    batch_observer_correction,
-    batch_utilization,
-    batch_wrap_deltas,
-    reference_sample,
-)
 from repro.core.facility import (
     ApproachConfig,
     FacilityHealth,
@@ -89,11 +82,6 @@ __all__ = [
     "calibration_microbenchmarks",
     "CoreAccountant",
     "ObserverEffect",
-    "BatchAccountingEngine",
-    "batch_observer_correction",
-    "batch_utilization",
-    "batch_wrap_deltas",
-    "reference_sample",
     "ApproachConfig",
     "FacilityHealth",
     "PowerContainerFacility",

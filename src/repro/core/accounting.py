@@ -20,18 +20,15 @@ Hot-path layout
 ---------------
 
 The accountant keeps its counter baseline as a plain 7-float list
-(structure-of-arrays order, matching ``EVENT_NAMES``) instead of an
+(``EVENT_NAMES`` order) instead of an
 :class:`~repro.hardware.events.EventVector`, and :meth:`CoreAccountant
 .sample` runs the delta / wrap / observer-correction / metric arithmetic on
 local floats -- the same expressions as the vector helpers
 (``wrapped_delta``, ``EventVector.subtract(clamp=True)``), unrolled so no
 intermediate vectors are allocated per sample.  The interval-charging back
-half (:meth:`CoreAccountant._charge`) is shared with the batch accounting
-engine (:mod:`repro.core.batch`), which vectorizes the front half across
-all cores of a machine with numpy kernels; both entry points therefore
-attribute bit-identical energy.  The reference transliteration of the
-original vector-based sampler lives in :func:`repro.core.batch
-.reference_sample` and anchors the equivalence tests.
+half lives in :meth:`CoreAccountant._charge`.  Every sample, at an
+interrupt, a context switch or ``Facility.flush``, goes through this one
+path.
 """
 
 from __future__ import annotations
@@ -48,7 +45,7 @@ from repro.core.model import PowerModel
 from repro.core.registry import ContainerRegistry
 from repro.hardware.core import Core
 from repro.hardware.counters import COUNTER_WRAP
-from repro.hardware.events import EventVector
+from repro.hardware.events import EVENT_NAMES, EventVector
 from repro.hardware.machine import Machine
 
 
@@ -202,7 +199,9 @@ class CoreAccountant:
         #: snapshot but are not charged to any container (and perform no
         #: maintenance work -- sampling interrupts stop on idle cores).
         self.occupied = False
-        self._last_events = core.counters.read()
+        baseline = core.counters.read()
+        #: Counter baseline, one float per ``EVENT_NAMES`` entry.
+        self._last = [getattr(baseline, name) for name in EVENT_NAMES]
         self._last_time = 0.0
         self._pending_overhead_ops = 0
         self.samples_taken = 0
@@ -284,34 +283,6 @@ class CoreAccountant:
             )
         self._plan = plan
         self._shares = [0.0] * len(group_keys)
-
-    # ------------------------------------------------------------------
-    # Counter baseline (structure-of-arrays storage)
-    # ------------------------------------------------------------------
-    @property
-    def _last_events(self) -> EventVector:
-        """Vector view of the counter baseline (compatibility shim).
-
-        The baseline is stored as a 7-float list in ``EVENT_NAMES`` order;
-        tests and tools that poke the old ``EventVector`` attribute keep
-        working through this property pair.
-        """
-        last = self._last
-        return EventVector(
-            last[0], last[1], last[2], last[3], last[4], last[5], last[6]
-        )
-
-    @_last_events.setter
-    def _last_events(self, events: EventVector) -> None:
-        self._last = [
-            events.nonhalt_cycles,
-            events.instructions,
-            events.flops,
-            events.cache_refs,
-            events.mem_trans,
-            events.disk_bytes,
-            events.net_bytes,
-        ]
 
     # ------------------------------------------------------------------
     # Sampling
@@ -457,16 +428,13 @@ class CoreAccountant:
     ) -> float:
         """Charge one sampled interval to the bound container.
 
-        Back half of :meth:`sample`, shared with the batch accounting
-        engine: model evaluation, container statistics, the Eq. 3 mailbox
-        post, the maintenance work, and, with telemetry enabled, the
-        container's row in the open energy-timeline window (the counters
-        themselves are emitted when the window closes).  Returns the
-        primary approach's chip share -- the one metric the timeline row
-        keeps; nothing is allocated per sample to carry the others.
-        Callers must invoke it per core in machine core-index order --
-        mailbox posts feed sibling chip-share estimates, so ordering is
-        part of the semantics.
+        Back half of :meth:`sample`: model evaluation, container
+        statistics, the Eq. 3 mailbox post, the maintenance work, and,
+        with telemetry enabled, the container's row in the open
+        energy-timeline window (the counters themselves are emitted when
+        the window closes).  Returns the primary approach's chip share --
+        the one metric the timeline row keeps; nothing is allocated per
+        sample to carry the others.
         """
         core = self.core
         container = self.registry.get(self.current_container_id)

@@ -82,9 +82,9 @@ class ContainerStats:
     ) -> None:
         """Scalar-field twin of :meth:`record_interval`.
 
-        The batch accounting engine keeps counter deltas as plain floats
-        (structure-of-arrays layout); this entry point folds them in without
-        materializing an :class:`EventVector` per sample.  Field-accumulation
+        The accountant keeps counter deltas as plain floats; this entry
+        point folds them in without materializing an :class:`EventVector`
+        per sample.  Field-accumulation
         order matches :meth:`record_interval` exactly, so both paths produce
         bit-identical statistics.
         """

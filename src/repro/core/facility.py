@@ -35,7 +35,6 @@ from repro.core.accounting import (
     _Approach,
 )
 from repro.core.alignment import estimate_delay
-from repro.core.batch import BatchAccountingEngine
 from repro.core.calibration import CalibrationResult
 from repro.core.chipshare import ChipShareEstimator
 from repro.core.container import PowerContainer
@@ -241,9 +240,6 @@ class PowerContainerFacility(KernelHooks):
             )
             for core in self.machine.cores
         }
-        #: Structure-of-arrays engine for whole-machine accounting passes
-        #: (end-of-run flush, synchronous sweep ticks).
-        self.batch_engine = BatchAccountingEngine(self.accountants.values())
 
         # --- model trace + recalibration -------------------------------
         self.meter = meter
@@ -787,39 +783,16 @@ class PowerContainerFacility(KernelHooks):
     # ------------------------------------------------------------------
     # Introspection helpers for experiments
     # ------------------------------------------------------------------
-    def health_stats(self) -> dict[str, float]:
-        """Merged robustness counters: watchdog + recalibration guards.
-
-        Keys are stable, so two identically-seeded runs export identical
-        dicts (the chaos determinism gate relies on this).
-
-        .. deprecated::
-            Kept as a thin compatibility schema; prefer
-            :meth:`publish_metrics` + ``MetricsRegistry.snapshot()``,
-            which expose the same counters under the unified
-            ``facility_*`` naming convention (see docs/observability.md).
-        """
-        stats = self.health.export_stats()
-        for name, recalibrator in sorted(self.recalibrators.items()):
-            stats[f"{name}_rejected_samples"] = float(
-                recalibrator.rejected_sample_count
-            )
-            stats[f"{name}_rolled_back"] = float(recalibrator.rolled_back_count)
-            stats[f"{name}_recalibrations"] = float(
-                recalibrator.recalibration_count
-            )
-            if recalibrator.guard is not None:
-                for key, value in recalibrator.guard.export_stats().items():
-                    stats[f"{name}_{key}"] = value
-        return stats
-
     def publish_metrics(self, registry=None) -> None:
-        """Mirror :meth:`health_stats` into a telemetry metrics registry.
+        """Publish the robustness counters as ``facility_*`` gauges.
 
-        Keys become ``facility_<key>`` gauges (``facility_<node>_<key>``
-        when a ``telemetry_node`` name was configured).  With no explicit
-        ``registry`` the attached telemetry handle's registry is used;
-        without either, this is a no-op.
+        Watchdog counters (``meter_ok``, ``meter_fallbacks``, ...),
+        per-approach recalibration and guard counters
+        (``<approach>_recalibrations``, ``<approach>_guard_rejected``, ...)
+        and ``samples_taken``, each as ``facility_<key>``
+        (``facility_<node>_<key>`` when a ``telemetry_node`` name was
+        configured).  With no explicit ``registry`` the attached telemetry
+        handle's registry is used; without either, this is a no-op.
         """
         if registry is None:
             if self.telemetry is None:
@@ -830,22 +803,36 @@ class PowerContainerFacility(KernelHooks):
             if self.telemetry_node
             else "facility_"
         )
-        for key, value in self.health_stats().items():
+
+        def put(key: str, value: float) -> None:
             registry.gauge(prefix + key).set(value)
-        registry.gauge(prefix + "samples_taken").set(
-            float(sum(a.samples_taken for a in self.accountants.values()))
+
+        for key, value in self.health.export_stats().items():
+            put(key, value)
+        for name, recalibrator in sorted(self.recalibrators.items()):
+            put(f"{name}_rejected_samples", recalibrator.rejected_sample_count)
+            put(f"{name}_rolled_back", recalibrator.rolled_back_count)
+            put(f"{name}_recalibrations", recalibrator.recalibration_count)
+            if recalibrator.guard is not None:
+                for key, value in recalibrator.guard.export_stats().items():
+                    put(f"{name}_{key}", value)
+        put(
+            "samples_taken",
+            sum(a.samples_taken for a in self.accountants.values()),
         )
 
     def flush(self) -> None:
         """Force a sample on every core (end-of-experiment accounting).
 
-        Runs the batch engine: one vectorized delta/correction/metrics
-        pass over all cores, then the per-core charge in core-index order
-        -- bit-identical to sampling each accountant sequentially.  Then
-        closes the energy-timeline window, so the timeline ends on the
-        flushed values.
+        Samples each core's accountant in ascending core index -- mailbox
+        posts feed sibling chip-share estimates, so the order is part of
+        the result -- then closes the energy-timeline window, so the
+        timeline ends on the flushed values.
         """
-        self.batch_engine.sample_all(self.simulator.now)
+        now = self.simulator.now
+        accountants = self.accountants
+        for index in sorted(accountants):
+            accountants[index].sample(now)
         if self.energy_timeline is not None:
             self.energy_timeline.close()
 

@@ -150,11 +150,11 @@ class PowerModel:
     def active_power_row(self, row: np.ndarray) -> float:  # hot-path
         """Active power from a feature row laid out over ``ALL_FEATURES``.
 
-        Fast-path twin of :meth:`active_power` for the batch accounting
-        engine's structure-of-arrays layout: the caller maintains one
-        reusable 8-slot row (or a row view of an ``(n, 8)`` matrix) and this
-        method projects it onto the model's feature subset without building
-        a :class:`MetricSample`.  The reduction is the same ``coef @ buf``
+        Fast-path twin of :meth:`active_power` for the accountant's
+        per-sample feature row: the caller maintains one reusable 8-slot
+        row (or a row view of an ``(n, 8)`` matrix) and this method
+        projects it onto the model's feature subset without building a
+        :class:`MetricSample`.  The reduction is the same ``coef @ buf``
         ddot as :meth:`active_power` over bit-identical operands (a
         contiguous slice or gathered copy holds the same values), so both
         entry points attribute bit-identical watts.

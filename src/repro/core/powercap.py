@@ -282,44 +282,36 @@ class PowerCapEnforcer:
         }
 
     # ------------------------------------------------------------------
-    def health_stats(self) -> dict[str, float]:
-        """Stable-keyed control-loop counters for chaos/CI reports.
-
-        .. deprecated::
-            Kept as a thin compatibility schema; prefer
-            :meth:`publish_metrics` + ``MetricsRegistry.snapshot()``, which
-            expose the same counters under the unified ``powercap_*``
-            naming convention (see docs/observability.md).
-        """
-        return {
-            "powercap_level": float(self.level),
-            "powercap_cap_watts": float(self.cap_watts),
-            "powercap_effective_cap": float(self.effective_cap()),
-            "powercap_measured_watts": float(self.measured_watts),
-            "powercap_ticks": float(self.ticks),
-            "powercap_escalations": float(self.escalations),
-            "powercap_deescalations": float(self.deescalations),
-            "powercap_over_cap_intervals": float(self.over_cap_intervals),
-            "powercap_max_consecutive_over": float(self.max_consecutive_over),
-            "powercap_degraded_intervals": float(self.degraded_intervals),
-            "powercap_degraded": 1.0 if self.degraded else 0.0,
-            "powercap_transitions": float(len(self.transitions)),
-            "powercap_conditioner_adjustments": float(
-                sum(c.adjustments for c in self.conditioners.values())
-            ),
-        }
-
     def publish_metrics(self, registry=None) -> None:
-        """Mirror :meth:`health_stats` into a telemetry metrics registry.
+        """Publish the control-loop counters as ``powercap_*`` gauges.
 
-        All keys already carry the ``powercap_`` prefix and publish
-        unchanged as gauges.  With no explicit ``registry`` the attached
-        telemetry handle's registry is used; without either this is a
-        no-op.
+        Ladder level, cap, effective cap, measured watts, tick and
+        escalation counters, degraded-telemetry state, transitions, and
+        conditioner adjustments.  With no explicit ``registry`` the
+        attached telemetry handle's registry is used; without either this
+        is a no-op.
         """
         if registry is None:
             if self.telemetry is None:
                 return
             registry = self.telemetry.registry
-        for key, value in self.health_stats().items():
-            registry.gauge(key).set(value)
+
+        def put(key: str, value: float) -> None:
+            registry.gauge(f"powercap_{key}").set(value)
+
+        put("level", self.level)
+        put("cap_watts", self.cap_watts)
+        put("effective_cap", self.effective_cap())
+        put("measured_watts", self.measured_watts)
+        put("ticks", self.ticks)
+        put("escalations", self.escalations)
+        put("deescalations", self.deescalations)
+        put("over_cap_intervals", self.over_cap_intervals)
+        put("max_consecutive_over", self.max_consecutive_over)
+        put("degraded_intervals", self.degraded_intervals)
+        put("degraded", 1.0 if self.degraded else 0.0)
+        put("transitions", len(self.transitions))
+        put(
+            "conditioner_adjustments",
+            sum(c.adjustments for c in self.conditioners.values()),
+        )

@@ -49,6 +49,7 @@ from repro.server.dispatch import Dispatcher, SimpleLoadBalancePolicy
 from repro.server.overload import OverloadConfig, OverloadProtector
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngHub
+from repro.telemetry.metrics import MetricsRegistry
 from repro.workloads.base import OpenLoopDriver
 from repro.workloads.synthetic import StageSpec, SyntheticWorkload
 
@@ -545,12 +546,15 @@ def finalize_scenario(live: LiveScenarioRun) -> ChaosReport:
     stats = report.stats
     stats.update(world.targets.export_stats())
 
+    # Every component publishes into a private registry, never the
+    # telemetry handle's: the report must not depend on telemetry mode.
+    registry = MetricsRegistry()
     if isinstance(world, SingleMachineWorld):
         world.facility.flush()
         _check_finite_trace(world.facility, violations)
         _check_models(world.facility, violations)
         _check_containers(world.facility, violations)
-        stats.update(world.facility.health_stats())
+        world.facility.publish_metrics(registry)
         stats["completed"] = float(world.driver.completed)
     else:
         for member in world.cluster.machines:
@@ -559,12 +563,13 @@ def finalize_scenario(live: LiveScenarioRun) -> ChaosReport:
             _check_containers(member.facility, violations)
             if isinstance(world, OverloadWorld):
                 _check_finite_trace(member.facility, violations)
-            for key, value in member.facility.health_stats().items():
-                stats[f"{member.name}_{key}"] = value
-        stats.update(world.dispatcher.health_stats())
+            member.facility.publish_metrics(registry)
+        world.dispatcher.publish_metrics(registry)
         if isinstance(world, OverloadWorld):
-            stats.update(world.enforcer.health_stats())
+            world.enforcer.publish_metrics(registry)
             _check_overload(world, violations)
+        stats["completed"] = float(world.dispatcher.completed)
+    stats.update(registry.snapshot())
 
     attributed = world.attributed_joules()
     measured = world.measured_joules()

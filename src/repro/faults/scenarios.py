@@ -139,8 +139,8 @@ SCENARIOS: tuple[Scenario, ...] = (
         build_plan=_flapping_plan,
         expects=(
             ("meter_outages", 3.0),
-            ("meter_fallbacks", 2.0),
-            ("meter_recoveries", 2.0),
+            ("facility_meter_fallbacks", 2.0),
+            ("facility_meter_recoveries", 2.0),
         ),
     ),
     Scenario(
@@ -154,7 +154,7 @@ SCENARIOS: tuple[Scenario, ...] = (
         build_plan=_nan_burst_plan,
         expects=(
             ("meter_corrupted", 5.0),
-            ("rejected_meter_samples", 1.0),
+            ("facility_rejected_meter_samples", 1.0),
         ),
     ),
     Scenario(
@@ -193,7 +193,7 @@ SCENARIOS: tuple[Scenario, ...] = (
         build_plan=_tag_loss_plan,
         expects=(
             ("listener_tags_lost", 3.0),
-            ("untagged_segments", 3.0),
+            ("facility_untagged_segments", 3.0),
         ),
     ),
     Scenario(
@@ -218,7 +218,7 @@ SCENARIOS: tuple[Scenario, ...] = (
         build_plan=_cluster_crash_plan,
         expects=(
             ("machine_crashes", 2.0),
-            ("retries", 1.0),
+            ("dispatch_retries", 1.0),
         ),
     ),
     Scenario(

@@ -607,66 +607,43 @@ class Dispatcher:
         return on_reply
 
     # ------------------------------------------------------------------
-    def health_stats(self) -> dict[str, float]:
-        """Robustness counters, named like the facility's ``health_stats``.
-
-        Stable keys, float values: global dispatch counters, per-machine
-        exclusion state, and (when overload protection is enabled) the
-        protector's admission/shedding/breaker counters.  Chaos reports and
-        the CI overload lane read this one schema.
-
-        .. deprecated::
-            Kept as a thin compatibility schema; prefer
-            :meth:`publish_metrics` + ``MetricsRegistry.snapshot()``, which
-            expose the same counters under the unified ``dispatch_*``
-            naming convention (see docs/observability.md).
-        """
-        stats = {
-            "completed": float(self.completed),
-            "dispatch_failures": float(self.dispatch_failures),
-            "retries": float(self.retries),
-            "dropped_requests": float(self.dropped_requests),
-            "failed_over": float(self.failed_over),
-            "late_replies": float(self.late_replies),
-        }
-        now = self.cluster.simulator.now
-        for name in sorted(self._health):
-            health = self._health[name]
-            stats[f"{name}_consecutive_failures"] = float(
-                health.consecutive_failures
-            )
-            stats[f"{name}_excluded"] = (
-                1.0
-                if health.excluded_until is not None
-                and now < health.excluded_until
-                else 0.0
-            )
-            stats[f"{name}_dispatched"] = float(self.dispatched_to.get(name, 0))
-        if self.overload is not None:
-            stats.update(self.overload.health_stats())
-        return stats
-
     def publish_metrics(self, registry=None) -> None:
-        """Mirror :meth:`health_stats` into a telemetry metrics registry.
+        """Publish the robustness counters as ``dispatch_*`` gauges.
 
-        Global and per-machine counters become ``dispatch_<key>`` gauges;
-        merged overload-protector keys (already ``overload_*``-prefixed)
-        are delegated to :meth:`OverloadProtector.publish_metrics` so they
-        publish under their own prefix.  With no explicit ``registry`` the
-        attached telemetry handle's registry is used; without either this
-        is a no-op.
+        Global dispatch counters (``dispatch_completed``,
+        ``dispatch_retries``, ...) and per-machine exclusion state
+        (``dispatch_<machine>_consecutive_failures``, ``_excluded``,
+        ``_dispatched``); with overload protection enabled the protector
+        publishes its own ``overload_*`` gauges alongside.  With no
+        explicit ``registry`` the attached telemetry handle's registry is
+        used; without either this is a no-op.
         """
         if registry is None:
             if self.telemetry is None:
                 return
             registry = self.telemetry.registry
-        overload_keys = (
-            set(self.overload.health_stats()) if self.overload else set()
-        )
-        for key, value in self.health_stats().items():
-            if key in overload_keys:
-                continue
+
+        def put(key: str, value: float) -> None:
             registry.gauge(f"dispatch_{key}").set(value)
+
+        put("completed", self.completed)
+        put("dispatch_failures", self.dispatch_failures)
+        put("retries", self.retries)
+        put("dropped_requests", self.dropped_requests)
+        put("failed_over", self.failed_over)
+        put("late_replies", self.late_replies)
+        now = self.cluster.simulator.now
+        for name in sorted(self._health):
+            health = self._health[name]
+            put(f"{name}_consecutive_failures", health.consecutive_failures)
+            put(
+                f"{name}_excluded",
+                1.0
+                if health.excluded_until is not None
+                and now < health.excluded_until
+                else 0.0,
+            )
+            put(f"{name}_dispatched", self.dispatched_to.get(name, 0))
         if self.overload is not None:
             self.overload.publish_metrics(registry)
 

@@ -588,48 +588,14 @@ class OverloadProtector:
         )
         return hashlib.sha256(canon.encode()).hexdigest()[:12]
 
-    def health_stats(self) -> dict[str, float]:
-        """Stable-keyed overload counters (chaos/CI report material).
-
-        .. deprecated::
-            Kept as a thin compatibility schema; prefer
-            :meth:`publish_metrics` + ``MetricsRegistry.snapshot()``, which
-            expose the same counters under the unified ``overload_*``
-            naming convention (see docs/observability.md).
-        """
-        stats = {
-            "overload_arrivals": float(self.arrivals),
-            "overload_admitted": float(self.admitted),
-            "overload_injections": float(self.injections),
-            "overload_completed": float(self.completed),
-            "overload_shed": float(self.shed),
-            "overload_rejected": float(self.rejected),
-            "overload_queued_total": float(self.queued_total),
-            "overload_queue_now": float(self.queued_now()),
-            "overload_inflight_now": float(self.inflight_now()),
-            "overload_retry_pending": float(self.retry_pending),
-            "overload_deadline_sheds": float(self.deadline_sheds),
-            "overload_accounting_gap": float(self.accounting_gap()),
-            "brownout_level": float(self.brownout_level),
-            # 48-bit digest of the shed set, exactly representable in a float.
-            "shed_fingerprint": float(int(self.shed_fingerprint(), 16)),
-        }
-        for name in sorted(self.machines):
-            machine = self.machines[name]
-            stats[f"{name}_breaker_state"] = machine.breaker.state_code
-            stats[f"{name}_breaker_opened"] = float(machine.breaker.opened_count)
-            stats[f"{name}_bucket_denied"] = float(machine.bucket.denied)
-            stats[f"{name}_queue_peak"] = float(machine.queue_peak)
-            stats[f"{name}_queue_evictions"] = float(machine.evictions)
-        return stats
-
     def publish_metrics(self, registry=None) -> None:
-        """Mirror :meth:`health_stats` into a telemetry metrics registry.
+        """Publish the admission counters as ``overload_*`` gauges.
 
-        Keys already carrying the ``overload_`` prefix publish unchanged;
-        the rest (``brownout_level``, ``shed_fingerprint``, per-machine
-        breaker/queue counters) gain it, e.g. ``overload_brownout_level``
-        and ``overload_<machine>_breaker_state``.  With no explicit
+        Global counters (``overload_arrivals``, ``overload_shed``, ...,
+        ``overload_brownout_level``, and ``overload_shed_fingerprint``, a
+        48-bit digest of the shed set, exactly representable in a float)
+        and per-machine breaker and queue state
+        (``overload_<machine>_breaker_state``, ...).  With no explicit
         ``registry`` the attached telemetry handle's registry is used;
         without either this is a no-op.
         """
@@ -637,9 +603,31 @@ class OverloadProtector:
             if self.telemetry is None:
                 return
             registry = self.telemetry.registry
-        for key, value in self.health_stats().items():
-            name = key if key.startswith("overload_") else f"overload_{key}"
-            registry.gauge(name).set(value)
+
+        def put(key: str, value: float) -> None:
+            registry.gauge(f"overload_{key}").set(value)
+
+        put("arrivals", self.arrivals)
+        put("admitted", self.admitted)
+        put("injections", self.injections)
+        put("completed", self.completed)
+        put("shed", self.shed)
+        put("rejected", self.rejected)
+        put("queued_total", self.queued_total)
+        put("queue_now", self.queued_now())
+        put("inflight_now", self.inflight_now())
+        put("retry_pending", self.retry_pending)
+        put("deadline_sheds", self.deadline_sheds)
+        put("accounting_gap", self.accounting_gap())
+        put("brownout_level", self.brownout_level)
+        put("shed_fingerprint", int(self.shed_fingerprint(), 16))
+        for name in sorted(self.machines):
+            machine = self.machines[name]
+            put(f"{name}_breaker_state", machine.breaker.state_code)
+            put(f"{name}_breaker_opened", machine.breaker.opened_count)
+            put(f"{name}_bucket_denied", machine.bucket.denied)
+            put(f"{name}_queue_peak", machine.queue_peak)
+            put(f"{name}_queue_evictions", machine.evictions)
 
     # ------------------------------------------------------------------
     # Checkpoint protocol

@@ -1,11 +1,12 @@
 """Deterministic metrics: counters, gauges, fixed-bucket histograms.
 
-One :class:`MetricsRegistry` unifies the counters that used to live in four
-incompatible ``health_stats()`` dict schemas (facility, dispatcher, overload
-protector, power-cap enforcer).  Components mirror their counters into the
-registry through ``publish_metrics(registry)``; the registry renders them as
-one flat :meth:`MetricsRegistry.snapshot` dict or as Prometheus-style text
-exposition (:meth:`MetricsRegistry.exposition`).
+One :class:`MetricsRegistry` is the single counter schema of the
+facility, dispatcher, overload protector and power-cap enforcer.  Each
+component publishes its counters into a registry through
+``publish_metrics(registry)``; the registry renders them as one flat
+:meth:`MetricsRegistry.snapshot` dict or as Prometheus-style text
+exposition (:meth:`MetricsRegistry.exposition`).  Chaos reports are built
+from the snapshot of a private registry every component publishes into.
 
 Everything is designed for bit-reproducibility:
 
@@ -192,9 +193,8 @@ class MetricsRegistry:
         """Flat ``{name: value}`` dict in sorted-name order.
 
         Histograms expand into ``<name>_count``, ``<name>_sum``, and one
-        cumulative ``<name>_bucket_le_<edge>`` entry per finite edge -- the
-        same flat-float-dict shape the legacy ``health_stats()`` schemas
-        used, so chaos reports can absorb a snapshot unchanged.
+        cumulative ``<name>_bucket_le_<edge>`` entry per finite edge -- a
+        flat float dict, so chaos reports can absorb a snapshot unchanged.
         """
         out: dict[str, float] = {}
         for name in sorted(self._metrics):

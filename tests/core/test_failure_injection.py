@@ -30,6 +30,7 @@ from repro.hardware import (
 from repro.kernel import Compute, Kernel, Recv, Send, Sleep
 from repro.kernel.sockets import SocketPair
 from repro.sim import Simulator
+from repro.telemetry import MetricsRegistry
 
 HOT = RateProfile(name="hot", ipc=1.2, cache_per_cycle=0.012,
                   mem_per_cycle=0.007, hidden_watts=5.0)
@@ -48,6 +49,12 @@ def _world(sb_cal, meter=None, **kwargs):
         kwargs.setdefault("max_delay_seconds", 0.01)
     facility = PowerContainerFacility(kernel, sb_cal, **kwargs)
     return sim, machine, kernel, facility
+
+
+def _published(facility):
+    registry = MetricsRegistry()
+    facility.publish_metrics(registry)
+    return registry.snapshot()
 
 
 def _busy_program(machine, duration):
@@ -157,9 +164,9 @@ def test_meter_flapping_three_outages_recovers_each_time(sb_cal):
 
     assert injector.outages == 3
     assert facility.meter.start_count == 4  # initial start + 3 restarts
-    health = facility.health_stats()
-    assert health["meter_fallbacks"] >= 2
-    assert health["meter_recoveries"] >= 2
+    health = _published(facility)
+    assert health["facility_meter_fallbacks"] >= 2
+    assert health["facility_meter_recoveries"] >= 2
     measured = machine.integrator.active_joules
     estimated = facility.registry.total_energy("recal")
     assert abs(estimated - measured) / measured < 0.2
@@ -182,7 +189,7 @@ def test_nan_burst_is_rejected_and_models_stay_finite(sb_cal):
     machine.checkpoint()
 
     assert injector.corrupted > 50
-    assert facility.health_stats()["rejected_meter_samples"] > 0
+    assert _published(facility)["facility_rejected_meter_samples"] > 0
     for model in facility.models.values():
         assert np.isfinite(model.coefficients).all()
     _times, watts = facility.model_trace_series()

@@ -15,6 +15,7 @@ from repro.core.powercap import (
 )
 from repro.server.overload import OverloadProtector
 from repro.sim import Simulator
+from repro.telemetry import MetricsRegistry
 
 INTERVAL = 0.02
 
@@ -205,12 +206,14 @@ def test_dead_machines_do_not_dilute_the_cap_share():
         pytest.approx(100.0)
 
 
-def test_health_stats_schema():
+def test_published_powercap_gauges():
     cluster, _, enforcer = _world()
     enforcer.start()
     _set_watts(cluster, 80.0)
     _run_ticks(cluster, 2)
-    stats = enforcer.health_stats()
+    registry = MetricsRegistry()
+    enforcer.publish_metrics(registry)
+    stats = registry.snapshot()
     assert stats["powercap_level"] == 2.0
     assert stats["powercap_cap_watts"] == 100.0
     assert stats["powercap_ticks"] == 2.0
@@ -221,4 +224,4 @@ def test_health_stats_schema():
                 "powercap_degraded_intervals", "powercap_degraded",
                 "powercap_transitions", "powercap_conditioner_adjustments"):
         assert key in stats
-    assert all(isinstance(v, float) for v in stats.values())
+    assert all(name.startswith("powercap_") for name in stats)

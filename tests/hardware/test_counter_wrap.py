@@ -58,8 +58,9 @@ def test_accounting_correct_across_wrap(sb_cal=None):
     core.counters.acknowledge_overflow()
     kernel = Kernel(machine, sim)
     facility = PowerContainerFacility(kernel, cal)
-    # Resync the accountant's baseline to the preloaded register value.
-    facility.accountants[0]._last_events = core.counters.read()
+    # The accountant's baseline starts at the preloaded register value.
+    baseline = facility.accountants[0]._last
+    assert baseline[0] == core.counters.read().nonhalt_cycles
     container = facility.create_request_container("wrap-test")
 
     def program():

@@ -11,7 +11,6 @@ import os
 
 from ci.perf import (
     MAX_TELEMETRY_DISABLED_RATIO,
-    MIN_ACCOUNTING_RATIO,
     MIN_CORRELATION_RATIO,
     MIN_SHARD_SPEEDUP_2_WORKERS,
     BenchResult,
@@ -34,10 +33,6 @@ def _results(**overrides):
         "micro-correlation-vs-oracle-ratio": BenchResult(
             "micro-correlation-vs-oracle-ratio", "micro", 0.0002,
             ratio=MIN_CORRELATION_RATIO * 4,
-        ),
-        "micro-accounting-vs-oracle-ratio": BenchResult(
-            "micro-accounting-vs-oracle-ratio", "micro", 0.0005,
-            ratio=MIN_ACCOUNTING_RATIO * 4,
         ),
         "micro-telemetry-disabled-ratio": BenchResult(
             "micro-telemetry-disabled-ratio", "micro", 0.05, ratio=1.0,
@@ -80,7 +75,7 @@ def test_check_regressions_flags_every_dropped_benchmark():
     partial = {"micro-event-vector": _results()["micro-event-vector"]}
     problems = check_regressions(partial, committed)
     dropped = set(load_bench_json(committed)["benchmarks"]) - set(partial)
-    assert len(dropped) == 10
+    assert len(dropped) == 9
     assert len(problems) == len(dropped)
     assert {problem.split(":")[0] for problem in problems} == dropped
     assert all("not produced by this run" in p for p in problems)
@@ -99,9 +94,9 @@ def test_check_regressions_flags_wall_time(tmp_path):
 
 def test_check_regressions_flags_ratio_floor(tmp_path):
     bad = _results(**{
-        "micro-accounting-vs-oracle-ratio": BenchResult(
-            "micro-accounting-vs-oracle-ratio", "micro", 0.0005,
-            ratio=MIN_ACCOUNTING_RATIO / 2,
+        "micro-correlation-vs-oracle-ratio": BenchResult(
+            "micro-correlation-vs-oracle-ratio", "micro", 0.0002,
+            ratio=MIN_CORRELATION_RATIO / 2,
         ),
     })
     problems = check_regressions(bad, _committed(tmp_path))
@@ -123,13 +118,13 @@ def test_check_regressions_flags_ratio_budget(tmp_path):
 
 def test_check_regressions_flags_missing_ratio(tmp_path):
     bad = _results(**{
-        "micro-accounting-vs-oracle-ratio": BenchResult(
-            "micro-accounting-vs-oracle-ratio", "micro", 0.0005,
+        "micro-correlation-vs-oracle-ratio": BenchResult(
+            "micro-correlation-vs-oracle-ratio", "micro", 0.0002,
         ),
     })
     problems = check_regressions(bad, _committed(tmp_path))
     assert problems == [
-        "micro-accounting-vs-oracle-ratio: no ratio was measured"
+        "micro-correlation-vs-oracle-ratio: no ratio was measured"
     ]
 
 

@@ -19,6 +19,7 @@ from repro.server import (
 )
 from repro.hardware import SANDYBRIDGE
 from repro.sim import RngHub
+from repro.telemetry import MetricsRegistry
 from repro.workloads import SyntheticWorkload
 from repro.workloads.synthetic import StageSpec
 from repro.hardware.events import RateProfile
@@ -139,6 +140,12 @@ def _cluster_with_dispatcher(sb_cal, rate=400.0, seed=11, **dispatcher_kwargs):
     return cluster, dispatcher
 
 
+def _published(dispatcher):
+    registry = MetricsRegistry()
+    dispatcher.publish_metrics(registry)
+    return registry.snapshot()
+
+
 def test_crash_mid_run_fails_over_and_readmits(sb_cal):
     cluster, dispatcher = _cluster_with_dispatcher(sb_cal)
     sim = cluster.simulator
@@ -194,27 +201,26 @@ def test_total_outage_drops_requests_after_max_retries(sb_cal):
     assert sim.now == 0.6
 
 
-def test_health_stats_exports_the_full_dispatch_schema(sb_cal):
-    """``Dispatcher.health_stats()`` is the one schema chaos reports and
+def test_published_dispatch_gauges_cover_the_full_schema(sb_cal):
+    """``Dispatcher.publish_metrics`` is the one schema chaos reports and
     the CI overload lane read: global counters plus per-machine exclusion
-    state, all floats, stable keys."""
+    state, stable names."""
     cluster, dispatcher = _cluster_with_dispatcher(
         sb_cal, failure_threshold=2, exclusion_cooldown=0.5,
     )
     dispatcher._record_failure("m0")
     dispatcher._record_failure("m0")  # m0 now excluded
-    stats = dispatcher.health_stats()
+    stats = _published(dispatcher)
     for key in ("completed", "dispatch_failures", "retries",
                 "dropped_requests", "failed_over", "late_replies"):
-        assert key in stats
-    assert stats["m0_consecutive_failures"] == 2.0
-    assert stats["m0_excluded"] == 1.0
-    assert stats["m1_excluded"] == 0.0
-    assert stats["m0_dispatched"] == 0.0
-    assert all(isinstance(v, float) for v in stats.values())
-    # Without an overload protector the overload keys stay absent: the
+        assert f"dispatch_{key}" in stats
+    assert stats["dispatch_m0_consecutive_failures"] == 2.0
+    assert stats["dispatch_m0_excluded"] == 1.0
+    assert stats["dispatch_m1_excluded"] == 0.0
+    assert stats["dispatch_m0_dispatched"] == 0.0
+    # Without an overload protector no overload gauge is published: the
     # schema reflects what is actually wired, not aspirations.
-    assert "overload_arrivals" not in stats
+    assert not any(name.startswith("overload_") for name in stats)
 
 
 def test_overload_dispatcher_serves_storms_with_exact_accounting(sb_cal):
@@ -236,10 +242,10 @@ def test_overload_dispatcher_serves_storms_with_exact_accounting(sb_cal):
     assert protector.rejected + protector.shed > 0
     assert protector.completed == dispatcher.completed
     assert protector.accounting_gap() == 0
-    stats = dispatcher.health_stats()
+    stats = _published(dispatcher)
     assert stats["overload_arrivals"] == float(protector.arrivals)
     assert stats["overload_accounting_gap"] == 0.0
-    assert "m0_breaker_state" in stats
+    assert "overload_m0_breaker_state" in stats
 
 
 def test_overload_breaker_composes_with_exclusion_in_is_dispatchable(sb_cal):

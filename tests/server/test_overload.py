@@ -24,6 +24,7 @@ from repro.server.overload import (
     TokenBucket,
 )
 from repro.sim import RngHub
+from repro.telemetry import MetricsRegistry
 
 
 class _Workload:
@@ -329,18 +330,20 @@ def test_shed_fingerprint_is_stable_and_outcome_sensitive():
         _scripted_run(flip_priority=True).shed_fingerprint()
 
 
-def test_health_stats_schema():
+def test_published_overload_gauges():
     protector = _scripted_run()
-    stats = protector.health_stats()
+    registry = MetricsRegistry()
+    protector.publish_metrics(registry)
+    stats = registry.snapshot()
     assert stats["overload_arrivals"] == 4.0
     assert stats["overload_admitted"] == 1.0
     assert stats["overload_shed"] == 3.0
     assert stats["overload_accounting_gap"] == 0.0
     # The digest is 48 bits so the float round-trip is exact.
-    assert stats["shed_fingerprint"] == float(
+    assert stats["overload_shed_fingerprint"] == float(
         int(protector.shed_fingerprint(), 16)
     )
     for key in ("m0_breaker_state", "m0_breaker_opened", "m0_bucket_denied",
                 "m0_queue_peak", "m0_queue_evictions"):
-        assert key in stats
-    assert all(isinstance(v, float) for v in stats.values())
+        assert f"overload_{key}" in stats
+    assert all(name.startswith("overload_") for name in stats)

@@ -14,9 +14,15 @@ from hypothesis import given, settings, strategies as st
 
 from repro.faults import run_scenario, scenario_by_name
 from repro.faults.harness import build_single_world
-from repro.telemetry import Telemetry
+from repro.telemetry import MetricsRegistry, Telemetry
 
 pytestmark = pytest.mark.slow
+
+
+def _published(facility) -> dict:
+    registry = MetricsRegistry()
+    facility.publish_metrics(registry)
+    return registry.snapshot()
 
 
 def _energy_fingerprint(seed: int, telemetry) -> tuple:
@@ -28,7 +34,7 @@ def _energy_fingerprint(seed: int, telemetry) -> tuple:
         world.measured_joules(),
         world.attributed_joules(),
         world.driver.completed,
-        tuple(sorted(world.facility.health_stats().items())),
+        tuple(_published(world.facility).items()),
     )
 
 

@@ -70,8 +70,8 @@ def test_trend_history_appends_one_json_line_per_run(tmp_path):
         "macro-solr-workload": perf.BenchResult(
             "macro-solr-workload", "macro", 0.13,
         ),
-        "micro-accounting-vs-oracle-ratio": perf.BenchResult(
-            "micro-accounting-vs-oracle-ratio", "micro", 0.0005, ratio=9.0,
+        "micro-correlation-vs-oracle-ratio": perf.BenchResult(
+            "micro-correlation-vs-oracle-ratio", "micro", 0.0002, ratio=9.0,
         ),
     }
     path = str(tmp_path / "results" / "BENCH_history.jsonl")
@@ -89,7 +89,7 @@ def test_trend_history_appends_one_json_line_per_run(tmp_path):
     assert first["problems"] == []
     assert first["benchmarks"]["macro-solr-workload"]["seconds"] == 0.13
     assert (
-        first["benchmarks"]["micro-accounting-vs-oracle-ratio"]["ratio"]
+        first["benchmarks"]["micro-correlation-vs-oracle-ratio"]["ratio"]
         == 9.0
     )
     assert "ratio" not in first["benchmarks"]["macro-solr-workload"]
