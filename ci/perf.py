@@ -64,12 +64,20 @@ MAX_TELEMETRY_DISABLED_RATIO = 1.05
 #: per barrier (machine-independent; measured ~1.0).
 MAX_TELEMETRY_FRAME_RATIO = 1.05
 
+#: Maximum wall-time ratio of the same loop with telemetry ``"on"`` (record
+#: every span, counter and metric, drain and encode a frame per barrier)
+#: over the telemetry-off loop.  Measured 1.88-1.96 (median 1.91, ten
+#: runs) on a 2-core host; a worker that also renders every event's
+#: canonical line into its frame reads 2.32-2.55 there, so the bound keeps
+#: text rendering off the worker.
+MAX_TELEMETRY_FRAME_ON_RATIO = 2.2
+
 #: Epoch barriers per timed chunk of the frame-overhead benchmark, and the
-#: number of paired off/disabled chunks.  Every barrier advances a busy
+#: number of paired off/disabled/on chunks.  Every barrier advances a busy
 #: four-machine shard (~50-100 us of real simulation), so a 5% budget is
 #: measured against meaningful work rather than empty-loop jitter; the
-#: chunks of the two modes alternate back-to-back so load drift hits both
-#: equally, and the reported ratio is the median over the pairs.
+#: chunks of the three modes alternate back-to-back so load drift hits
+#: them equally, and the reported ratio is the median over the pairs.
 _FRAME_EPOCHS = 250
 _FRAME_ROUNDS = 12
 
@@ -311,28 +319,34 @@ def bench_telemetry_overhead() -> BenchResult:
     )
 
 
-def bench_telemetry_frame_overhead() -> BenchResult:
-    """Disabled-path cost of the cross-shard telemetry frame machinery.
+def bench_telemetry_frame_overhead() -> tuple[BenchResult, BenchResult]:
+    """Cost of the cross-shard telemetry frame machinery, off and on.
 
     Times a shard worker's epoch-barrier loop (``ShardWorld.run_epoch``
     followed by ``drain_frame()`` -- the exact per-barrier sequence the
-    pool executor runs) with telemetry ``"off"`` vs ``"disabled"``.
-    Every core 0 runs a pinned spin process so each barrier advances a
-    *busy* four-machine shard through its overflow-interrupt/accounting
-    slices -- the denominator is real simulation work, not an empty event
-    loop.  Neither mode builds a
-    :class:`~repro.telemetry.aggregate.FrameDrain`, so the disabled arm
-    isolates precisely what every non-frame run pays for the frame
-    plumbing: the attached-but-disabled handle consulted at the sampling
-    sites plus the ``drain_frame()`` None path at every barrier.
+    pool executor runs) with telemetry ``"off"``, ``"disabled"`` and
+    ``"on"``.  Every core 0 runs two pinned spin processes, so each
+    barrier advances a *busy* four-machine shard through its
+    overflow-interrupt/accounting slices and context switches -- the
+    denominator is real simulation work, not an empty event loop, and
+    the ``"on"`` arm records stage spans and ships a frame per barrier.
 
-    Both worlds are built once and their timed chunks alternate
-    back-to-back, so machine-load drift lands on both modes equally; the
-    reported ``ratio`` is the *median* over the per-round disabled/off
-    pairs -- the estimator a 5% budget needs on a busy single-core CI
-    host, where separated best-of arms still scatter by +-10%.
-    ``seconds`` is the off arm's total timed wall time; ``ratio`` must
-    stay within :data:`MAX_TELEMETRY_FRAME_RATIO`.
+    Two results.  ``micro-telemetry-frame-overhead`` is disabled/off:
+    neither mode builds a :class:`~repro.telemetry.aggregate.FrameDrain`,
+    so it isolates what every non-frame run pays for the frame plumbing
+    (the attached-but-disabled handle consulted at the sampling and
+    dispatch sites plus the ``drain_frame()`` None path at every
+    barrier); it must stay within :data:`MAX_TELEMETRY_FRAME_RATIO`.
+    ``micro-telemetry-frame-on-ratio`` is on/off: what recording and
+    shipping everything costs a worker; it must stay within
+    :data:`MAX_TELEMETRY_FRAME_ON_RATIO`.
+
+    The three worlds are built once and their timed chunks alternate
+    back-to-back, so machine-load drift lands on every mode equally;
+    each ``ratio`` is the *median* over the per-round pairs -- the
+    estimator a 5% budget needs on a busy single-core CI host, where
+    separated best-of arms still scatter by +-10%.  Each result's
+    ``seconds`` is its numerator arm's total timed wall time.
     """
     import gc
     import statistics
@@ -348,6 +362,7 @@ def bench_telemetry_frame_overhead() -> BenchResult:
     }
     machines = tuple((f"m{i}", "sandybridge") for i in range(4))
     spin = RateProfile(name="bench-frame-spin", ipc=1.0)
+    modes = ("off", "disabled", "on")
 
     def build(mode):
         world = ShardWorld.build(
@@ -358,10 +373,12 @@ def bench_telemetry_frame_overhead() -> BenchResult:
             def program(machine=member.machine):
                 yield Compute(cycles=machine.freq_hz * 3600.0, profile=spin)
 
-            container = member.facility.create_request_container("bench")
-            member.kernel.spawn(
-                program(), "spin", container_id=container.id, pinned_core=0
-            )
+            for _ in range(2):
+                container = member.facility.create_request_container("bench")
+                member.kernel.spawn(
+                    program(), "spin", container_id=container.id,
+                    pinned_core=0,
+                )
         return [world, 0.0]  # (world, its simulation clock)
 
     def chunk_seconds(entry):
@@ -375,35 +392,40 @@ def bench_telemetry_frame_overhead() -> BenchResult:
         entry[1] = now
         return elapsed
 
-    off_world = build("off")
-    disabled_world = build("disabled")
-    chunk_seconds(off_world)  # warm imports, caches, and both worlds
-    chunk_seconds(disabled_world)
+    worlds = {mode: build(mode) for mode in modes}
+    for mode in modes:  # warm imports, caches, and every world
+        chunk_seconds(worlds[mode])
     # A collection pause landing in one chunk but not its pair would swamp
     # a 5% budget; collect the build garbage now and keep the collector
     # out of the timed rounds.
     gc.collect()
     gc.disable()
     try:
-        off_total = 0.0
-        disabled_total = 0.0
-        ratios = []
+        totals = dict.fromkeys(modes, 0.0)
+        ratios = {"disabled": [], "on": []}
         for _ in range(_FRAME_ROUNDS):
-            off = chunk_seconds(off_world)
-            disabled = chunk_seconds(disabled_world)
-            off_total += off
-            disabled_total += disabled
-            ratios.append(disabled / off)
+            chunk = {mode: chunk_seconds(worlds[mode]) for mode in modes}
+            for mode in modes:
+                totals[mode] += chunk[mode]
+            for mode in ratios:
+                ratios[mode].append(chunk[mode] / chunk["off"])
     finally:
         gc.enable()
-    timed_epochs = _FRAME_EPOCHS * _FRAME_ROUNDS
-    return BenchResult(
-        "micro-telemetry-frame-overhead", "micro", off_total,
-        throughput={
-            "off_barriers_per_sec": timed_epochs / off_total,
-            "disabled_barriers_per_sec": timed_epochs / disabled_total,
-        },
-        ratio=statistics.median(ratios),
+    epochs = _FRAME_EPOCHS * _FRAME_ROUNDS
+
+    def result(name, mode):
+        return BenchResult(
+            name, "micro", totals[mode],
+            throughput={
+                "off_barriers_per_sec": epochs / totals["off"],
+                f"{mode}_barriers_per_sec": epochs / totals[mode],
+            },
+            ratio=statistics.median(ratios[mode]),
+        )
+
+    return (
+        result("micro-telemetry-frame-overhead", "disabled"),
+        result("micro-telemetry-frame-on-ratio", "on"),
     )
 
 
@@ -550,11 +572,15 @@ SUITE = (
 
 
 def run_suite() -> dict[str, BenchResult]:
-    """Run every benchmark; returns ``{name: BenchResult}`` in suite order."""
+    """Run every benchmark; returns ``{name: BenchResult}`` in suite order.
+
+    A benchmark returns one result, or a tuple of results whose arms
+    share one timed loop."""
     results = {}
     for bench in SUITE:
-        result = bench()
-        results[result.name] = result
+        produced = bench()
+        for result in produced if isinstance(produced, tuple) else (produced,):
+            results[result.name] = result
     return results
 
 
@@ -572,6 +598,8 @@ RATIO_BOUNDS = (
      MAX_TELEMETRY_DISABLED_RATIO, False, 1),
     ("micro-telemetry-frame-overhead", "ratio", "ratio",
      MAX_TELEMETRY_FRAME_RATIO, False, 1),
+    ("micro-telemetry-frame-on-ratio", "ratio", "ratio",
+     MAX_TELEMETRY_FRAME_ON_RATIO, False, 1),
     ("macro-cluster-sharded", "speedup_2_workers", "2-worker speedup",
      MIN_SHARD_SPEEDUP_2_WORKERS, True, 2),
     ("macro-cluster-sharded", "ratio", "4-worker speedup",

@@ -77,6 +77,24 @@ class ObserverEffect:
 ENERGY_WINDOW = 0.125
 
 
+class RenderedNames(dict):
+    """``prefix + str(key)`` per key, rendered on first use and reused.
+
+    Trace track and span names on per-context-switch paths come from
+    here, so each is formatted once per core or process name rather
+    than once per event."""
+
+    __slots__ = ("prefix",)
+
+    def __init__(self, prefix: str) -> None:
+        super().__init__()
+        self.prefix = prefix
+
+    def __missing__(self, key) -> str:
+        name = self[key] = f"{self.prefix}{key}"
+        return name
+
+
 class EnergyTimeline:
     """One machine's per-window energy and overflow timeline (Section 3.3).
 
@@ -97,12 +115,16 @@ class EnergyTimeline:
     its last overflow.
     """
 
-    __slots__ = ("telemetry", "prefix", "rows", "overflows", "end")
+    __slots__ = ("telemetry", "prefix", "core_tracks", "rows", "overflows",
+                 "end")
 
     def __init__(self, telemetry, prefix: str = "") -> None:
         self.telemetry = telemetry
         #: Track-name prefix (``"<node>/"`` on cluster machines).
         self.prefix = prefix
+        #: ``core:<prefix><index>`` per core index (the facility's stage
+        #: spans use the same tracks).
+        self.core_tracks = RenderedNames(f"core:{prefix}")
         self.rows: dict[int, list] = {}
         self.overflows: dict[int, list] = {}
         #: End of the open window on the fixed ``ENERGY_WINDOW`` grid.
@@ -123,9 +145,10 @@ class EnergyTimeline:
             tracer.counter(now, track, "chipshare", chipshare)
             if ops:
                 tracer.counter(now, track, "observer_ops", float(ops))
+        core_tracks = self.core_tracks
         for index in sorted(overflows):
             now, count = overflows[index]
-            tracer.counter(now, f"core:{prefix}{index}", "overflows", count)
+            tracer.counter(now, core_tracks[index], "overflows", count)
         self.rows = {}
         self.overflows = {}
 
@@ -530,7 +553,12 @@ class CoreAccountant:
             timeline = self._timeline
             if now >= timeline.end:
                 timeline.roll(now)
-            energy_j = container.total_energy(self.primary)
+            # Container.total_energy, inlined (same expression).
+            stats = container.stats
+            energy_j = (
+                stats.energy_joules.get(self.primary, 0.0)
+                + stats.io_energy_joules
+            )
             row = timeline.rows.get(container.id)
             if row is None:
                 timeline.rows[container.id] = [

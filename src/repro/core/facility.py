@@ -32,6 +32,7 @@ from repro.core.accounting import (
     CoreAccountant,
     EnergyTimeline,
     ObserverEffect,
+    RenderedNames,
     _Approach,
 )
 from repro.core.alignment import estimate_delay
@@ -225,6 +226,14 @@ class PowerContainerFacility(KernelHooks):
             if telemetry is not None
             else None
         )
+        #: Pre-rendered stage-span names: ``core:<node>/<idx>`` tracks
+        #: (shared with the energy timeline) and ``stage:<name>`` spans.
+        self._t_core_tracks = (
+            self.energy_timeline.core_tracks
+            if self.energy_timeline is not None
+            else None
+        )
+        self._t_stage_names = RenderedNames("stage:")
         self.accountants: dict[int, CoreAccountant] = {
             core.index: CoreAccountant(
                 core=core,
@@ -332,11 +341,11 @@ class PowerContainerFacility(KernelHooks):
         container.refcount += 1
         t = self.telemetry
         if t is not None and t.enabled:
-            t.tracer.begin(
+            t.tracer.begin_frozen(
                 self.simulator.now,
                 f"request:{self._tprefix}{container.id}",
                 "request",
-                {"container": container.id, "label": label},
+                (("container", container.id), ("label", label)),
             )
         return container
 
@@ -344,11 +353,11 @@ class PowerContainerFacility(KernelHooks):
         """Release the driver's reference when the response is delivered."""
         t = self.telemetry
         if t is not None and t.enabled:
-            t.tracer.end(
+            t.tracer.end_frozen(
                 self.simulator.now,
                 f"request:{self._tprefix}{container.id}",
                 "request",
-                {"energy_j": container.total_energy(self.primary)},
+                (("energy_j", container.total_energy(self.primary)),),
             )
         self.registry.decref(container.id)
 
@@ -643,11 +652,11 @@ class PowerContainerFacility(KernelHooks):
             self.conditioner.on_context_switch(core, accountant.bound_container)
         t = self.telemetry
         if t is not None and t.enabled:
-            t.tracer.begin(
+            t.tracer.begin_frozen(
                 self.simulator.now,
-                f"core:{self._tprefix}{core.index}",
-                f"stage:{process.name}",
-                {"container": process.container_id},
+                self._t_core_tracks[core.index],
+                self._t_stage_names[process.name],
+                (("container", process.container_id),),
             )
 
     def on_undispatch(self, core: Core, process: Process, reason: str) -> None:
@@ -656,11 +665,11 @@ class PowerContainerFacility(KernelHooks):
         )
         t = self.telemetry
         if t is not None and t.enabled:
-            t.tracer.end(
+            t.tracer.end_frozen(
                 self.simulator.now,
-                f"core:{self._tprefix}{core.index}",
-                f"stage:{process.name}",
-                {"reason": reason},
+                self._t_core_tracks[core.index],
+                self._t_stage_names[process.name],
+                (("reason", reason),),
             )
 
     def on_overflow(self, core: Core, process: Process) -> None:

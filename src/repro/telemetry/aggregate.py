@@ -7,13 +7,14 @@ and metrics nobody can see.  This module closes the loop:
 * :class:`FrameDrain` (worker side) drains the tracer ring and the metric
   registry at every epoch barrier into a :class:`TelemetryFrame` -- a
   plain-data, checksummed wire record carrying ``(now, track, seq, kind,
-  name, args)`` event tuples, each event's canonical line, and metric
-  *deltas* since the previous barrier;
+  name, args)`` event tuples and metric *deltas* since the previous
+  barrier;
 * :class:`TelemetryAggregator` (coordinator side) k-way-merges frames by
-  ``(now, track, seq)`` into one global stream, folds metric deltas into
-  a global registry, and maintains a barrier-chained streaming
-  fingerprint so the merged ``trace_fingerprint()`` never needs the full
-  event list in memory;
+  ``(now, track, seq)`` into one global stream, renders its canonical
+  lines (:func:`render_lines`), folds metric deltas into a global
+  registry, and maintains a barrier-chained streaming fingerprint so the
+  merged ``trace_fingerprint()`` never needs the full event list in
+  memory;
 * :class:`ClusterObservability` composes the aggregator with the
   :class:`~repro.telemetry.store.TelemetryStore` rollups and the
   :class:`~repro.telemetry.anomaly.AnomalyEngine` detectors into the one
@@ -46,7 +47,6 @@ import hashlib
 import marshal
 import zlib
 from collections import Counter, deque
-from operator import itemgetter
 from typing import Optional
 
 from .anomaly import AnomalyEngine, AnomalyThresholds, WindowInputs
@@ -64,7 +64,8 @@ from .tracer import (
 FRAME_TAG = "tframe"
 
 #: Seed for the worker-side frame-chain digest (proves replayed frames
-#: match shipped ones via ``state_summary()``).
+#: match shipped ones via ``state_summary()``).  The chain folds each
+#: frame's checksum, so it also pins the body encoding.
 FRAME_CHAIN_SEED = hashlib.sha256(b"telemetry-frame-chain-v1").hexdigest()
 
 #: Seed for the coordinator-side merged-stream digest.  v2: container
@@ -104,21 +105,21 @@ class TelemetryFrame:
 
     ``events`` is a tuple of ``(now, track, seq, kind, name, args)``
     tuples sorted by ``(now, track, seq)``; ``args`` is the tracer's
-    sorted ``(key, value)`` pair tuple.  ``lines`` holds each event's
-    canonical line (:func:`~repro.telemetry.tracer.canonical_line`), in
-    the same order: the sender renders every event once, so the
-    coordinator only joins and hashes.  ``metrics`` is a tuple of delta
-    entries (see :func:`metric_deltas`).
+    sorted ``(key, value)`` pair tuple.  ``metrics`` is a tuple of delta
+    entries (see :func:`metric_deltas`).  The frame carries each event
+    once: the coordinator renders the canonical lines it hashes
+    (:func:`render_lines`) while the workers compute the next epoch, so
+    the busiest worker, which sets the barrier's pace, never formats
+    text.
 
-    On the wire the three travel as ``body``, one marshal-encoded bytes
+    On the wire the two travel as ``body``, one marshal-encoded bytes
     object: the transport copies it instead of walking thousands of
     objects, the checksum is one CRC pass over it, and the receiver
     decodes it only when it ingests the frame.
     """
 
     __slots__ = (
-        "shard_id", "epoch_index", "events", "lines", "metrics", "body",
-        "checksum",
+        "shard_id", "epoch_index", "events", "metrics", "body", "checksum",
     )
 
     def __init__(
@@ -126,7 +127,6 @@ class TelemetryFrame:
         shard_id: int,
         epoch_index: int,
         events: tuple,
-        lines: tuple,
         metrics: tuple,
         body: bytes,
         checksum: int,
@@ -134,7 +134,6 @@ class TelemetryFrame:
         self.shard_id = shard_id
         self.epoch_index = epoch_index
         self.events = events
-        self.lines = lines
         self.metrics = metrics
         self.body = body
         self.checksum = checksum
@@ -147,15 +146,11 @@ class TelemetryFrame:
         events: tuple,
         metrics: tuple,
     ) -> "TelemetryFrame":
-        """Construct a frame, rendering its lines and computing its
+        """Construct a frame, encoding its body and computing its
         checksum."""
-        lines = tuple([
-            canonical_line(kind, now, track, name, args)
-            for now, track, _seq, kind, name, args in events
-        ])
-        body = _marshal(shard_id, epoch_index, (events, lines, metrics))
+        body = _marshal(shard_id, epoch_index, (events, metrics))
         return cls(
-            shard_id, epoch_index, events, lines, metrics, body,
+            shard_id, epoch_index, events, metrics, body,
             _frame_checksum(shard_id, epoch_index, body),
         )
 
@@ -189,10 +184,8 @@ class TelemetryFrame:
                 f"telemetry frame checksum mismatch for shard {shard_id} "
                 f"epoch {epoch_index}: got {checksum}, expected {expected}"
             )
-        events, lines, metrics = marshal.loads(body)
-        return cls(
-            shard_id, epoch_index, events, lines, metrics, body, checksum
-        )
+        events, metrics = marshal.loads(body)
+        return cls(shard_id, epoch_index, events, metrics, body, checksum)
 
 
 def metric_deltas(previous: dict, current: dict) -> tuple:
@@ -304,14 +297,25 @@ class FrameDrain:
 
 
 def _merge(frames) -> list:
-    """``(event, line)`` pairs of ``(events, lines)`` frames in merge
-    order.  Each frame is sorted and ``(now, track, seq)`` is unique, so
-    one sort of the concatenation is the k-way merge."""
+    """The events of several frames' event tuples in merge order.  Each
+    frame is sorted and ``(now, track, seq)`` is unique, so one sort of
+    the concatenation is the k-way merge, and plain tuple order never
+    compares past ``seq``."""
     merged: list = []
-    for events, lines in frames:
-        merged.extend(zip(events, lines))
-    merged.sort(key=itemgetter(0))
+    for events in frames:
+        merged.extend(events)
+    merged.sort()
     return merged
+
+
+def render_lines(events) -> list[str]:
+    """The canonical line (:func:`~repro.telemetry.tracer.canonical_line`)
+    of each ``(now, track, seq, kind, name, args)`` event, in order --
+    the text the merged-stream fingerprint hashes."""
+    return [
+        canonical_line(kind, now, track, name, args)
+        for now, track, _seq, kind, name, args in events
+    ]
 
 
 class TelemetryAggregator:
@@ -348,8 +352,8 @@ class TelemetryAggregator:
         for _count, bodies in self._kept:
             tracer.events.extend(
                 TraceSpanEvent(kind, now, track, name, args)
-                for (now, track, _seq, kind, name, args), _line
-                in _merge(marshal.loads(body)[:2] for body in bodies)
+                for now, track, _seq, kind, name, args
+                in _merge(marshal.loads(body)[0] for body in bodies)
             )
         tracer.dropped_events = max(0, self.events_merged - self.capacity)
         return tracer
@@ -359,8 +363,8 @@ class TelemetryAggregator:
 
         ``frames`` may hold :class:`TelemetryFrame` objects or raw wire
         tuples (validated here); ``None`` entries (shards with telemetry
-        off) are skipped.  The barrier's merged lines are hashed in one
-        update.
+        off) are skipped.  The barrier's merged events are rendered
+        here and hashed in one update.
         """
         decoded = []
         for frame in frames:
@@ -370,14 +374,14 @@ class TelemetryAggregator:
                 frame = TelemetryFrame.from_wire(frame)
             decoded.append(frame)
         decoded.sort(key=lambda f: f.shard_id)
-        merged = _merge((f.events, f.lines) for f in decoded)
+        merged = _merge(f.events for f in decoded)
         instant_counts = Counter([
-            event[4] for event, _line in merged if event[3] == KIND_INSTANT
+            event[4] for event in merged if event[3] == KIND_INSTANT
         ])
         if merged:
             digest = hashlib.sha256(self.chain.encode())
             digest.update(
-                ("\n".join(map(itemgetter(1), merged)) + "\n").encode()
+                ("\n".join(render_lines(merged)) + "\n").encode()
             )
             self.chain = digest.hexdigest()
             self.events_merged += len(merged)

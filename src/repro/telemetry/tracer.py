@@ -83,15 +83,20 @@ def _freeze_args(args: Optional[dict]) -> tuple[tuple[str, object], ...]:
     return tuple(sorted(args.items()))
 
 
-@dataclass
-class _OpenSpan:
-    name: str
-    now: float
-    args: tuple[tuple[str, object], ...]
+#: ``tuple.__new__`` builds a :class:`TraceSpanEvent` from a ready tuple
+#: without the generated ``__new__``'s Python-level call.
+_tuple_new = tuple.__new__
 
 
 class RequestTracer:
-    """Bounded, deterministic span/instant/counter recorder."""
+    """Bounded, deterministic span/instant/counter recorder.
+
+    Spans have two entry points.  :meth:`begin`/:meth:`end` take an args
+    dict; :meth:`begin_frozen`/:meth:`end_frozen` take the sorted
+    ``(key, value)`` pair tuple the dict would freeze to, so hot callers
+    (the facility's per-context-switch stage spans) pass pre-built
+    tuples and pre-rendered track names.  Both record identical events.
+    """
 
     def __init__(self, capacity: Optional[int] = 65536) -> None:
         if capacity is not None and capacity <= 0:
@@ -99,7 +104,10 @@ class RequestTracer:
         self.capacity = capacity
         self.events: deque[TraceSpanEvent] = deque(maxlen=capacity)
         self.dropped_events = 0
-        self._open: dict[str, list[_OpenSpan]] = {}
+        #: Open spans per track as ``(name, now, args)`` stacks; a track's
+        #: entry is deleted when its stack empties, so finished request
+        #: tracks do not accumulate.
+        self._open: dict[str, list[tuple]] = {}
 
     # ------------------------------------------------------------------
     # Recording
@@ -113,9 +121,23 @@ class RequestTracer:
         self, now: float, track: str, name: str, args: Optional[dict] = None
     ) -> None:
         """Open a span named ``name`` on ``track`` at sim time ``now``."""
-        frozen = _freeze_args(args)
-        self._open.setdefault(track, []).append(_OpenSpan(name, now, frozen))
-        self._append(TraceSpanEvent(KIND_BEGIN, now, track, name, frozen))
+        self.begin_frozen(now, track, name, _freeze_args(args))
+
+    def begin_frozen(
+        self, now: float, track: str, name: str, args: tuple = ()
+    ) -> None:
+        """:meth:`begin` with ``args`` as a key-sorted pair tuple."""
+        stack = self._open.get(track)
+        if stack is None:
+            self._open[track] = [(name, now, args)]
+        else:
+            stack.append((name, now, args))
+        events = self.events
+        if len(events) == self.capacity:
+            self.dropped_events += 1
+        events.append(
+            _tuple_new(TraceSpanEvent, (KIND_BEGIN, now, track, name, args))
+        )
 
     def end(
         self,
@@ -131,20 +153,36 @@ class RequestTracer:
         spans opened inside it are abandoned.  A close with no matching
         open span is recorded anyway (the exporters tolerate it).
         """
-        stack = self._open.get(track, [])
-        if name is None:
-            if stack:
-                span = stack.pop()
-                name = span.name
+        self.end_frozen(now, track, name, _freeze_args(args))
+
+    def end_frozen(
+        self,
+        now: float,
+        track: str,
+        name: Optional[str] = None,
+        args: tuple = (),
+    ) -> None:
+        """:meth:`end` with ``args`` as a key-sorted pair tuple."""
+        stack = self._open.get(track)
+        if stack:
+            if name is None:
+                name = stack.pop()[0]
+            elif stack[-1][0] == name:
+                stack.pop()
             else:
-                name = ""
-        else:
-            for i in range(len(stack) - 1, -1, -1):
-                if stack[i].name == name:
-                    del stack[i:]
-                    break
-        self._append(
-            TraceSpanEvent(KIND_END, now, track, name, _freeze_args(args))
+                for i in range(len(stack) - 2, -1, -1):
+                    if stack[i][0] == name:
+                        del stack[i:]
+                        break
+            if not stack:
+                del self._open[track]
+        elif name is None:
+            name = ""
+        events = self.events
+        if len(events) == self.capacity:
+            self.dropped_events += 1
+        events.append(
+            _tuple_new(TraceSpanEvent, (KIND_END, now, track, name, args))
         )
 
     def instant(
@@ -289,10 +327,9 @@ class RequestTracer:
                 for e in self.events
             ],
             "open": {
-                track: [[s.name, s.now, [[k, v] for k, v in s.args]]
-                        for s in stack]
+                track: [[name, now, [[k, v] for k, v in args]]
+                        for name, now, args in stack]
                 for track, stack in sorted(self._open.items())
-                if stack
             },
         }
 

@@ -17,12 +17,21 @@ Worlds are expensive, so examples are few and the run is short; the fixed
 chaos scenarios cover the long-duration cases.
 """
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.faults import FaultPlan, build_overload_world
 
 DURATION = 0.45
 TOLERANCE = 0.35
+
+#: Storms of at least this multiplier overload every draw.  Each machine's
+#: token bucket refills at the whole cluster's base rate, so a 2x storm
+#: split over two machines arrives at exactly the refill rate and a quiet
+#: draw can shed nothing (seed 18269 did).  At 3x each machine sees 1.5x
+#: its refill rate for the whole storm: ~58 arrivals beyond what the
+#: bucket refills, against a 10-token burst and a Poisson spread of ~13.
+#: 121 seeds spread over the range all turned away 112 or more.
+OVERLOAD_MULTIPLIER = 3.0
 
 
 def _run_storm(seed, multiplier):
@@ -41,8 +50,9 @@ def _run_storm(seed, multiplier):
 @settings(max_examples=4, deadline=None)
 @given(
     seed=st.integers(min_value=0, max_value=2**16),
-    multiplier=st.floats(min_value=2.0, max_value=8.0),
+    multiplier=st.floats(min_value=OVERLOAD_MULTIPLIER, max_value=8.0),
 )
+@example(seed=18269, multiplier=OVERLOAD_MULTIPLIER)
 def test_property_shed_requests_contribute_no_energy(seed, multiplier):
     world = _run_storm(seed, multiplier)
     protector = world.protector
@@ -76,6 +86,7 @@ def test_property_shed_requests_contribute_no_energy(seed, multiplier):
     seed=st.integers(min_value=0, max_value=2**16),
     multiplier=st.floats(min_value=2.0, max_value=8.0),
 )
+@example(seed=18269, multiplier=2.0)  # a storm that sheds nothing
 def test_property_every_arrival_has_exactly_one_outcome(seed, multiplier):
     world = _run_storm(seed, multiplier)
     protector = world.protector

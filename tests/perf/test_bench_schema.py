@@ -11,6 +11,7 @@ import os
 
 from ci.perf import (
     MAX_TELEMETRY_DISABLED_RATIO,
+    MAX_TELEMETRY_FRAME_ON_RATIO,
     MIN_CORRELATION_RATIO,
     MIN_SHARD_SPEEDUP_2_WORKERS,
     BenchResult,
@@ -75,7 +76,7 @@ def test_check_regressions_flags_every_dropped_benchmark():
     partial = {"micro-event-vector": _results()["micro-event-vector"]}
     problems = check_regressions(partial, committed)
     dropped = set(load_bench_json(committed)["benchmarks"]) - set(partial)
-    assert len(dropped) == 9
+    assert len(dropped) == 10
     assert len(problems) == len(dropped)
     assert {problem.split(":")[0] for problem in problems} == dropped
     assert all("not produced by this run" in p for p in problems)
@@ -105,15 +106,19 @@ def test_check_regressions_flags_ratio_floor(tmp_path):
 
 
 def test_check_regressions_flags_ratio_budget(tmp_path):
-    bad = _results(**{
-        "micro-telemetry-disabled-ratio": BenchResult(
-            "micro-telemetry-disabled-ratio", "micro", 0.05,
-            ratio=MAX_TELEMETRY_DISABLED_RATIO * 2,
-        ),
-    })
-    problems = check_regressions(bad, _committed(tmp_path))
-    assert len(problems) == 1
-    assert "exceeds budget" in problems[0]
+    committed = str(tmp_path / "committed.json")
+    for name, budget in (
+        ("micro-telemetry-disabled-ratio", MAX_TELEMETRY_DISABLED_RATIO),
+        ("micro-telemetry-frame-on-ratio", MAX_TELEMETRY_FRAME_ON_RATIO),
+    ):
+        bad = _results(**{
+            name: BenchResult(name, "micro", 0.05, ratio=budget * 2),
+        })
+        write_bench_json(bad, committed)
+        problems = check_regressions(bad, committed)
+        assert len(problems) == 1
+        assert problems[0].startswith(f"{name}: ratio")
+        assert "exceeds budget" in problems[0]
 
 
 def test_check_regressions_flags_missing_ratio(tmp_path):

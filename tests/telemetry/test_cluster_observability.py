@@ -7,6 +7,7 @@ behaviour is pinned independently of the sharded stack.
 """
 
 import json
+import marshal
 
 import pytest
 
@@ -25,6 +26,7 @@ from repro.telemetry import (
     apply_metric_deltas,
     metric_deltas,
 )
+from repro.telemetry.aggregate import render_lines
 
 
 # -- frames ---------------------------------------------------------------
@@ -36,7 +38,9 @@ def test_frame_wire_round_trip():
     assert back.shard_id == 2
     assert back.epoch_index == 4
     assert back.events == events
-    assert back.lines == ("I|0.5|request:m0/7|shed|n=1",)
+    # The body carries each event once; the receiver renders the lines.
+    assert marshal.loads(back.body) == (events, ())
+    assert render_lines(back.events) == ["I|0.5|request:m0/7|shed|n=1"]
     assert back.checksum == frame.checksum
 
 

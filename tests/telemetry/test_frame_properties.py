@@ -1,7 +1,9 @@
 """Properties of telemetry frame rendering and checksums.
 
-* the aggregator hashes each barrier's merged text, which must equal the
-  reference rendering of every event in ``(now, track, seq)`` order;
+* the coordinator renders each barrier's merged events itself
+  (``render_lines``); its text must equal the reference rendering of
+  every event in ``(now, track, seq)`` order, and the aggregator hashes
+  exactly that text;
 * a frame's checksum depends on values only: equal events checksum
   equally however their objects are shared or copied;
 * tampering with any field of a frame's wire tuple, any byte of its
@@ -15,7 +17,7 @@ import math
 import pickle
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.telemetry import (
@@ -24,7 +26,7 @@ from repro.telemetry import (
     TelemetryFrame,
     TraceSpanEvent,
 )
-from repro.telemetry.aggregate import MERGE_CHAIN_SEED
+from repro.telemetry.aggregate import MERGE_CHAIN_SEED, render_lines
 
 TRACKS = ("core:m0/0", "request:m0/7", "container:m1/3", "facility:m2")
 
@@ -92,6 +94,15 @@ def _fresh(value):
 
 @settings(max_examples=60, deadline=None)
 @given(raw=raw_events, n_shards=st.integers(min_value=1, max_value=3))
+@example(
+    raw=[
+        (-0.0, "core:m0/0", "B", "stage:x", (("container", 3),)),
+        (1e-300, "request:m0/7", "I", "shed", (("n", -1), ("why", "cap"))),
+        (1e300, "container:m1/3", "C", "energy_j", (("value", -0.0),)),
+        (0.5, "facility:m2", "E", "", ()),
+    ],
+    n_shards=2,
+)
 def test_batched_barrier_text_matches_reference_rendering(raw, n_shards):
     events = _wire_events(raw)
     by_shard: dict[int, list] = {}
@@ -106,13 +117,15 @@ def test_batched_barrier_text_matches_reference_rendering(raw, n_shards):
     aggregator = TelemetryAggregator()
     aggregator.ingest(frames)
 
+    ordered = sorted(events, key=_key)
     merged = [
         TraceSpanEvent(kind, now, track, name, pairs)
-        for now, track, _seq, kind, name, pairs in sorted(events, key=_key)
+        for now, track, _seq, kind, name, pairs in ordered
     ]
-    for span in merged:
-        assert span.canonical() == _reference_canonical(*span)
-    text = "".join(span.canonical() + "\n" for span in merged)
+    reference = [_reference_canonical(*span) for span in merged]
+    assert render_lines(ordered) == reference
+    assert [span.canonical() for span in merged] == reference
+    text = "".join(line + "\n" for line in reference)
     expected = (
         hashlib.sha256((MERGE_CHAIN_SEED + text).encode()).hexdigest()
         if merged else MERGE_CHAIN_SEED
@@ -163,7 +176,7 @@ def test_any_tampered_field_is_rejected(raw, data):
     wire = list(frame.to_wire())
     field = data.draw(
         st.sampled_from(("shard", "epoch", "checksum", "byte", "event",
-                         "line", "metric")),
+                         "metric")),
         label="field",
     )
     if field in ("shard", "epoch", "checksum"):
@@ -178,22 +191,18 @@ def test_any_tampered_field_is_rejected(raw, data):
         wire[3] = bytes(body)
     else:
         # Re-encode the body with one value changed; keep the checksum.
-        body = [list(part) for part in (frame.events, frame.lines,
-                                        frame.metrics)]
-        rows = body[("event", "line", "metric").index(field)] or body[2]
+        body = [list(part) for part in (frame.events, frame.metrics)]
+        rows = body[("event", "metric").index(field)] or body[1]
         row = data.draw(
             st.integers(min_value=0, max_value=len(rows) - 1), label="row"
         )
-        if isinstance(rows[row], str):
-            rows[row] = _tweak(rows[row])
-        else:
-            values = list(rows[row])
-            column = data.draw(
-                st.integers(min_value=0, max_value=len(values) - 1),
-                label="column",
-            )
-            values[column] = _tweak(values[column])
-            rows[row] = tuple(values)
+        values = list(rows[row])
+        column = data.draw(
+            st.integers(min_value=0, max_value=len(values) - 1),
+            label="column",
+        )
+        values[column] = _tweak(values[column])
+        rows[row] = tuple(values)
         wire[3] = marshal.dumps(tuple(tuple(part) for part in body), 2)
     with pytest.raises(FrameChecksumError):
         TelemetryFrame.from_wire(tuple(wire))

@@ -3,6 +3,8 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.telemetry import RequestTracer, Telemetry
 
@@ -28,6 +30,22 @@ def test_named_end_abandons_nested_opens():
     tracer.begin(0.1, "t", "inner")
     tracer.end(0.5, "t", name="outer")
     assert tracer.open_depth("t") == 0
+
+
+def test_closed_tracks_release_their_open_span_stacks():
+    """A finished track keeps no entry, so open-span state stays bounded
+    by what is open, like the ring, however many requests a run traces."""
+    tracer = RequestTracer(capacity=100)
+    for i in range(10_000):
+        track = f"request:m0/{i}"
+        tracer.begin(float(i), track, "request", args={"container": i})
+        tracer.begin(float(i), track, "stage:parse")
+        tracer.end(i + 0.5, track, name="request")  # abandons the stage
+    tracer.begin(1e4, "request:m0/open", "request")
+    tracer.end(1e4, "request:m0/never-opened", name="request")
+    assert len(tracer) == 100
+    assert list(tracer._open) == ["request:m0/open"]
+    assert list(tracer.snapshot_state()["open"]) == ["request:m0/open"]
 
 
 def test_ring_buffer_evicts_oldest_and_counts_drops():
@@ -123,3 +141,50 @@ def test_telemetry_handle_defaults():
     off = Telemetry(enabled=False)
     assert not off.enabled
     assert len(off.tracer.events) == 0
+
+
+_span_args = st.dictionaries(
+    st.sampled_from(("container", "reason", "energy_j", "label")),
+    st.one_of(
+        st.none(),
+        st.integers(min_value=-5, max_value=5),
+        st.sampled_from((-0.0, 0.0, 1e-300, 1.5)),
+        st.text(alphabet="ab", max_size=2),
+    ),
+    max_size=2,
+)
+_span_ops = st.lists(
+    st.tuples(
+        st.sampled_from(("begin", "end")),
+        st.sampled_from(("core:m0/0", "core:m0/1", "request:m0/7")),
+        st.one_of(st.none(), st.sampled_from(("stage:a", "stage:b"))),
+        _span_args,
+    ),
+    max_size=40,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(ops=_span_ops, capacity=st.sampled_from((None, 3, 64)))
+def test_frozen_span_path_records_what_the_dict_path_records(ops, capacity):
+    """``begin_frozen``/``end_frozen`` with pre-sorted pair tuples give
+    the same events, depths, state and fingerprint as ``begin``/``end``
+    with args dicts."""
+    by_dict = RequestTracer(capacity=capacity)
+    frozen = RequestTracer(capacity=capacity)
+    for i, (op, track, name, args) in enumerate(ops):
+        now = i * 0.25
+        pairs = tuple(sorted(args.items()))
+        if op == "begin":
+            name = name or "request"
+            by_dict.begin(now, track, name, args)
+            frozen.begin_frozen(now, track, name, pairs)
+        else:
+            by_dict.end(now, track, name, args)
+            frozen.end_frozen(now, track, name, pairs)
+    assert list(frozen.events) == list(by_dict.events)
+    for track in ("core:m0/0", "core:m0/1", "request:m0/7"):
+        assert frozen.open_depth(track) == by_dict.open_depth(track)
+    assert frozen.snapshot_state() == by_dict.snapshot_state()
+    assert frozen.trace_fingerprint() == by_dict.trace_fingerprint()
+    assert frozen.dropped_events == by_dict.dropped_events
