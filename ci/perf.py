@@ -1,11 +1,12 @@
 """The perf gate behind ``python -m ci perf``: benchmarks + BENCH_perf.json.
 
-**Micro** benchmarks time isolated hot kernels (event-vector math,
-``active_power``, the simulator queue, ``correlation_curve``, per-core
-accounting samples) and the machine-independent ratios (vectorized code
-vs its loop oracle, disabled telemetry vs none); **macro** benchmarks time the
-seeded Solr run the determinism gate replays and the sharded cluster at
-1, 2 and 4 workers.
+**Micro** benchmarks time isolated hot kernels (event-vector math, the
+simulator queue, ``correlation_curve``, per-core accounting samples --
+model evaluation included) and the machine-independent ratios
+(vectorized code vs its loop oracle, disabled telemetry vs none); the
+**macro** benchmark times the sharded cluster at 1, 2 and 4 workers.
+The single-machine Solr run is timed, bounded and fingerprinted by the
+repo benchmark (``bench/``, workload ``solr-pkgmeter``).
 
 ``BENCH_perf.json`` (schema 2) records per benchmark a wall time
 (``seconds``), derived throughput, an explicit ``ratio`` on the ratio
@@ -31,7 +32,6 @@ import numpy as np
 #: speedup claims stay auditable.  Do not update these when regenerating
 #: baselines -- they are the historical reference point.
 PRE_PR_SECONDS = {
-    "macro-solr-workload": 0.8485575700005938,
     "micro-correlation-curve": 0.005122571666712854,
 }
 
@@ -124,35 +124,6 @@ def _best_of(fn, repeats: int = 3) -> float:
 # ---------------------------------------------------------------------------
 # Macro benchmark
 # ---------------------------------------------------------------------------
-def bench_macro_solr() -> BenchResult:
-    """End-to-end seeded Solr run, best of 3 (calibration excluded, like
-    the pre-PR measurement): simulator + kernel + accounting + tracing."""
-    from repro.core import calibrate_machine
-    from repro.hardware import SANDYBRIDGE
-    from repro.workloads import SolrWorkload, run_workload
-
-    calibration = calibrate_machine(SANDYBRIDGE, duration=0.1)
-
-    run = None
-    seconds = float("inf")
-    for _ in range(3):
-        start = time.perf_counter()
-        run = run_workload(
-            SolrWorkload(), SANDYBRIDGE, calibration,
-            load_fraction=0.6, duration=1.5, warmup=0.2, seed=7,
-        )
-        seconds = min(seconds, time.perf_counter() - start)
-    events = run.facility.simulator.events_processed
-    requests = len(run.driver.results)
-    return BenchResult(
-        "macro-solr-workload", "macro", seconds,
-        throughput={
-            "events_per_sec": events / seconds,
-            "requests_per_sec": requests / seconds,
-        },
-    )
-
-
 def bench_cluster_sharded() -> BenchResult:
     """Sharded cluster run: single-process baseline vs 2 and 4 workers.
 
@@ -436,7 +407,9 @@ def bench_core_sample() -> BenchResult:
     and context-switch hot path, and what ``Facility.flush`` runs per core
     -- on a fully occupied SANDYBRIDGE machine, so every sample runs the
     complete delta -> observer correction -> metrics -> ``_charge``
-    pipeline.
+    pipeline.  ``_charge`` evaluates each approach's Eq. 1/2 model with
+    its inline dot product, so this is also the benchmark of model
+    evaluation as runs execute it.
     """
     from repro.core import PowerContainerFacility, calibrate_machine
     from repro.hardware import RateProfile, SANDYBRIDGE, build_machine
@@ -506,32 +479,6 @@ def bench_event_vector() -> BenchResult:
     )
 
 
-def bench_active_power() -> BenchResult:
-    """Per-sample model evaluation: the Eq. 1/2 inner product."""
-    from repro.core.model import FEATURES_EQ2, MetricSample, PowerModel
-
-    model = PowerModel(
-        features=FEATURES_EQ2,
-        coefficients=np.array([20.0, 4.0, 6.0, 9.0, 14.0, 11.0]),
-        idle_watts=80.0,
-    )
-    sample = MetricSample(
-        mcore=0.8, mins=1.2, mfloat=0.1, mcache=0.02, mmem=0.01,
-        mchipshare=0.5,
-    )
-    iterations = 50_000
-
-    def body():
-        for _ in range(iterations):
-            model.active_power(sample)
-
-    seconds = _best_of(body)
-    return BenchResult(
-        "micro-active-power", "micro", seconds,
-        throughput={"samples_per_sec": iterations / seconds},
-    )
-
-
 def bench_simulator_queue() -> BenchResult:
     """Event queue churn: one-shot scheduling plus a recurring tick."""
     from repro.sim.engine import Simulator
@@ -559,14 +506,12 @@ def bench_simulator_queue() -> BenchResult:
 #: All benchmarks, run in this order.
 SUITE = (
     bench_event_vector,
-    bench_active_power,
     bench_simulator_queue,
     bench_correlation_curve,
     bench_correlation_ratio,
     bench_telemetry_overhead,
     bench_telemetry_frame_overhead,
     bench_core_sample,
-    bench_macro_solr,
     bench_cluster_sharded,
 )
 

@@ -5,8 +5,11 @@ A WeBWorK problem request flows through Apache/PHP processing, a MySQL
 thread reached over a persistent socket, and forked latex/dvipng helper
 processes.  The power-container facility tracks the request context through
 every hop -- socket segments, fork, wait4/exit -- entirely inside the OS,
-with no application changes.  This example prints the captured flow and the
-power/energy attributed at each point, like the paper's Fig. 4 annotations.
+with no application changes.  This example prints the flow the facility's
+telemetry tracer captured -- stage spans on each core, socket sends and
+receives, exits, and the request span closing with its energy -- and the
+power/energy attributed to the request, like the paper's Fig. 4
+annotations.
 
 Run:  python examples/request_tracing.py
 """
@@ -17,7 +20,8 @@ from repro.core import PowerContainerFacility, calibrate_machine
 from repro.hardware import SANDYBRIDGE, build_machine
 from repro.kernel import ContextTag, Kernel, Message
 from repro.requests import RequestSpec
-from repro.sim import Simulator, TraceRecorder
+from repro.sim import Simulator
+from repro.telemetry import Telemetry
 from repro.workloads import WeBWorKWorkload
 
 
@@ -33,16 +37,20 @@ def main() -> None:
 
     sim = Simulator()
     machine = build_machine(SANDYBRIDGE, sim)
-    trace = TraceRecorder()
-    kernel = Kernel(machine, sim, trace=trace)
-    facility = PowerContainerFacility(kernel, calibration)
+    kernel = Kernel(machine, sim)
+    telemetry = Telemetry()
+    facility = PowerContainerFacility(
+        kernel, calibration, telemetry=telemetry
+    )
 
     workload = WeBWorKWorkload(n_workers=2)
     server = workload.build_server(kernel, facility)
-    server.client_side.on_message = lambda message: None
-
     container = facility.create_request_container(
         "webwork:traced", meta={"rtype": "standard"}
+    )
+    # The response closes the request span, stamped with its energy.
+    server.client_side.on_message = (
+        lambda message: facility.complete_request(container)
     )
     spec = RequestSpec(
         "standard",
@@ -56,21 +64,7 @@ def main() -> None:
     facility.flush()
 
     print(f"\ncaptured request execution (container #{container.id}):\n")
-    interesting = {"dispatch", "rebind", "send", "recv", "fork", "exit"}
-    pid_names = {p.pid: p.name for p in kernel.processes.values()}
-    shown = 0
-    for event in trace:
-        if event.kind not in interesting:
-            continue
-        detail = dict(event.detail)
-        pid = detail.pop("pid", detail.pop("parent", None))
-        who = pid_names.get(pid, f"pid{pid}")
-        extras = ", ".join(f"{k}={v}" for k, v in detail.items())
-        print(f"   [{event.time * 1e3:7.2f} ms] {event.kind:8s} {who:16s} {extras}")
-        shown += 1
-        if shown > 40:
-            print("   ...")
-            break
+    print(telemetry.tracer.timeline(limit=40))
 
     stats = container.stats
     print("\nper-request attribution (the Fig. 4 annotations):")

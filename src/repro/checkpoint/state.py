@@ -35,7 +35,7 @@ import numpy as np
 
 #: Bump on any incompatible change to the checkpoint file layout or to any
 #: layer's snapshot schema.  Old files are rejected, never reinterpreted.
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 _PLAIN_SCALARS = (str, bytes, int, float, bool, type(None))
 

@@ -19,7 +19,7 @@ duty-cycle modulation) and :mod:`~repro.core.distribution`
 (heterogeneity-aware request placement).
 """
 
-from repro.core.model import MetricSample, PowerModel, FEATURES_EQ1, FEATURES_EQ2
+from repro.core.model import PowerModel, FEATURES_EQ1, FEATURES_EQ2
 from repro.core.chipshare import ChipShareEstimator
 from repro.core.container import ContainerStats, PowerContainer
 from repro.core.registry import BACKGROUND_CONTAINER_ID, ContainerRegistry
@@ -60,7 +60,6 @@ from repro.core.powercap import (
 )
 
 __all__ = [
-    "MetricSample",
     "PowerModel",
     "FEATURES_EQ1",
     "FEATURES_EQ2",

@@ -191,13 +191,14 @@ class CoreAccountant:
         primary: str,
         observer: Optional[ObserverEffect] = None,
         subtract_observer: bool = True,
-        record_power_history: bool = False,
         telemetry=None,
         timeline: Optional[EnergyTimeline] = None,
     ) -> None:
         if not approaches:
             raise ValueError("at least one accounting approach is required")
         names = [a.name for a in approaches]
+        if len(set(names)) != len(names):
+            raise ValueError(f"duplicate approach names in {names}")
         if primary not in names:
             raise ValueError(f"primary approach {primary!r} not in {names}")
         self.core = core
@@ -207,7 +208,6 @@ class CoreAccountant:
         self.primary = primary
         self.observer = observer
         self.subtract_observer = subtract_observer
-        self.record_power_history = record_power_history
         #: Optional :class:`~repro.telemetry.Telemetry` handle; when
         #: enabled, every charge updates the charged container's row in
         #: the machine's open energy-timeline window (``timeline``, which
@@ -269,17 +269,14 @@ class CoreAccountant:
         # estimator-or-None, share-slot, is-primary); a ``None`` estimator
         # reuses the slot value computed by an earlier entry.
         #
-        # Reusable per-sample buffers: one feature row laid out over
+        # Reusable per-sample buffer: one feature row laid out over
         # ALL_FEATURES (mdisk/mnet stay 0 -- per-core accounting has no
-        # peripheral metrics), and the per-approach energy dict (its key
-        # set is fixed by the plan; values are overwritten every sample
-        # and consumed synchronously by the container update).  All paper
-        # feature sets are canonical-order prefixes, and a model's feature
-        # set never changes, so each plan entry holds a view of its
-        # model's prefix of the row (the row itself at full width, ``None``
-        # for a non-prefix model) instead of slicing it per sample.
+        # peripheral metrics).  All paper feature sets are canonical-order
+        # prefixes, and a model's feature set never changes, so each plan
+        # entry holds a view of its model's prefix of the row (the row
+        # itself at full width, ``None`` for a non-prefix model) instead of
+        # slicing it per sample.
         row = self._row = np.zeros(8, dtype=float)
-        self._energy: dict[str, float] = {}
         plan: list[tuple] = []
         group_keys: list[tuple] = []
         for a in approaches:
@@ -461,6 +458,16 @@ class CoreAccountant:
         """
         core = self.core
         container = self.registry.get(self.current_container_id)
+        stats = container.stats
+        # Interval events, CPU time and activity window of the container.
+        ev = stats.events
+        ev.nonhalt_cycles += d_cycles
+        ev.instructions += d_ins
+        ev.flops += d_flops
+        ev.cache_refs += d_cache
+        ev.mem_trans += d_mem
+        ev.disk_bytes += d_disk
+        ev.net_bytes += d_net
         duty_ratio = core.duty_ratio
         row = self._row
         row[0] = mcore
@@ -469,9 +476,10 @@ class CoreAccountant:
         row[3] = mcache
         row[4] = mmem
         shares = self._shares
-        energy = self._energy
+        energy_joules = stats.energy_joules
+        last_power_watts = container.last_power_watts
         primary_share = 0.0
-        record_history = self.record_power_history
+        primary_joules = 0.0
         for name, model, prefix, estimator, slot, is_primary in self._plan:
             if estimator is not None:
                 # Inlined ChipShareEstimator.estimate for the common
@@ -503,12 +511,13 @@ class CoreAccountant:
                     watts = 0.0
             else:
                 watts = model.active_power_row(row)
-            energy[name] = watts * dt
-            # Inlined Container.observe_power (three calls per sample):
-            # every approach records its last watts; only the primary
-            # updates the full-speed conditioning EWMA.  Expressions match
-            # the method body exactly (same constants, same order).
-            container.last_power_watts[name] = watts
+            # Energy is the integral of power: ``watts * dt`` per interval,
+            # accumulated per approach.
+            joules = watts * dt
+            energy_joules[name] = energy_joules.get(name, 0.0) + joules
+            # Every approach records its last watts; only the primary
+            # updates the full-speed conditioning EWMA (alpha 0.3).
+            last_power_watts[name] = watts
             if is_primary:
                 if duty_ratio > 0.0:
                     full = watts / duty_ratio
@@ -520,13 +529,20 @@ class CoreAccountant:
                             (1.0 - 0.3) * ewma + 0.3 * full
                         )
                 primary_share = share
-                if record_history:
-                    container.power_history.append((now, watts))
-
-        container.stats.record_core_interval(
-            now, dt, d_cycles, d_ins, d_flops, d_cache, d_mem, d_disk, d_net,
-            energy, duty_ratio, self.current_stage, self.primary,
-        )
+                primary_joules = joules
+        stats.cpu_seconds += dt
+        stats.duty_weighted_seconds += duty_ratio * dt
+        stats.sample_count += 1
+        if stats.first_activity is None:
+            stats.first_activity = now - dt
+        stats.last_activity = now
+        stage = self.current_stage
+        if stage is not None:
+            # Primary-approach energy and CPU time per server stage.
+            stage_energy = stats.stage_energy_joules
+            stage_energy[stage] = stage_energy.get(stage, 0.0) + primary_joules
+            stage_cpu = stats.stage_cpu_seconds
+            stage_cpu[stage] = stage_cpu.get(stage, 0.0) + dt
 
         # Publish fresh utilization for unsynchronized sibling reads (Eq. 3).
         core.mailbox.post_trusted(now, mcore)
@@ -554,10 +570,8 @@ class CoreAccountant:
             if now >= timeline.end:
                 timeline.roll(now)
             # Container.total_energy, inlined (same expression).
-            stats = container.stats
             energy_j = (
-                stats.energy_joules.get(self.primary, 0.0)
-                + stats.io_energy_joules
+                energy_joules.get(self.primary, 0.0) + stats.io_energy_joules
             )
             row = timeline.rows.get(container.id)
             if row is None:
@@ -597,8 +611,8 @@ class CoreAccountant:
     def snapshot_state(self) -> dict:
         """Counter baseline, interval bookkeeping, and binding state.
 
-        The per-sample scratch buffers (``_row``, ``_energy``, ``_shares``)
-        are overwritten at every sample before being read, so they carry no
+        The per-sample scratch buffers (``_row``, ``_shares``) are
+        overwritten at every sample before being read, so they carry no
         state across samples and are not captured.
         """
         return {

@@ -45,78 +45,6 @@ class ContainerStats:
     stage_energy_joules: dict[str, float] = field(default_factory=dict)
     stage_cpu_seconds: dict[str, float] = field(default_factory=dict)
 
-    def record_interval(
-        self,
-        now: float,
-        dt: float,
-        events: EventVector,
-        energy_by_approach: dict[str, float],
-        duty_ratio: float,
-        stage: Optional[str] = None,
-        primary_approach: Optional[str] = None,
-    ) -> None:
-        """Fold one sampled execution interval into the statistics."""
-        self.record_core_interval(
-            now, dt,
-            events.nonhalt_cycles, events.instructions, events.flops,
-            events.cache_refs, events.mem_trans, events.disk_bytes,
-            events.net_bytes,
-            energy_by_approach, duty_ratio, stage, primary_approach,
-        )
-
-    def record_core_interval(  # hot-path
-        self,
-        now: float,
-        dt: float,
-        d_cycles: float,
-        d_ins: float,
-        d_flops: float,
-        d_cache: float,
-        d_mem: float,
-        d_disk: float,
-        d_net: float,
-        energy_by_approach: dict[str, float],
-        duty_ratio: float,
-        stage: Optional[str] = None,
-        primary_approach: Optional[str] = None,
-    ) -> None:
-        """Scalar-field twin of :meth:`record_interval`.
-
-        The accountant keeps counter deltas as plain floats; this entry
-        point folds them in without materializing an :class:`EventVector`
-        per sample.  Field-accumulation
-        order matches :meth:`record_interval` exactly, so both paths produce
-        bit-identical statistics.
-        """
-        ev = self.events
-        ev.nonhalt_cycles += d_cycles
-        ev.instructions += d_ins
-        ev.flops += d_flops
-        ev.cache_refs += d_cache
-        ev.mem_trans += d_mem
-        ev.disk_bytes += d_disk
-        ev.net_bytes += d_net
-        for approach, joules in energy_by_approach.items():
-            self.energy_joules[approach] = (
-                self.energy_joules.get(approach, 0.0) + joules
-            )
-        self.cpu_seconds += dt
-        self.duty_weighted_seconds += duty_ratio * dt
-        self.sample_count += 1
-        if self.first_activity is None:
-            self.first_activity = now - dt
-        self.last_activity = now
-        if stage is not None:
-            joules = energy_by_approach.get(primary_approach)
-            if joules is None:
-                joules = next(iter(energy_by_approach.values()), 0.0)
-            self.stage_energy_joules[stage] = (
-                self.stage_energy_joules.get(stage, 0.0) + joules
-            )
-            self.stage_cpu_seconds[stage] = (
-                self.stage_cpu_seconds.get(stage, 0.0) + dt
-            )
-
     def stage_mean_power(self, stage: str) -> float:
         """Mean power of one stage while scheduled (Fig. 4's watt labels)."""
         cpu = self.stage_cpu_seconds.get(stage, 0.0)
@@ -194,8 +122,10 @@ class PowerContainer:
         self.stats = ContainerStats()
         #: Most recent estimated power draw while scheduled, per approach.
         self.last_power_watts: dict[str, float] = {}
-        #: EWMA of the estimated *full-speed* power (measured power divided
-        #: by the duty ratio in effect) -- the conditioning policy's input.
+        #: EWMA (alpha 0.3) of the estimated *full-speed* power (the
+        #: primary approach's power divided by the duty ratio in effect) --
+        #: the conditioning policy's input.  Updated, with
+        #: ``last_power_watts`` and the stats, by ``CoreAccountant._charge``.
         self.full_speed_power_ewma: float = 0.0
         #: Per-request active-power cap; ``None`` means uncapped.
         self.power_cap_watts: Optional[float] = None
@@ -205,10 +135,6 @@ class PowerContainer:
         #: Snapshot of the last cross-machine stats export, so repeated
         #: exports carry deltas and the receiver never double-counts.
         self._last_export: dict[str, float] = {}
-        #: Optional (time, watts) samples of the request's estimated power
-        #: while scheduled; populated when the facility is created with
-        #: ``record_power_history=True``.
-        self.power_history: list[tuple[float, float]] = []
 
     def energy(self, approach: str) -> float:
         """Estimated energy under one accounting approach (J)."""
@@ -223,31 +149,6 @@ class PowerContainer:
         if self.stats.cpu_seconds <= 0.0:
             return 0.0
         return self.energy(approach) / self.stats.cpu_seconds
-
-    def observe_power(
-        self,
-        approach: str,
-        watts: float,
-        duty_ratio: float,
-        ewma_alpha: float = 0.3,
-        update_ewma: bool = True,
-    ) -> None:
-        """Record the latest power estimate (and its full-speed projection).
-
-        Only the facility's primary approach should update the full-speed
-        EWMA (``update_ewma=True``); parallel comparison approaches record
-        their last power without disturbing the conditioning input.
-        """
-        self.last_power_watts[approach] = watts
-        if update_ewma and duty_ratio > 0.0:
-            full = watts / duty_ratio
-            if self.full_speed_power_ewma == 0.0:
-                self.full_speed_power_ewma = full
-            else:
-                self.full_speed_power_ewma = (
-                    (1.0 - ewma_alpha) * self.full_speed_power_ewma
-                    + ewma_alpha * full
-                )
 
     def export_carried_delta(self) -> dict[str, float]:
         """Stats delta since the previous export (for message piggy-backing).
@@ -269,7 +170,7 @@ class PowerContainer:
     # ------------------------------------------------------------------
     def snapshot_state(self) -> dict:
         return {
-            "v": 1,
+            "v": 2,
             "id": self.id,
             "label": self.label,
             "created_at": self.created_at,
@@ -280,7 +181,6 @@ class PowerContainer:
             "refcount": self.refcount,
             "closed": self.closed,
             "last_export": dict(sorted(self._last_export.items())),
-            "power_history": [list(entry) for entry in self.power_history],
         }
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

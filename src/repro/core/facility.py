@@ -150,10 +150,7 @@ class PowerContainerFacility(KernelHooks):
         recalib_interval: float = 0.5,
         max_delay_seconds: float = 2.5,
         trace_period: Optional[float] = None,
-        os_subsample: float = 1e-3,
-        record_power_history: bool = False,
         track_user_level_stages: bool = True,
-        recalibration_guard: bool = True,
         meter_staleness_timeout: Optional[float] = None,
         route_untagged_to_background: bool = False,
         telemetry=None,
@@ -212,7 +209,7 @@ class PowerContainerFacility(KernelHooks):
                     model,
                     calibration.samples[:, indexes],
                     calibration.active_watts,
-                    guard=RecalibrationGuard() if recalibration_guard else None,
+                    guard=RecalibrationGuard(),
                 )
 
         #: Full-feature model used to attribute peripheral I/O energy.
@@ -243,7 +240,6 @@ class PowerContainerFacility(KernelHooks):
                 primary=self.primary,
                 observer=observer,
                 subtract_observer=subtract_observer,
-                record_power_history=record_power_history,
                 telemetry=telemetry,
                 timeline=self.energy_timeline,
             )
@@ -261,7 +257,9 @@ class PowerContainerFacility(KernelHooks):
             if trace_period is not None
             else (meter.period if meter is not None else 10e-3)
         )
-        self.os_subsample = min(os_subsample, self.trace_period)
+        #: Period of the device/chip activity subsampling tick (1 ms, or
+        #: the trace period when that is shorter).
+        self.os_subsample = min(1e-3, self.trace_period)
         #: The model trace, in columns: interval-end times, the primary
         #: model's machine active watts, and the FEATURES_FULL row of each
         #: trace tick.  Growable buffers; the first ``_trace_len`` entries

@@ -20,9 +20,6 @@ which online recalibration (Section 3.2) uses to swap in refitted values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from operator import attrgetter
-
 import numpy as np
 
 #: All modelled metrics, in canonical coefficient order.
@@ -47,34 +44,6 @@ FEATURES_EQ2 = FEATURES_EQ1 + ("mchipshare",)
 FEATURES_FULL = FEATURES_EQ2 + ("mdisk", "mnet")
 
 
-@dataclass(slots=True)
-class MetricSample:
-    """One observation of the modelled metrics.
-
-    ``mcore`` is non-halt cycles per elapsed cycle; ``mins``/``mfloat``/
-    ``mcache``/``mmem`` are events per elapsed cycle; ``mchipshare`` is the
-    Eq. 3 share of chip maintenance power; ``mdisk``/``mnet`` are device
-    utilization fractions.
-    """
-
-    mcore: float = 0.0
-    mins: float = 0.0
-    mfloat: float = 0.0
-    mcache: float = 0.0
-    mmem: float = 0.0
-    mchipshare: float = 0.0
-    mdisk: float = 0.0
-    mnet: float = 0.0
-
-    def as_vector(self, features: tuple[str, ...]) -> np.ndarray:
-        """Project the sample onto a feature subset, in order."""
-        return np.array([getattr(self, name) for name in features], dtype=float)
-
-    def as_dict(self) -> dict[str, float]:
-        """Plain-dict view of all metrics."""
-        return {name: getattr(self, name) for name in ALL_FEATURES}
-
-
 class PowerModel:
     """A calibrated linear active-power model over a feature subset."""
 
@@ -96,18 +65,15 @@ class PowerModel:
             )
         self.features = tuple(features)
         self._coef = coefficients.copy()
-        # Hot-path machinery for :meth:`active_power`: an attrgetter pulls
-        # the feature fields out of a sample in one C call, and a reusable
-        # buffer avoids a fresh ndarray per sample.  The reduction itself
-        # stays ``coef @ buf`` -- BLAS and a pure-Python loop round
-        # differently, and attribution must stay bit-identical.
-        self._getter = attrgetter(*self.features)
+        # Hot-path machinery for :meth:`active_power_row`: positions of
+        # this model's features within ALL_FEATURES, a reusable gather
+        # buffer, and a fast-path length when the features are a
+        # canonical-order prefix (they are for every paper feature set) --
+        # a contiguous slice of the caller's row then feeds the dot
+        # directly, with no gather copy at all.  The reduction stays
+        # ``coef @ buf`` -- BLAS and a pure-Python loop round differently,
+        # and attribution must stay bit-identical.
         self._buf = np.empty(len(self.features), dtype=float)
-        # Batch-engine machinery for :meth:`active_power_row`: positions of
-        # this model's features within ALL_FEATURES, plus a fast-path length
-        # when the features are a canonical-order prefix (they are for every
-        # paper feature set) -- a contiguous slice of the caller's row then
-        # feeds the dot directly, with no gather copy at all.
         self._all_indexes = np.array(
             [ALL_FEATURES.index(f) for f in self.features], dtype=np.intp
         )
@@ -140,24 +106,19 @@ class PowerModel:
             return 0.0
         return float(self._coef[self.features.index(feature)])
 
-    def active_power(self, sample: MetricSample) -> float:
-        """Estimated active power for one metric observation, clamped >= 0."""
-        buf = self._buf
-        buf[:] = self._getter(sample)
-        watts = float(self._coef @ buf)
-        return max(watts, 0.0)
-
     def active_power_row(self, row: np.ndarray) -> float:  # hot-path
-        """Active power from a feature row laid out over ``ALL_FEATURES``.
+        """Active power from a feature row laid out over ``ALL_FEATURES``,
+        clamped >= 0.
 
-        Fast-path twin of :meth:`active_power` for the accountant's
-        per-sample feature row: the caller maintains one reusable 8-slot
-        row (or a row view of an ``(n, 8)`` matrix) and this method
-        projects it onto the model's feature subset without building a
-        :class:`MetricSample`.  The reduction is the same ``coef @ buf``
-        ddot as :meth:`active_power` over bit-identical operands (a
-        contiguous slice or gathered copy holds the same values), so both
-        entry points attribute bit-identical watts.
+        ``mcore`` is non-halt cycles per elapsed cycle; ``mins``/
+        ``mfloat``/``mcache``/``mmem`` are events per elapsed cycle;
+        ``mchipshare`` is the Eq. 3 share of chip maintenance power;
+        ``mdisk``/``mnet`` are device utilization fractions.  The caller
+        keeps one reusable 8-slot row (or a row view of an ``(n, 8)``
+        matrix) and this method projects it onto the model's feature
+        subset: a contiguous slice for a prefix feature set, a gather copy
+        otherwise, both holding the same values for the ``coef @ buf``
+        ddot.
         """
         k = self._prefix_len
         if k:
@@ -167,11 +128,6 @@ class PowerModel:
             np.take(row, self._all_indexes, out=buf)
             watts = float(self._coef @ buf)
         return max(watts, 0.0)
-
-    def active_power_batch(self, samples: np.ndarray) -> np.ndarray:
-        """Estimated active power for rows of feature vectors."""
-        samples = np.asarray(samples, dtype=float)
-        return np.clip(samples @ self._coef, 0.0, None)
 
     def update_coefficients(self, coefficients: np.ndarray) -> None:
         """Swap in recalibrated coefficients (same feature set)."""

@@ -58,10 +58,6 @@ class ContainerRegistry:
             self._containers[container_id] = container
         return container
 
-    def adopt(self, container: PowerContainer) -> None:
-        """Register a container created elsewhere (cross-machine flows)."""
-        self._containers[container.id] = container
-
     def incref(self, container_id: Optional[int]) -> None:
         """A task became linked to the container."""
         self.get(container_id).refcount += 1

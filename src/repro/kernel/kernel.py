@@ -26,6 +26,7 @@ from heapq import heappush as _heappush
 from typing import Any, Generator, Optional
 
 from repro.hardware.core import Core
+from repro.hardware.counters import COUNTER_WRAP
 from repro.hardware.machine import Machine
 from repro.kernel.process import (
     Compute,
@@ -44,7 +45,6 @@ from repro.kernel.process import (
 from repro.kernel.sockets import ContextTag, Endpoint, Message
 from repro.kernel.scheduler import Scheduler
 from repro.sim.engine import ScheduledEvent, SimulationError, Simulator
-from repro.sim.trace import TraceRecorder
 
 #: Tolerance, in cycles, for treating a Compute action as finished.
 _CYCLE_EPS = 1e-3
@@ -113,7 +113,6 @@ class Kernel:
         simulator: Simulator,
         hooks: KernelHooks | None = None,
         quantum: float = 2e-3,
-        trace: TraceRecorder | None = None,
     ) -> None:
         if quantum <= 0:
             raise ValueError("scheduling quantum must be positive")
@@ -122,7 +121,6 @@ class Kernel:
         self.simulator = simulator
         self.hooks = hooks if hooks is not None else KernelHooks()
         self.quantum = quantum
-        self.trace = trace if trace is not None else TraceRecorder(enabled=False)
         self.scheduler = Scheduler(machine)
         self._pids = itertools.count(1)
         self.processes: dict[int, Process] = {}
@@ -167,7 +165,6 @@ class Kernel:
         self.processes[process.pid] = process
         if parent is not None:
             parent.children.append(process)
-        self.trace.record(self.now, "spawn", pid=process.pid, name=name)
         self._make_ready(process)
         return process
 
@@ -192,7 +189,6 @@ class Kernel:
             self._close_slice_partial(core, active)
         self.machine.checkpoint()
         core.set_duty_level(level)
-        self.trace.record(self.now, "duty", core=core.index, level=level)
         if active is not None:
             self._start_slice(active.process, core,
                               quantum_deadline=active.quantum_deadline)
@@ -215,7 +211,6 @@ class Kernel:
                 interrupted.append((core, active))
         self.machine.checkpoint()
         chip.set_freq_scale(scale)
-        self.trace.record(self.now, "dvfs", chip=chip.index, scale=scale)
         for core, active in interrupted:
             self._start_slice(active.process, core,
                               quantum_deadline=active.quantum_deadline)
@@ -225,10 +220,6 @@ class Kernel:
         if process.container_id == container_id:
             return
         self.hooks.on_binding_change(process, process.container_id, container_id)
-        self.trace.record(
-            self.now, "rebind", pid=process.pid,
-            old=process.container_id, new=container_id,
-        )
         process.container_id = container_id
 
     def running_on(self, core: Core) -> Optional[Process]:
@@ -236,59 +227,33 @@ class Kernel:
         active = self._slices.get(core.index)
         return active.process if active is not None else None
 
-    def effective_counters(self, core: Core):
-        """Counter snapshot including the in-progress slice's events.
-
-        The simulation materializes a slice's events when the slice ends;
-        real hardware counters tick continuously.  Observers that read
-        counters at arbitrary times (e.g. the facility's periodic model
-        tracer) must therefore add the events the current slice has
-        produced so far.
-        """
-        snapshot = core.counters.read()
-        active = self._slices.get(core.index)
-        if active is not None and core.active_profile is not None:
-            elapsed = self.now - active.start_time
-            wf = active.work_fraction
-            cycles = min(
-                core.cycles_for_seconds(elapsed),
-                active.process.compute_remaining / wf,
-            )
-            if cycles > 0:
-                inflight = core.active_profile.events_for_cycles(cycles * wf)
-                inflight.nonhalt_cycles = cycles
-                snapshot.add(inflight)
-        return snapshot
-
     def effective_core_counters(  # hot-path
         self, core: Core
     ) -> tuple[float, float, float, float, float]:
-        """CPU fields of :meth:`effective_counters` as a plain 5-tuple.
+        """The five CPU counters as read now, in-progress slice included.
 
-        Allocation-free twin for per-tick observers (the facility's model
-        tracer) that only consume the five CPU counters.  The in-flight
-        slice contribution uses the same expression shapes as
-        ``RateProfile.events_for_cycles`` + ``EventVector.add``, so values
-        are bit-identical to the snapshot path.  Wrapping banks fall back
-        to the full snapshot (the modulo must apply before the in-flight
-        add, exactly as :meth:`effective_counters` orders it).
+        The simulation materializes a slice's events when the slice ends;
+        real hardware counters tick continuously.  Observers that read
+        counters at arbitrary times (the facility's model tracer) must
+        therefore add the events the current slice has produced so far.
+        A wrapping bank reduces each register modulo ``COUNTER_WRAP``
+        before the in-flight add, the order ``CounterBank.read`` and
+        ``EventVector.add`` give; the in-flight terms are the
+        ``RateProfile.events_for_cycles`` expressions.
         """
         bank = core.counters
-        if bank.wrap:
-            snapshot = self.effective_counters(core)
-            return (
-                snapshot.nonhalt_cycles,
-                snapshot.instructions,
-                snapshot.flops,
-                snapshot.cache_refs,
-                snapshot.mem_trans,
-            )
         totals = bank.totals
         cycles_t = totals.nonhalt_cycles
         ins_t = totals.instructions
         flops_t = totals.flops
         cache_t = totals.cache_refs
         mem_t = totals.mem_trans
+        if bank.wrap:
+            cycles_t %= COUNTER_WRAP
+            ins_t %= COUNTER_WRAP
+            flops_t %= COUNTER_WRAP
+            cache_t %= COUNTER_WRAP
+            mem_t %= COUNTER_WRAP
         active = self._slices.get(core.index)
         profile = core.active_profile
         if active is not None and profile is not None:
@@ -323,8 +288,6 @@ class Kernel:
         process.core_index = core.index
         self.scheduler.occupied.add(core.index)
         self.hooks.on_dispatch(core, process)
-        if self.trace.enabled:
-            self.trace.record(self.now, "dispatch", pid=process.pid, core=core.index)
         self._advance(process, core, quantum_deadline=self.now + self.quantum)
 
     def _release_core(self, process: Process, core: Core, reason: str) -> None:
@@ -333,10 +296,6 @@ class Kernel:
         core.end_activity()
         self.scheduler.occupied.discard(core.index)
         process.core_index = None
-        if self.trace.enabled:
-            self.trace.record(
-                self.now, "undispatch", pid=process.pid, core=core.index, reason=reason
-            )
 
     def _schedule_next(self, core: Core) -> None:
         nxt = self.scheduler.next_for_core(core)
@@ -398,9 +357,6 @@ class Kernel:
                     parent=process,
                 )
                 self.hooks.on_fork(process, child)
-                self.trace.record(
-                    self.now, "fork", parent=process.pid, child=child.pid
-                )
                 process.pending_result = child
                 # spawn() may have consumed this core?  It cannot: this core
                 # is marked occupied while we interpret actions.
@@ -438,11 +394,6 @@ class Kernel:
                 )
                 duration = device.begin_transfer(action.nbytes)
                 self.hooks.on_io(process, device.name, action.nbytes)
-                if self.trace.enabled:
-                    self.trace.record(
-                        self.now, "io", pid=process.pid,
-                        device=device.name, nbytes=action.nbytes,
-                    )
                 process.state = ProcessState.BLOCKED
                 self.simulator.schedule(
                     duration, self._finish_io, process, device, label="io-done"
@@ -455,10 +406,6 @@ class Kernel:
                 # A trapped user-level synchronization access: let the
                 # tracking layer infer the request stage transfer.
                 self.hooks.on_sync(process, action.key)
-                if self.trace.enabled:
-                    self.trace.record(
-                        self.now, "sync", pid=process.pid, key=str(action.key)
-                    )
                 continue
 
             if isinstance(action, Exit):
@@ -621,10 +568,6 @@ class Kernel:
         if overflow:
             self.hooks.on_overflow(core, process)
             core.counters.acknowledge_overflow()
-            if self.trace.enabled:
-                self.trace.record(
-                    self.now, "overflow", core=core.index, pid=process.pid
-                )
 
         if action_done:
             process.compute_remaining = 0.0
@@ -670,11 +613,6 @@ class Kernel:
             sender_pid=process.pid,
         )
         self.hooks.on_send(process, message, dest)
-        if self.trace.enabled:
-            self.trace.record(
-                self.now, "send", pid=process.pid,
-                dest=dest.name, nbytes=action.nbytes,
-            )
         if not cross:
             self._deliver(dest, message)
             return
@@ -713,11 +651,6 @@ class Kernel:
         if tag.container_id is not None and tag.container_id != process.container_id:
             self.rebind(process, tag.container_id)
         self.hooks.on_recv(process, message, endpoint)
-        if self.trace.enabled:
-            self.trace.record(
-                self.now, "recv", pid=process.pid, source=endpoint.name,
-                ctx=tag.container_id,
-            )
         process.pending_result = message
 
     # ------------------------------------------------------------------
@@ -740,7 +673,6 @@ class Kernel:
         process.state = ProcessState.ZOMBIE
         process.program.close()
         self.hooks.on_exit(process)
-        self.trace.record(self.now, "exit", pid=process.pid)
         waiter = self._wait_for_child.pop(process.pid, None)
         if waiter is not None:
             self._reap(process)

@@ -143,11 +143,6 @@ class SocketPair:
         b.pair_latency = latency
         self.latency = latency
 
-    @property
-    def cross_machine(self) -> bool:
-        """True when the two endpoints live on different machines."""
-        return self.a.machine is not self.b.machine
-
     @staticmethod
     def local(machine: "Machine", name: str = "sock", per_segment_tagging: bool = True) -> "SocketPair":
         """Create a same-machine socket pair (e.g. web server <-> database)."""

@@ -239,16 +239,6 @@ class TransportFaultPlan:
         """Drop frames with probability ``prob`` over ``[start, end)``."""
         return self.add(TransportWindow(start, end, drop=prob, **kwargs))
 
-    def duplicate_window(self, start: int, end: int, prob: float,
-                         **kwargs) -> "TransportFaultPlan":
-        """Deliver a second copy of frames with probability ``prob``."""
-        return self.add(TransportWindow(start, end, duplicate=prob, **kwargs))
-
-    def reorder_window(self, start: int, end: int, prob: float,
-                       **kwargs) -> "TransportFaultPlan":
-        """Swap a frame past its successor with probability ``prob``."""
-        return self.add(TransportWindow(start, end, reorder=prob, **kwargs))
-
     def delay_window(self, start: int, end: int, prob: float,
                      max_delay: int = 3, **kwargs) -> "TransportFaultPlan":
         """Hold frames for 1..``max_delay`` rounds with probability

@@ -1,20 +1,17 @@
 """Discrete-event simulation engine underlying the reproduction.
 
-The engine provides a virtual clock, a deterministic event queue, named
-random-number streams, and a trace recorder.  All other subsystems
+The engine provides a virtual clock, a deterministic event queue, and
+named random-number streams.  All other subsystems
 (:mod:`repro.hardware`, :mod:`repro.kernel`, :mod:`repro.workloads`) run on
 top of one :class:`~repro.sim.engine.Simulator` instance.
 """
 
 from repro.sim.engine import Simulator, ScheduledEvent, SimulationError
 from repro.sim.rng import RngHub
-from repro.sim.trace import TraceRecorder, TraceEvent
 
 __all__ = [
     "Simulator",
     "ScheduledEvent",
     "SimulationError",
     "RngHub",
-    "TraceRecorder",
-    "TraceEvent",
 ]

@@ -90,10 +90,6 @@ class Simulator:
         #: chain -- self-identifying, so two live chains sharing a callback
         #: (a stop/start flap race) each shut down independently.
         self.current_event: Optional[ScheduledEvent] = None
-        #: Callbacks fired after every :meth:`run_epoch` barrier, in
-        #: registration order.  Sharded simulation uses these to flush
-        #: cross-shard outboxes exactly at the epoch boundary.
-        self._drain_hooks: list[Callable[[], None]] = []
 
     @property
     def now(self) -> float:
@@ -254,28 +250,16 @@ class Simulator:
             self._running = False
         self._now = time
 
-    def add_drain_hook(self, hook: Callable[[], None]) -> None:
-        """Register a callback fired after every :meth:`run_epoch` barrier.
-
-        Hooks run *outside* the event loop (the clock has already reached
-        the barrier and no callback is executing), in registration order --
-        the deterministic point at which a shard host collects the epoch's
-        cross-shard messages.
-        """
-        self._drain_hooks.append(hook)
-
     def run_epoch(self, end: float) -> None:
-        """Run to the epoch barrier ``end``, then fire the drain hooks.
+        """Run to the epoch barrier ``end``: a shard's step between two
+        barriers.
 
         Identical to :meth:`run_until` (events with timestamps ``<= end``
-        fire; the clock lands exactly on ``end``) plus the drain-hook pass.
-        Events a hook schedules land in the *next* epoch, which is what
-        gives sharded runs their stable total order: nothing a hook emits
-        can affect the epoch that just completed.
+        fire; the clock lands exactly on ``end``).  Events scheduled after
+        it returns, at or past ``end``, land in the *next* epoch, which is
+        what gives sharded runs their stable total order.
         """
         self.run_until(end)
-        for hook in self._drain_hooks:
-            hook()
 
     def run(self, max_events: int = 10_000_000) -> None:
         """Run until the event queue is empty (bounded by ``max_events``)."""

@@ -412,11 +412,6 @@ class LiveWorkloadRun:
     warmup: float
     _start_energy: Optional[float] = None
 
-    @property
-    def measure_started(self) -> bool:
-        """Whether the warmup boundary checkpoint has been taken."""
-        return self._start_energy is not None
-
     def finish(self) -> WorkloadRun:
         """Drive the clock to the end and package the measurement.
 

@@ -66,32 +66,3 @@ def test_timeout_rate(sb_cal):
     assert driver.timeout_rate(1e-6) == pytest.approx(1.0)
     with pytest.raises(ValueError):
         driver.timeout_rate(0.0)
-
-
-def test_power_history_recording(sb_cal):
-    from repro.workloads import StressWorkload, run_workload
-    run = run_workload(
-        StressWorkload(), SANDYBRIDGE, sb_cal,
-        load_fraction=0.4, duration=1.5, warmup=0.0, with_meter=False,
-        facility_kwargs={"record_power_history": True},
-    )
-    done = [r for r in run.driver.results
-            if r.container.stats.cpu_seconds > 0.05]
-    assert done
-    history = done[0].container.power_history
-    # ~100 ms request at ~1 ms sampling: a rich series.
-    assert len(history) > 50
-    times = [t for t, _w in history]
-    assert times == sorted(times)
-    watts = [w for _t, w in history]
-    assert all(w > 5.0 for w in watts)
-
-
-def test_power_history_off_by_default(sb_cal):
-    from repro.workloads import SolrWorkload, run_workload
-    run = run_workload(
-        SolrWorkload(), SANDYBRIDGE, sb_cal,
-        load_fraction=0.3, duration=1.0, warmup=0.0, with_meter=False,
-    )
-    for result in run.driver.results:
-        assert result.container.power_history == []

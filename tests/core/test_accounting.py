@@ -179,6 +179,13 @@ def test_bad_primary_rejected(sb_cal):
     kernel = Kernel(machine, sim)
     with pytest.raises(ValueError):
         PowerContainerFacility(kernel, sb_cal, primary="nonexistent")
+    # Each approach charges its own energy entry; a repeated name would
+    # charge one entry twice per sample.
+    from repro.core.facility import default_approaches
+    approaches = default_approaches()
+    with pytest.raises(ValueError, match="duplicate approach names"):
+        PowerContainerFacility(kernel, sb_cal,
+                               approaches=approaches + approaches[-1:])
 
 
 def test_refcount_released_after_completion(sb_cal):

@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 
 from repro.core.budget import EnergyBudgetConditioner
 from repro.core.container import PowerContainer
-from repro.hardware import EventVector, SANDYBRIDGE, build_machine
+from repro.hardware import SANDYBRIDGE, build_machine
 from repro.kernel import Kernel
 from repro.sim import Simulator
 
@@ -19,7 +19,7 @@ def _conditioner(default=1.0, **kwargs):
 
 def _container_with_energy(joules):
     c = PowerContainer(1)
-    c.stats.record_interval(1.0, 0.01, EventVector(), {"recal": joules}, 1.0)
+    c.stats.energy_joules["recal"] = joules
     return c
 
 

@@ -4,12 +4,12 @@ import pytest
 
 from repro.core.clients import ClientEnergyLedger, ClientUsage
 from repro.core.container import PowerContainer
-from repro.hardware import EventVector
 
 
 def _container(cid, client, energy, rtype="read", cpu=0.01, io=0.0):
     c = PowerContainer(cid, meta={"client": client, "rtype": rtype})
-    c.stats.record_interval(1.0, cpu, EventVector(), {"recal": energy}, 1.0)
+    c.stats.cpu_seconds = cpu
+    c.stats.energy_joules["recal"] = energy
     c.stats.io_energy_joules = io
     return c
 
@@ -36,7 +36,7 @@ def test_io_energy_included_in_total():
 def test_unattributed_energy_tracked():
     ledger = ClientEnergyLedger()
     anon = PowerContainer(9)
-    anon.stats.record_interval(1.0, 0.01, EventVector(), {"recal": 4.0}, 1.0)
+    anon.stats.energy_joules["recal"] = 4.0
     assert ledger.record(anon) is None
     assert ledger.unattributed_joules == pytest.approx(4.0)
     assert ledger.total_joules == 0.0

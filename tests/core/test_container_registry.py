@@ -4,7 +4,14 @@ import pytest
 
 from repro.core import ContainerRegistry, PowerContainer
 from repro.core.registry import BACKGROUND_CONTAINER_ID
-from repro.hardware import EventVector
+from tests.core.conftest import charge, linear_accountant
+
+
+def _spent(container, cpu_seconds, joules, approach="recal"):
+    """A container that has already run: CPU time and energy set."""
+    container.stats.cpu_seconds = cpu_seconds
+    container.stats.energy_joules[approach] = joules
+    return container
 
 
 def test_registry_has_background_container():
@@ -64,25 +71,17 @@ def test_label_prefix_filter():
 
 
 def test_record_interval_accumulates_stats():
-    c = PowerContainer(1)
-    c.stats.record_interval(
-        now=1.0,
-        dt=0.001,
-        events=EventVector(nonhalt_cycles=1e6, instructions=2e6),
-        energy_by_approach={"eq2": 0.01, "recal": 0.012},
-        duty_ratio=1.0,
-    )
-    c.stats.record_interval(
-        now=1.001,
-        dt=0.001,
-        events=EventVector(nonhalt_cycles=1e6),
-        energy_by_approach={"eq2": 0.01, "recal": 0.011},
-        duty_ratio=0.5,
-    )
+    """Two charged intervals on a real accountant accumulate events,
+    per-approach energy, CPU time, duty and the activity window."""
+    accountant = linear_accountant({"eq2": 10.0, "recal": 12.0})
+    c = accountant.registry.create("req")
+    freq = accountant.core.freq_hz
+    charge(accountant, c, 0.999, 1.0, mcore=1.0)
+    charge(accountant, c, 1.0, 1.001, mcore=0.5, duty_level=4)
     assert c.stats.cpu_seconds == pytest.approx(0.002)
-    assert c.energy("eq2") == pytest.approx(0.02)
-    assert c.energy("recal") == pytest.approx(0.023)
-    assert c.stats.events.nonhalt_cycles == pytest.approx(2e6)
+    assert c.energy("eq2") == pytest.approx(0.01 + 0.005)
+    assert c.energy("recal") == pytest.approx(0.012 + 0.006)
+    assert c.stats.events.nonhalt_cycles == pytest.approx(1.5e-3 * freq)
     assert c.stats.sample_count == 2
     assert c.stats.mean_duty_ratio == pytest.approx(0.75)
     assert c.stats.first_activity == pytest.approx(0.999)
@@ -90,10 +89,7 @@ def test_record_interval_accumulates_stats():
 
 
 def test_mean_power_is_energy_over_cpu_time():
-    c = PowerContainer(1)
-    c.stats.record_interval(
-        1.0, 0.5, EventVector(), {"recal": 5.0}, duty_ratio=1.0
-    )
+    c = _spent(PowerContainer(1), cpu_seconds=0.5, joules=5.0)
     assert c.mean_power("recal") == pytest.approx(10.0)
 
 
@@ -102,36 +98,42 @@ def test_mean_power_zero_when_never_scheduled():
 
 
 def test_total_energy_includes_io():
-    c = PowerContainer(1)
-    c.stats.record_interval(1.0, 0.1, EventVector(), {"recal": 1.0}, 1.0)
+    c = _spent(PowerContainer(1), cpu_seconds=0.1, joules=1.0)
     c.stats.io_energy_joules = 0.5
     assert c.total_energy("recal") == pytest.approx(1.5)
 
 
 def test_observe_power_ewma_projection():
-    c = PowerContainer(1)
-    c.observe_power("recal", watts=5.0, duty_ratio=0.5)
-    # First observation seeds the EWMA with the full-speed projection.
+    """The primary approach's power, divided by the duty ratio, feeds the
+    full-speed EWMA (alpha 0.3), seeded by the first charge."""
+    accountant = linear_accountant({"recal": 10.0})
+    c = accountant.registry.create("req")
+    charge(accountant, c, 0.0, 0.001, mcore=0.5, duty_level=4)
+    assert c.last_power_watts["recal"] == pytest.approx(5.0)
     assert c.full_speed_power_ewma == pytest.approx(10.0)
-    c.observe_power("recal", watts=10.0, duty_ratio=1.0, ewma_alpha=0.5)
-    assert c.full_speed_power_ewma == pytest.approx(10.0)
+    charge(accountant, c, 0.001, 0.002, mcore=0.8)
+    assert c.full_speed_power_ewma == pytest.approx(0.7 * 10.0 + 0.3 * 8.0)
 
 
 def test_observe_power_without_ewma_update():
-    c = PowerContainer(1)
-    c.observe_power("eq1", watts=5.0, duty_ratio=1.0, update_ewma=False)
-    assert c.full_speed_power_ewma == 0.0
-    assert c.last_power_watts["eq1"] == 5.0
+    """Every approach records its last power; only the primary moves the
+    full-speed EWMA."""
+    accountant = linear_accountant({"eq1": 10.0, "recal": 20.0})
+    c = accountant.registry.create("req")
+    charge(accountant, c, 0.0, 0.001, mcore=0.5)
+    assert c.last_power_watts == {
+        "eq1": pytest.approx(5.0), "recal": pytest.approx(10.0)
+    }
+    assert c.full_speed_power_ewma == pytest.approx(10.0)
 
 
 def test_export_carried_delta_never_double_counts():
-    c = PowerContainer(1)
-    c.stats.record_interval(1.0, 0.1, EventVector(), {"recal": 1.0}, 1.0)
+    c = _spent(PowerContainer(1), cpu_seconds=0.1, joules=1.0)
     first = c.export_carried_delta()
     assert first["energy:recal"] == pytest.approx(1.0)
     second = c.export_carried_delta()
     assert second["energy:recal"] == pytest.approx(0.0)
-    c.stats.record_interval(1.2, 0.1, EventVector(), {"recal": 0.5}, 1.0)
+    _spent(c, cpu_seconds=0.2, joules=1.5)
     third = c.export_carried_delta()
     assert third["energy:recal"] == pytest.approx(0.5)
 
@@ -147,8 +149,7 @@ def test_merge_carried_adds_remote_stats():
 
 
 def test_export_then_merge_round_trip():
-    remote = PowerContainer(7)
-    remote.stats.record_interval(1.0, 0.3, EventVector(), {"recal": 3.0}, 1.0)
+    remote = _spent(PowerContainer(7), cpu_seconds=0.3, joules=3.0)
     local = PowerContainer(7)
     local.stats.merge_carried(remote.export_carried_delta())
     assert local.energy("recal") == pytest.approx(3.0)
@@ -159,7 +160,7 @@ def test_total_energy_sums_over_registry():
     reg = ContainerRegistry()
     a = reg.create("a")
     b = reg.create("b")
-    a.stats.record_interval(1.0, 0.1, EventVector(), {"recal": 1.0}, 1.0)
-    b.stats.record_interval(1.0, 0.1, EventVector(), {"recal": 2.0}, 1.0)
+    _spent(a, cpu_seconds=0.1, joules=1.0)
+    _spent(b, cpu_seconds=0.1, joules=2.0)
     b.stats.io_energy_joules = 0.5
     assert reg.total_energy("recal") == pytest.approx(3.5)

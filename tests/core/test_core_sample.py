@@ -218,6 +218,42 @@ def test_flush_double_run_is_bit_identical(sb_cal):
     assert energies[0] == energies[1]
 
 
+def test_multi_stage_run_charges_every_sample_to_one_stage(sb_cal):
+    """On a seeded WeBWorK run (worker -> MySQL thread -> forked latex and
+    dvipng, the Fig. 4 flow), every accounting sample lands in exactly
+    one container, and each container's per-stage CPU time and energy
+    add up to its totals.  The stage sums add the same terms in a
+    different order, hence the relative tolerance."""
+    from repro.workloads import WeBWorKWorkload, run_workload
+
+    run = run_workload(
+        WeBWorKWorkload(), SANDYBRIDGE, sb_cal,
+        load_fraction=0.6, duration=1.0, warmup=0.2, seed=7,
+    )
+    facility = run.facility
+    assert facility.conditioner is None
+    facility.flush()
+    containers = facility.registry.all_containers()
+    samples = sum(a.samples_taken for a in facility.accountants.values())
+    assert samples > 1000
+    assert sum(c.stats.sample_count for c in containers) == samples
+    primary = facility.primary
+    staged = 0
+    for container in containers:
+        stats = container.stats
+        if stats.sample_count == 0:
+            continue
+        assert sum(stats.stage_cpu_seconds.values()) == pytest.approx(
+            stats.cpu_seconds, rel=1e-9
+        )
+        assert sum(stats.stage_energy_joules.values()) == pytest.approx(
+            stats.energy_joules[primary], rel=1e-9
+        )
+        staged += len(stats.stage_cpu_seconds) > 1
+    # Requests really crossed stages.
+    assert staged > 10
+
+
 @given(
     start=st.floats(0.0, COUNTER_WRAP - 1.0),
     delta=st.floats(0.0, 1e12),

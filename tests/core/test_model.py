@@ -4,18 +4,24 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.core import MetricSample, PowerModel, FEATURES_EQ1, FEATURES_EQ2
+from repro.core import PowerModel, FEATURES_EQ1, FEATURES_EQ2
+from repro.core.model import ALL_FEATURES
+
+
+def _row(**metrics):
+    """A feature row over ``ALL_FEATURES``, zero where not given."""
+    return np.array([metrics.get(name, 0.0) for name in ALL_FEATURES])
 
 
 def test_active_power_is_linear_combination():
     model = PowerModel(("mcore", "mins"), np.array([10.0, 2.0]))
-    sample = MetricSample(mcore=0.5, mins=1.0)
-    assert model.active_power(sample) == pytest.approx(10.0 * 0.5 + 2.0)
+    row = _row(mcore=0.5, mins=1.0)
+    assert model.active_power_row(row) == pytest.approx(10.0 * 0.5 + 2.0)
 
 
 def test_active_power_clamped_at_zero():
     model = PowerModel(("mcore",), np.array([0.0]))
-    assert model.active_power(MetricSample(mcore=1.0)) == 0.0
+    assert model.active_power_row(_row(mcore=1.0)) == 0.0
 
 
 def test_unknown_feature_rejected():
@@ -95,18 +101,30 @@ def test_copy_is_independent():
 
 
 def test_batch_matches_scalar_path():
-    model = PowerModel(("mcore", "mins"), np.array([10.0, 2.0]))
-    rows = np.array([[0.5, 1.0], [1.0, 2.5], [0.0, 0.0]])
-    batch = model.active_power_batch(rows)
-    for row, watts in zip(rows, batch):
-        sample = MetricSample(mcore=row[0], mins=row[1])
-        assert watts == pytest.approx(model.active_power(sample))
+    """Each row view of an ``(n, 8)`` batch gives the scalar ``coef . x``,
+    through the prefix slice and through the gather of a non-prefix
+    feature set alike."""
+    rows = np.array([
+        _row(mcore=0.5, mins=1.0, mcache=7.0),
+        _row(mcore=1.0, mins=2.5),
+        _row(),
+    ])
+    prefix = PowerModel(("mcore", "mins"), np.array([10.0, 2.0]))
+    gathered = PowerModel(("mins", "mcore"), np.array([2.0, 10.0]))
+    assert prefix._prefix_len == 2 and gathered._prefix_len == 0
+    for row in rows:
+        expected = 10.0 * row[0] + 2.0 * row[1]
+        assert prefix.active_power_row(row) == pytest.approx(expected)
+        assert gathered.active_power_row(row) == pytest.approx(expected)
 
 
 def test_metric_sample_vector_projection_order():
-    sample = MetricSample(mcore=1.0, mins=2.0, mcache=3.0)
-    vec = sample.as_vector(("mcache", "mcore"))
-    assert list(vec) == [3.0, 1.0]
+    """A metric row is projected in the model's feature order."""
+    row = _row(mcore=1.0, mins=2.0, mcache=3.0)
+    assert PowerModel(("mcache", "mcore"), np.array([1.0, 0.0])) \
+        .active_power_row(row) == 3.0
+    assert PowerModel(("mcache", "mcore"), np.array([0.0, 1.0])) \
+        .active_power_row(row) == 1.0
 
 
 @given(
@@ -115,7 +133,7 @@ def test_metric_sample_vector_projection_order():
 )
 def test_property_power_nonnegative_and_monotone_in_metrics(coef, m):
     model = PowerModel(("mcore", "mins"), np.array(coef))
-    base = model.active_power(MetricSample(mcore=m[0], mins=m[1]))
-    bigger = model.active_power(MetricSample(mcore=m[0] + 0.1, mins=m[1]))
+    base = model.active_power_row(_row(mcore=m[0], mins=m[1]))
+    bigger = model.active_power_row(_row(mcore=m[0] + 0.1, mins=m[1]))
     assert base >= 0
     assert bigger >= base

@@ -154,7 +154,7 @@ def test_continued_slices_reuse_the_fired_slice_end_handle(world):
     assert done == [pytest.approx(0.012 + (7.7e-3 - 3.3e-3) / 2, rel=1e-6)]
     assert len(cancelled) == 2
     assert sorted(ended) == [n for n, _ in started]  # each ends once
-    assert len(kernel.trace.of_kind("overflow")) >= 8
+    assert len(kernel.hooks.of_kind("overflow")) >= 8
     # Continuations re-armed fired handles: far fewer handles than slices.
     handles = {id(h) for _, h in started}
     assert len(handles) <= 4 < len(started)
@@ -210,11 +210,52 @@ def test_overflow_interrupts_fire_about_once_per_busy_millisecond(world):
 
     kernel.spawn(program(), "w")
     sim.run_until(1.0)
-    overflows = kernel.trace.of_kind("overflow")
+    overflows = kernel.hooks.of_kind("overflow")
     assert 8 <= len(overflows) <= 11
 
 
 def test_no_overflow_interrupts_when_idle(world):
     sim, machine, kernel = world
     sim.run_until(1.0)
-    assert kernel.trace.of_kind("overflow") == []
+    assert kernel.hooks.of_kind("overflow") == []
+
+
+@pytest.mark.parametrize("wrap", [False, True])
+def test_effective_core_counters_add_the_in_flight_slice(world, wrap):
+    """Mid-slice, the read is the architectural register (wrapped modulo
+    the counter width when the bank wraps) plus the slice's events so
+    far -- bit for bit the ``read()`` + ``events_for_cycles`` + ``add``
+    composition."""
+    from repro.hardware import EventVector
+    from repro.hardware.counters import COUNTER_WRAP
+
+    sim, machine, kernel = world
+    core = machine.cores[0]
+    core.counters.accumulate(EventVector(
+        nonhalt_cycles=COUNTER_WRAP - 1e5, instructions=COUNTER_WRAP - 7e4,
+        flops=COUNTER_WRAP - 3.0, cache_refs=12.5, mem_trans=COUNTER_WRAP,
+    ))
+    core.counters.wrap = wrap
+    core.counters.acknowledge_overflow()
+
+    def program():
+        yield Compute(cycles=machine.freq_hz * 0.01, profile=MEMHEAVY)
+
+    kernel.spawn(program(), "w", pinned_core=0)
+    sim.run_until(0.37e-3)
+    active = kernel._slices[0]
+    cycles = min(
+        core.cycles_for_seconds(sim.now - active.start_time),
+        active.process.compute_remaining / active.work_fraction,
+    )
+    assert cycles > 0
+    expected = core.counters.read()
+    inflight = MEMHEAVY.events_for_cycles(cycles * active.work_fraction)
+    inflight.nonhalt_cycles = cycles
+    expected.add(inflight)
+    assert kernel.effective_core_counters(core) == (
+        expected.nonhalt_cycles, expected.instructions, expected.flops,
+        expected.cache_refs, expected.mem_trans,
+    )
+    if wrap:
+        assert expected.mem_trans < 1e9  # the register really wrapped

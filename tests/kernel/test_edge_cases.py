@@ -1,13 +1,10 @@
 """Kernel edge cases: interleavings, chained flows, and guards."""
 
-import pytest
-
-from repro.hardware import RateProfile, SANDYBRIDGE, build_machine
+from repro.hardware import RateProfile
 from repro.kernel import (
     Compute,
     Exit,
     Fork,
-    Kernel,
     Message,
     ProcessState,
     Recv,
@@ -16,17 +13,8 @@ from repro.kernel import (
     SocketPair,
     WaitChild,
 )
-from repro.sim import Simulator, TraceRecorder
 
 WORK = RateProfile(name="work", ipc=1.0)
-
-
-@pytest.fixture
-def world():
-    sim = Simulator()
-    machine = build_machine(SANDYBRIDGE, sim)
-    kernel = Kernel(machine, sim, trace=TraceRecorder())
-    return sim, machine, kernel
 
 
 def test_fig4_style_process_tree(world):
@@ -55,7 +43,7 @@ def test_fig4_style_process_tree(world):
     sim.run_until(0.1)
     assert order == ["latex", "dvipng", "worker-done"]
     # Both children inherited the context.
-    forks = kernel.trace.of_kind("fork")
+    forks = kernel.hooks.of_kind("fork")
     assert len(forks) == 2
     children = [kernel.processes[e.detail["child"]] for e in forks]
     assert all(c.container_id == 5 for c in children)

@@ -3,16 +3,9 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.hardware import RateProfile, SANDYBRIDGE, WOODCREST, build_machine
-from repro.kernel import Compute, Kernel, ProcessState, Sleep
-from repro.sim import Simulator, TraceRecorder
-
-
-def _build(spec=SANDYBRIDGE):
-    sim = Simulator()
-    machine = build_machine(spec, sim)
-    kernel = Kernel(machine, sim, trace=TraceRecorder())
-    return sim, machine, kernel
+from repro.hardware import RateProfile, WOODCREST
+from repro.kernel import Compute, ProcessState, Sleep
+from tests.kernel.conftest import recording_kernel as _build
 
 
 @settings(max_examples=20, deadline=None)
@@ -117,7 +110,7 @@ def test_property_no_core_ever_runs_two_processes(n_tasks):
 
 def _run_and_collect(sim, kernel, until):
     sim.run_until(until)
-    return list(kernel.trace)
+    return list(kernel.hooks.events)
 
 
 @settings(max_examples=15, deadline=None)
@@ -186,5 +179,5 @@ def test_clock_monotonicity_in_trace():
     for i in range(6):
         kernel.spawn(program(), f"w{i}")
     sim.run_until(0.1)
-    times = [e.time for e in kernel.trace]
+    times = [e.time for e in kernel.hooks.events]
     assert times == sorted(times)

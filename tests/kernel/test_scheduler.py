@@ -74,7 +74,7 @@ def test_oversubscription_round_robins_with_quantum(world):
             f"t{i}",
         )
     sim.run_until(1.0)
-    preempts = kernel.trace.of_kind("undispatch")
+    preempts = kernel.hooks.of_kind("undispatch")
     assert any(e.detail["reason"] == "preempt" for e in preempts)
 
 
@@ -101,7 +101,7 @@ def test_no_preemption_when_no_waiters(world):
 
     kernel.spawn(program(), "solo")
     sim.run_until(0.1)
-    reasons = {e.detail["reason"] for e in kernel.trace.of_kind("undispatch")}
+    reasons = {e.detail["reason"] for e in kernel.hooks.of_kind("undispatch")}
     assert "preempt" not in reasons
 
 

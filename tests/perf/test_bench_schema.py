@@ -38,8 +38,8 @@ def _results(**overrides):
         "micro-telemetry-disabled-ratio": BenchResult(
             "micro-telemetry-disabled-ratio", "micro", 0.05, ratio=1.0,
         ),
-        "macro-solr-workload": BenchResult(
-            "macro-solr-workload", "macro", 0.13,
+        "micro-simulator-queue": BenchResult(
+            "micro-simulator-queue", "micro", 0.13,
         ),
     }
     results.update(overrides)
@@ -54,7 +54,7 @@ def test_write_emits_schema_2_with_ratio_fields(tmp_path):
     entry = benchmarks["micro-correlation-vs-oracle-ratio"]
     assert entry["seconds"] == 0.0002  # a wall time, not the ratio
     assert entry["ratio"] == MIN_CORRELATION_RATIO * 4
-    assert "ratio" not in benchmarks["macro-solr-workload"]
+    assert "ratio" not in benchmarks["micro-simulator-queue"]
     # Round trip through the loader.
     assert load_bench_json(path) == json.load(open(path))
 
@@ -76,7 +76,7 @@ def test_check_regressions_flags_every_dropped_benchmark():
     partial = {"micro-event-vector": _results()["micro-event-vector"]}
     problems = check_regressions(partial, committed)
     dropped = set(load_bench_json(committed)["benchmarks"]) - set(partial)
-    assert len(dropped) == 10
+    assert len(dropped) == 8
     assert len(problems) == len(dropped)
     assert {problem.split(":")[0] for problem in problems} == dropped
     assert all("not produced by this run" in p for p in problems)
@@ -84,13 +84,13 @@ def test_check_regressions_flags_every_dropped_benchmark():
 
 def test_check_regressions_flags_wall_time(tmp_path):
     slow = _results(**{
-        "macro-solr-workload": BenchResult(
-            "macro-solr-workload", "macro", 10.0,
+        "micro-simulator-queue": BenchResult(
+            "micro-simulator-queue", "micro", 10.0,
         ),
     })
     problems = check_regressions(slow, _committed(tmp_path))
     assert len(problems) == 1
-    assert "macro-solr-workload" in problems[0]
+    assert "micro-simulator-queue" in problems[0]
 
 
 def test_check_regressions_flags_ratio_floor(tmp_path):

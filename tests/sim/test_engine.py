@@ -273,34 +273,6 @@ def test_sweep_preserves_firing_order():
     assert fired == keep + [-1]
 
 
-def test_run_epoch_fires_drain_hooks_at_barrier():
-    sim = Simulator()
-    fired = []
-    sim.schedule_at(0.1, fired.append, "event")
-    sim.add_drain_hook(lambda: fired.append(("hook-a", sim.now)))
-    sim.add_drain_hook(lambda: fired.append(("hook-b", sim.now)))
-    sim.run_epoch(0.25)
-    # Hooks run after the events, outside the loop, in registration order,
-    # with the clock already landed exactly on the barrier.
-    assert fired == ["event", ("hook-a", 0.25), ("hook-b", 0.25)]
-    assert sim.now == 0.25
-
-
-def test_drain_hook_schedules_land_in_next_epoch():
-    sim = Simulator()
-    fired = []
-
-    def hook():
-        # time == now is legal; the event must wait for the next epoch.
-        sim.schedule_at(sim.now, fired.append, sim.now)
-
-    sim.add_drain_hook(hook)
-    sim.run_epoch(0.25)
-    assert fired == []  # nothing a hook emits affects the closed epoch
-    sim.run_epoch(0.5)
-    assert fired == [0.25]
-
-
 def test_run_epoch_rejects_running_backwards():
     sim = Simulator()
     sim.run_epoch(0.5)

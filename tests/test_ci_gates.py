@@ -67,8 +67,8 @@ def test_every_hot_path_marked_function_lints_clean():
 
 def test_trend_history_appends_one_json_line_per_run(tmp_path):
     results = {
-        "macro-solr-workload": perf.BenchResult(
-            "macro-solr-workload", "macro", 0.13,
+        "micro-simulator-queue": perf.BenchResult(
+            "micro-simulator-queue", "micro", 0.13,
         ),
         "micro-correlation-vs-oracle-ratio": perf.BenchResult(
             "micro-correlation-vs-oracle-ratio", "micro", 0.0002, ratio=9.0,
@@ -77,7 +77,7 @@ def test_trend_history_appends_one_json_line_per_run(tmp_path):
     path = str(tmp_path / "results" / "BENCH_history.jsonl")
     perf.append_trend_history(results, [], path)
     perf.append_trend_history(
-        results, ["macro-solr-workload: too slow"], path,
+        results, ["micro-simulator-queue: too slow"], path,
     )
     lines = [
         json.loads(line)
@@ -87,13 +87,13 @@ def test_trend_history_appends_one_json_line_per_run(tmp_path):
     first, second = lines
     assert first["threshold"] == perf.TREND_THRESHOLD
     assert first["problems"] == []
-    assert first["benchmarks"]["macro-solr-workload"]["seconds"] == 0.13
+    assert first["benchmarks"]["micro-simulator-queue"]["seconds"] == 0.13
     assert (
         first["benchmarks"]["micro-correlation-vs-oracle-ratio"]["ratio"]
         == 9.0
     )
-    assert "ratio" not in first["benchmarks"]["macro-solr-workload"]
-    assert second["problems"] == ["macro-solr-workload: too slow"]
+    assert "ratio" not in first["benchmarks"]["micro-simulator-queue"]
+    assert second["problems"] == ["micro-simulator-queue: too slow"]
 
 
 def _reference():

@@ -4,7 +4,6 @@ import pytest
 
 from repro.core.container import PowerContainer
 from repro.hardware import (
-    EventVector,
     RateProfile,
     SANDYBRIDGE,
     WESTMERE,
@@ -13,6 +12,7 @@ from repro.hardware import (
 )
 from repro.kernel import Compute, Kernel, NetIO
 from repro.sim import Simulator
+from tests.core.conftest import charge, linear_accountant
 
 
 def test_spec_with_overrides_is_a_copy():
@@ -65,21 +65,15 @@ def test_sleep_rejects_negative():
 
 
 def test_stage_breakdown_unit():
-    c = PowerContainer(1)
-    c.stats.record_interval(
-        1.0, 0.01, EventVector(), {"recal": 0.2}, 1.0,
-        stage="apache", primary_approach="recal",
-    )
-    c.stats.record_interval(
-        1.1, 0.02, EventVector(), {"recal": 0.3}, 1.0,
-        stage="mysql", primary_approach="recal",
-    )
-    c.stats.record_interval(
-        1.2, 0.01, EventVector(), {"recal": 0.1}, 1.0,
-        stage="apache", primary_approach="recal",
-    )
+    """Per-stage energy is the primary approach's (``eq1`` is charged
+    after it, at a different power, and must not leak into the stages)."""
+    accountant = linear_accountant({"recal": 20.0, "eq1": 5.0})
+    c = accountant.registry.create("req")
+    charge(accountant, c, 0.99, 1.0, mcore=1.0, stage="apache")
+    charge(accountant, c, 1.08, 1.1, mcore=0.75, stage="mysql")
+    charge(accountant, c, 1.19, 1.2, mcore=0.5, stage="apache")
     assert c.stats.stage_energy_joules == {
-        "apache": pytest.approx(0.3), "mysql": pytest.approx(0.3)
+        "apache": pytest.approx(0.2 + 0.1), "mysql": pytest.approx(0.3)
     }
     assert c.stats.stage_cpu_seconds["apache"] == pytest.approx(0.02)
     assert c.stats.stage_mean_power("apache") == pytest.approx(15.0)
@@ -87,8 +81,10 @@ def test_stage_breakdown_unit():
 
 
 def test_stage_breakdown_without_stage_is_skipped():
-    c = PowerContainer(1)
-    c.stats.record_interval(1.0, 0.01, EventVector(), {"recal": 0.2}, 1.0)
+    accountant = linear_accountant({"recal": 20.0})
+    c = accountant.registry.create("req")
+    charge(accountant, c, 0.99, 1.0, mcore=1.0)
+    assert c.energy("recal") == pytest.approx(0.2)
     assert c.stats.stage_energy_joules == {}
 
 
@@ -107,7 +103,8 @@ def test_learn_type_profiles_unit(tmp_path):
 
     def _result(rtype, energy, cpu):
         c = PowerContainer(1)
-        c.stats.record_interval(1.0, cpu, EventVector(), {"recal": energy}, 1.0)
+        c.stats.cpu_seconds = cpu
+        c.stats.energy_joules["recal"] = energy
         return RequestResult(0, rtype, 0.0, 1.0, c)
 
     run = _FakeRun([
