@@ -58,6 +58,10 @@ OVERLOAD_SCENARIOS = ("arrival-storm", "cap-squeeze", "storm-during-crash")
 #: The seeded flush-tick run's fingerprint (see :func:`_flush_fingerprint`).
 FLUSH_KEYS = ("flush_charged", "flush_energies", "flush_samples")
 
+#: Every field of a calibration (see :func:`calibration_fingerprint`).
+CALIBRATION_KEYS = ("samples", "active_watts", "metric_max",
+                    "package_idle_watts")
+
 #: Fingerprint keys every resumed single-machine run must reproduce.
 RESTORE_KEYS = ("report", "trace", "shed", "batch")
 
@@ -188,6 +192,31 @@ def solr_gate(facility_kwargs=None) -> dict:
         "energies": tuple(r.energy(primary) for r in run.driver.results),
         "response_times": tuple(r.response_time for r in run.driver.results),
         "measured_joules": run.measured_active_joules,
+    }
+
+
+def calibration_fingerprint(jobs: int, duration: float = _CAL_DURATION) -> dict:
+    """Every field of all three machine models' calibrations, calibrated
+    in one fan-out over ``jobs`` workers (the samples as raw bytes)."""
+    from repro.core import calibrate_machines
+    from repro.hardware.specs import ALL_SPECS
+
+    results = calibrate_machines(ALL_SPECS, duration=duration, jobs=jobs)
+    results = list(results.values())
+    return {
+        "samples": tuple(
+            (result.samples.shape, result.samples.tobytes())
+            for result in results
+        ),
+        "active_watts": tuple(
+            result.active_watts.tobytes() for result in results
+        ),
+        "metric_max": tuple(
+            tuple(sorted(result.metric_max.items())) for result in results
+        ),
+        "package_idle_watts": tuple(
+            result.package_idle_watts for result in results
+        ),
     }
 
 
@@ -475,6 +504,13 @@ def case_table(workdir: str) -> list[Case]:
                  ("report",))
           for name in CHAOS_SCENARIOS),
         _twice("determinism", "flush", _flush_fingerprint, FLUSH_KEYS),
+        # Calibration points fan out over forked workers; the worker count
+        # must not reach a single bit.
+        Case("determinism", "calibration-jobs",
+             partial(calibration_fingerprint, 1),
+             {f"jobs-{jobs}": partial(calibration_fingerprint, jobs)
+              for jobs in (2, 3)},
+             CALIBRATION_KEYS),
         Case("determinism", "checkpoint-resume",
              partial(_checkpointed_solr, ckpt),
              {"resumed": partial(_resumed_solr, ckpt)},

@@ -4,7 +4,8 @@
 simulator queue, ``correlation_curve``, per-core accounting samples --
 model evaluation included) and the machine-independent ratios
 (vectorized code vs its loop oracle, disabled telemetry vs none); the
-**macro** benchmark times the sharded cluster at 1, 2 and 4 workers.
+**macro** benchmarks time the sharded cluster at 1, 2 and 4 workers and
+the calibration of all three machine models at 1 and 2 workers.
 The single-machine Solr run is timed, bounded and fingerprinted by the
 repo benchmark (``bench/``, workload ``solr-pkgmeter``).
 
@@ -81,6 +82,12 @@ MAX_TELEMETRY_FRAME_ON_RATIO = 2.2
 _FRAME_EPOCHS = 250
 _FRAME_ROUNDS = 12
 
+#: Minimum 2-worker speedup of calibrating all three machine models, enforced
+#: on hosts with at least two cores.  Every (microbenchmark, load) point is
+#: one task of the fork-and-pipe fan-out; measured 1.7-1.95x on a quiet
+#: 2-core host, 1.3-1.6x while other load took part of a core.
+MIN_CALIBRATION_SPEEDUP_2_WORKERS = 1.3
+
 #: Minimum required parallel speedup of the 4-worker sharded cluster run
 #: over the single-process run.  Unlike the other ratio floors this one is
 #: machine-*dependent* -- it needs real cores to parallelize onto -- so
@@ -122,7 +129,7 @@ def _best_of(fn, repeats: int = 3) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Macro benchmark
+# Macro benchmarks
 # ---------------------------------------------------------------------------
 def bench_cluster_sharded() -> BenchResult:
     """Sharded cluster run: single-process baseline vs 2 and 4 workers.
@@ -136,14 +143,14 @@ def bench_cluster_sharded() -> BenchResult:
     which :func:`check_regressions` holds above
     :data:`MIN_SHARD_SPEEDUP` on hosts with enough cores.
     """
-    from repro.faults.harness import chaos_calibration
+    from repro.faults.harness import chaos_calibrations
     from repro.hardware.specs import spec_by_name
     from repro.shard import run_sharded
     from repro.shard.coordinator import SPEC_CYCLE
     from repro.shard.scenario import solr_macro_config
 
-    for spec_name in SPEC_CYCLE:  # exclude calibration from the timings
-        chaos_calibration(spec_by_name(spec_name))
+    # Exclude calibration from the timings.
+    chaos_calibrations([spec_by_name(name) for name in SPEC_CYCLE])
 
     def arm(n_shards: int, workers: int):
         config = solr_macro_config(
@@ -172,6 +179,38 @@ def bench_cluster_sharded() -> BenchResult:
             "speedup_2_workers": baseline_seconds / two_seconds,
         },
         ratio=baseline_seconds / four_seconds,
+    )
+
+
+def bench_calibration() -> BenchResult:
+    """Full-length calibration of all three machine models, serial vs two
+    workers.
+
+    This is what every world set-up pays per machine model.  The arms
+    alternate (best of two each) and must give identical calibration
+    fingerprints; ``seconds`` is the serial wall time and
+    ``speedup_2_workers`` (serial / 2-worker) is held above
+    :data:`MIN_CALIBRATION_SPEEDUP_2_WORKERS` on hosts with two cores.
+    """
+    from ci.cases import calibration_fingerprint
+
+    best = {1: float("inf"), 2: float("inf")}
+    fingerprints = {}
+    for _ in range(2):
+        for jobs in best:
+            start = time.perf_counter()
+            fingerprints[jobs] = calibration_fingerprint(jobs, duration=0.25)
+            best[jobs] = min(best[jobs], time.perf_counter() - start)
+    if fingerprints[1] != fingerprints[2]:
+        raise RuntimeError("calibration diverged: fingerprints differ")
+    return BenchResult(
+        "macro-calibration", "macro", best[1],
+        throughput={
+            "specs_per_sec": 3 / best[1],
+            "workers_1_seconds": best[1],
+            "workers_2_seconds": best[2],
+            "speedup_2_workers": best[1] / best[2],
+        },
     )
 
 
@@ -513,6 +552,7 @@ SUITE = (
     bench_telemetry_frame_overhead,
     bench_core_sample,
     bench_cluster_sharded,
+    bench_calibration,
 )
 
 
@@ -549,6 +589,8 @@ RATIO_BOUNDS = (
      MIN_SHARD_SPEEDUP_2_WORKERS, True, 2),
     ("macro-cluster-sharded", "ratio", "4-worker speedup",
      MIN_SHARD_SPEEDUP, True, 4),
+    ("macro-calibration", "speedup_2_workers", "2-worker speedup",
+     MIN_CALIBRATION_SPEEDUP_2_WORKERS, True, 2),
 )
 
 
@@ -627,7 +669,7 @@ def check_regressions(
     and every :data:`RATIO_BOUNDS` entry the host has the cores for must
     hold.
     """
-    from repro.analysis.parallel import available_cores
+    from repro.sim.parallel import available_cores
 
     committed = load_bench_json(committed_path)["benchmarks"]
     problems = [

@@ -31,7 +31,7 @@ from repro.analysis.export import (
 )
 from repro.analysis.sweeps import SweepPoint, load_sweep, machine_sweep
 from repro.analysis.distribution_experiment import run_all_distribution_policies
-from repro.analysis.parallel import (
+from repro.sim.parallel import (
     available_cores,
     derived_seeds,
     parallel_map,

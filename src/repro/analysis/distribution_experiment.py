@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Callable
 
-from repro.analysis.parallel import parallel_starmap
+from repro.sim.parallel import parallel_starmap
 from repro.hardware.specs import SANDYBRIDGE, WOODCREST
 from repro.server.cluster import HeterogeneousCluster
 from repro.server.dispatch import (

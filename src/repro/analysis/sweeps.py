@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.analysis.parallel import parallel_starmap
+from repro.sim.parallel import parallel_starmap
 from repro.core.calibration import CalibrationResult
 from repro.hardware.specs import MachineSpec
 from repro.workloads.base import Workload, run_workload
@@ -77,8 +77,8 @@ def load_sweep(
 ) -> list[SweepPoint]:
     """Sweep the offered load on one machine.
 
-    Points are independent seeded simulations, so they fan out across a
-    process pool (``jobs`` workers; see :mod:`repro.analysis.parallel`).
+    Points are independent seeded simulations, so they fan out across
+    forked workers (``jobs``; see :mod:`repro.sim.parallel`).
     Results are identical to the serial loop for any worker count.
     """
     if not loads:

@@ -28,6 +28,7 @@ from repro.hardware.machine import Machine
 from repro.hardware.specs import MachineSpec, build_machine
 from repro.kernel import Compute, DiskIO, Kernel, NetIO, Sleep
 from repro.sim.engine import Simulator
+from repro.sim.parallel import parallel_starmap
 
 
 @dataclass(frozen=True)
@@ -272,28 +273,14 @@ def calibrate_machine(
     duration: float = 0.25,
     benchmarks: list[Microbenchmark] | None = None,
 ) -> CalibrationResult:
-    """Run the full calibration suite on one machine model."""
-    benches = benchmarks if benchmarks is not None else calibration_microbenchmarks()
-    rows = []
-    watts = []
-    for bench in benches:
-        for load in loads:
-            row, power = _run_calibration_point(spec, bench, load, duration)
-            rows.append(row)
-            watts.append(power)
-    samples = np.vstack(rows)
-    metric_max = {
-        name: float(samples[:, i].max())
-        for i, name in enumerate(FEATURES_FULL)
-    }
-    return CalibrationResult(
-        spec=spec,
-        samples=samples,
-        active_watts=np.array(watts),
-        idle_watts=spec.true_model.idle_machine_watts,
-        metric_max=metric_max,
-        package_idle_watts=_measure_package_idle(spec),
-    )
+    """Run the full calibration suite on one machine model.
+
+    Every (microbenchmark, load) point and the package-idle read is one
+    task of :func:`~repro.sim.parallel.parallel_starmap` over
+    ``resolve_jobs()`` workers; each is a self-contained seeded
+    simulation, so the result is bit-identical at any worker count.
+    """
+    return _calibrate([spec], loads, duration, benchmarks, jobs=None)[0]
 
 
 def calibrate_machines(
@@ -302,23 +289,53 @@ def calibrate_machines(
     duration: float = 0.25,
     jobs: int | None = None,
 ) -> dict[str, CalibrationResult]:
-    """Calibrate several machine models, one worker process per machine.
+    """Calibrate several machine models in one fan-out over their points.
 
-    Returns ``{spec.name: CalibrationResult}`` in the order given.  Each
-    machine's calibration is an independent seeded simulation, so results
-    are identical to calling :func:`calibrate_machine` in a loop.
+    Returns ``{spec.name: CalibrationResult}`` in the order given.  Every
+    machine's points are flattened into one task list, so the workers stay
+    busy until the last point of the heaviest machine; results are
+    identical to calling :func:`calibrate_machine` in a loop.
     """
-    # Imported lazily: repro.analysis imports repro.core at package import
-    # time, so a module-level import here would be circular.
-    from repro.analysis.parallel import parallel_starmap
-
     specs = list(specs)
-    results = parallel_starmap(
-        calibrate_machine,
-        [(spec, loads, duration) for spec in specs],
-        jobs=jobs,
-    )
+    results = _calibrate(specs, loads, duration, None, jobs=jobs)
     return {spec.name: result for spec, result in zip(specs, results)}
+
+
+def _calibrate(
+    specs: list[MachineSpec],
+    loads: tuple[float, ...],
+    duration: float,
+    benchmarks: list[Microbenchmark] | None,
+    jobs: int | None,
+) -> list[CalibrationResult]:
+    """Calibrate ``specs`` with every point of every spec one task."""
+    benches = benchmarks if benchmarks is not None else calibration_microbenchmarks()
+    tasks = []
+    for spec in specs:
+        tasks += [
+            (_run_calibration_point, spec, bench, load, duration)
+            for bench in benches
+            for load in loads
+        ]
+        tasks.append((_measure_package_idle, spec))
+    outputs = parallel_starmap(lambda task, *args: task(*args), tasks, jobs=jobs)
+    per_spec = len(benches) * len(loads) + 1
+    results = []
+    for index, spec in enumerate(specs):
+        *points, package_idle = outputs[index * per_spec:(index + 1) * per_spec]
+        samples = np.vstack([row for row, _watts in points])
+        results.append(CalibrationResult(
+            spec=spec,
+            samples=samples,
+            active_watts=np.array([watts for _row, watts in points]),
+            idle_watts=spec.true_model.idle_machine_watts,
+            metric_max={
+                name: float(samples[:, i].max())
+                for i, name in enumerate(FEATURES_FULL)
+            },
+            package_idle_watts=package_idle,
+        ))
+    return results
 
 
 def _measure_package_idle(spec: MachineSpec, duration: float = 0.05) -> float:

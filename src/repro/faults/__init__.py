@@ -41,6 +41,7 @@ from repro.faults.harness import (
     build_overload_world,
     build_single_world,
     chaos_calibration,
+    chaos_calibrations,
     chaos_workload,
     finalize_scenario,
     prepare_scenario,
@@ -70,6 +71,7 @@ __all__ = [
     "build_overload_world",
     "build_single_world",
     "chaos_calibration",
+    "chaos_calibrations",
     "chaos_workload",
     "LiveScenarioRun",
     "prepare_scenario",

@@ -28,7 +28,7 @@ from typing import Callable, Union
 
 import numpy as np
 
-from repro.core.calibration import CalibrationResult, calibrate_machine
+from repro.core.calibration import CalibrationResult, calibrate_machines
 from repro.core.facility import PowerContainerFacility
 from repro.core.powercap import PowerCapEnforcer
 from repro.faults.injectors import (
@@ -67,10 +67,19 @@ _RENDER = RateProfile(name="chaos-render", ipc=1.2, cache_per_cycle=0.01,
 
 def chaos_calibration(spec=SANDYBRIDGE) -> CalibrationResult:
     """Calibrate one machine model (cached per spec for the process)."""
-    cached = _CALIBRATIONS.get(spec.name)
-    if cached is None:
-        cached = _CALIBRATIONS[spec.name] = calibrate_machine(spec)
-    return cached
+    return chaos_calibrations([spec])[spec.name]
+
+
+def chaos_calibrations(specs) -> dict[str, CalibrationResult]:
+    """``{spec.name: calibration}`` in the order given, cached per spec.
+
+    Every spec not yet cached is calibrated in one
+    :func:`~repro.core.calibration.calibrate_machines` fan-out.
+    """
+    missing = [spec for spec in specs if spec.name not in _CALIBRATIONS]
+    if missing:
+        _CALIBRATIONS.update(calibrate_machines(missing))
+    return {spec.name: _CALIBRATIONS[spec.name] for spec in specs}
 
 
 def chaos_workload() -> SyntheticWorkload:

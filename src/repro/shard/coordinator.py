@@ -317,17 +317,16 @@ class ShardedClusterRun:
         calibrations=None,
         _resume_body: dict | None = None,
     ) -> None:
-        from repro.faults.harness import chaos_calibration
+        from repro.faults.harness import chaos_calibrations
         from repro.hardware.specs import spec_by_name
 
         self.config = config
         table = config.machine_table()
         spec_names = sorted({spec_name for _name, spec_name in table})
         if calibrations is None:
-            calibrations = {
-                spec_name: chaos_calibration(spec_by_name(spec_name))
-                for spec_name in spec_names
-            }
+            calibrations = chaos_calibrations(
+                [spec_by_name(spec_name) for spec_name in spec_names]
+            )
         self.calibrations = calibrations
         self.workload = build_shard_workload(config.workload)
         slots = _machine_slots(table, calibrations, config.rack_size)

@@ -1,13 +1,14 @@
-"""Tests for the deterministic process-pool map and its consumers."""
+"""Tests for the deterministic fork-and-pipe map and its consumers."""
 
 import dataclasses
 import os
-import pickle
+import signal
+import threading
 import time
 
 import pytest
 
-from repro.analysis.parallel import (
+from repro.sim.parallel import (
     available_cores,
     derived_seeds,
     parallel_map,
@@ -53,15 +54,18 @@ def test_single_item_runs_serially():
     assert parallel_map(_pid_of, [0], jobs=8) == [os.getpid()]
 
 
-def test_unpicklable_fn_falls_back_to_serial():
-    results = parallel_map(lambda x: x + 1, range(5), jobs=4)
-    assert results == [1, 2, 3, 4, 5]
+def test_unpicklable_fn_runs_in_forked_children():
+    # Children inherit fn by fork: a lambda needs no pickling.
+    results = parallel_map(lambda x: (x + 1, os.getpid()), range(6), jobs=3)
+    assert [value for value, _pid in results] == [1, 2, 3, 4, 5, 6]
+    assert len({pid for _value, pid in results}) == 3
 
 
-def test_unpicklable_items_fall_back_to_serial():
+def test_unpicklable_items_run_in_forked_children():
     items = [lambda: 1, lambda: 2]
-    results = parallel_map(lambda f: f(), items, jobs=4)
-    assert results == [1, 2]
+    results = parallel_map(lambda f: (f(), os.getpid()), items, jobs=2)
+    assert [value for value, _pid in results] == [1, 2]
+    assert results[1][1] != os.getpid()
 
 
 def test_task_exceptions_propagate():
@@ -71,30 +75,202 @@ def test_task_exceptions_propagate():
         parallel_map(_boom, range(4), jobs=1)
 
 
+def _fail_at(failing):
+    def task(x):
+        if x in failing:
+            raise ValueError(f"item {x}")
+        return x
+    return task
+
+
+def test_chunks_are_dealt_in_snake_order():
+    parent = os.getpid()
+    pids = parallel_map(_pid_of, range(9), jobs=2)
+    assert [pid == parent for pid in pids] == [
+        True, False, False, True, True, False, False, True, True,
+    ]
+    pids = parallel_map(_pid_of, range(7), jobs=3)
+    assert pids[0] == pids[5] == pids[6] == parent
+    assert pids[1] == pids[4] != pids[2] == pids[3]
+    assert parent not in (pids[1], pids[2])
+
+
+@pytest.mark.parametrize("failing, raised", [
+    ({1, 3}, "item 1"),  # child's chunk holds the lowest failure
+    ({0, 2}, "item 0"),  # the parent's own chunk does
+    ({5, 2}, "item 2"),  # both failures in the child's chunk
+])
+def test_lowest_index_exception_wins(failing, raised):
+    # jobs=2: the parent runs items 0, 3, 4 and the child 1, 2, 5.
+    with pytest.raises(ValueError, match=f"^{raised}$"):
+        parallel_map(_fail_at(failing), range(6), jobs=2)
+
+
+class _NeedsTwoArgs(Exception):
+    """Pickles, but cannot unpickle (its args hold one string)."""
+
+    def __init__(self, a, b):
+        super().__init__(f"{a}/{b}")
+
+
+def test_exception_that_cannot_unpickle_is_raised_by_the_parent():
+    def task(x):
+        if x == 1:
+            raise _NeedsTwoArgs(x, os.getpid() == parent)
+        return x
+
+    parent = os.getpid()
+    with pytest.raises(_NeedsTwoArgs, match="^1/True$"):
+        parallel_map(task, range(4), jobs=2)
+
+
+def test_unpicklable_result_is_recomputed_in_the_parent():
+    parent = os.getpid()
+    results = parallel_map(
+        lambda x: (lambda: (x, os.getpid() == parent)), range(6), jobs=3
+    )
+    assert [f() for f in results] == [(x, True) for x in range(6)]
+
+
+def test_nested_map_in_a_child_forks_no_grandchildren():
+    def outer(_x):
+        inner = set(parallel_map(_pid_of, range(4), jobs=2))
+        return os.getpid(), inner
+
+    results = parallel_map(outer, range(4), jobs=2)
+    child = results[1][0]
+    assert child != os.getpid()
+    # Items 1 and 2 ran in the child, whose own maps stayed serial.
+    assert results[1][1] == results[2][1] == {child}
+
+
+def test_repro_jobs_one_forks_nothing(monkeypatch):
+    from repro.core import calibrate_machine, calibration_microbenchmarks
+    from repro.hardware import SANDYBRIDGE
+
+    def no_fork():
+        raise AssertionError("forked under REPRO_JOBS=1")
+
+    monkeypatch.setenv("REPRO_JOBS", "1")
+    monkeypatch.setattr(os, "fork", no_fork)
+    assert parallel_map(_square, range(8)) == [x * x for x in range(8)]
+    result = calibrate_machine(
+        SANDYBRIDGE, duration=0.01,
+        benchmarks=calibration_microbenchmarks()[:2],
+    )
+    assert result.samples.shape == (8, 8)
+
+
+def test_failed_fork_runs_the_chunk_in_the_parent(monkeypatch):
+    from repro.sim import parallel as parallel_module
+
+    def failing_fork():
+        raise BlockingIOError("no process slots")
+
+    monkeypatch.setattr(os, "fork", failing_fork)
+    before = parallel_module.worker_retries_total()
+    assert set(parallel_map(_pid_of, range(4), jobs=2)) == {os.getpid()}
+    assert parallel_module.worker_retries_total() == before
+
+
+def test_serial_while_other_threads_run():
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait)
+    thread.start()
+    try:
+        assert set(parallel_map(_pid_of, range(4), jobs=2)) == {os.getpid()}
+    finally:
+        release.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+
+
+def _recording_fork(monkeypatch):
+    """Patch ``os.fork`` to record every child pid it returns."""
+    pids = []
+    real_fork = os.fork
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    return pids
+
+
+def _assert_reaped(pids):
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+
+
+def test_no_child_left_after_a_task_exception(monkeypatch):
+    pids = _recording_fork(monkeypatch)
+    with pytest.raises(ValueError):
+        parallel_map(_fail_at({1, 2}), range(9), jobs=3)
+    assert len(pids) == 2
+    _assert_reaped(pids)
+
+
+def test_no_child_left_after_an_interrupt(monkeypatch):
+    parent = os.getpid()
+
+    def task(x):
+        if os.getpid() == parent:
+            raise KeyboardInterrupt
+        time.sleep(60)  # killed long before this ends
+        return x
+
+    pids = _recording_fork(monkeypatch)
+    started = time.perf_counter()
+    with pytest.raises(KeyboardInterrupt):
+        parallel_map(task, range(4), jobs=2)
+    assert time.perf_counter() - started < 30
+    assert len(pids) == 1
+    _assert_reaped(pids)
+
+
 def _die_in_worker(x):
-    """SIGKILL-grade death inside a pool worker; a no-op in the parent."""
+    """SIGKILL-grade death inside a forked child; a no-op in the parent."""
     if os.getpid() != int(os.environ["REPRO_TEST_PARENT_PID"]):
         os._exit(1)
     return x * 10
 
 
 def test_crashed_worker_shard_retried_once(monkeypatch):
-    from repro.analysis import parallel as parallel_module
+    from repro.sim import parallel as parallel_module
     from repro.telemetry.metrics import MetricsRegistry
 
     monkeypatch.setenv("REPRO_TEST_PARENT_PID", str(os.getpid()))
     before = parallel_module.worker_retries_total()
     results = parallel_map(_die_in_worker, range(6), jobs=2)
-    # Every shard's worker died, every shard was retried in the parent,
-    # and the results are exactly what a serial run produces.
+    # The child died, its chunk was re-run once in the parent, and the
+    # results are exactly what a serial run produces.
     assert results == [x * 10 for x in range(6)]
     retried = parallel_module.worker_retries_total() - before
-    assert retried >= 1
+    assert retried == 1
 
     registry = MetricsRegistry()
     parallel_module.publish_metrics(registry)
     metric = registry.get("parallel_worker_retries_total")
     assert metric.value == float(parallel_module.worker_retries_total())
+
+
+def test_killed_children_chunks_rerun_once_each():
+    from repro.sim import parallel as parallel_module
+
+    parent = os.getpid()
+
+    def task(x):
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return x * 10
+
+    before = parallel_module.worker_retries_total()
+    assert parallel_map(task, range(9), jobs=3) == [x * 10 for x in range(9)]
+    assert parallel_module.worker_retries_total() - before == 2
 
 
 def test_parallel_starmap_unpacks_tuples():
@@ -212,19 +388,24 @@ def test_parallel_distribution_matches_serial(sb_cal, wc_cal):
 
 
 @pytest.mark.slow
-def test_parallel_calibration_matches_serial():
+def test_parallel_calibration_matches_serial(monkeypatch):
     from repro.core import calibrate_machine, calibrate_machines
-    from repro.hardware import SANDYBRIDGE, WOODCREST
+    from repro.hardware.specs import ALL_SPECS
 
-    serial = {
-        spec.name: calibrate_machine(spec, duration=0.1)
-        for spec in (SANDYBRIDGE, WOODCREST)
-    }
-    parallel = calibrate_machines((SANDYBRIDGE, WOODCREST), duration=0.1, jobs=2)
-    assert list(parallel) == ["sandybridge", "woodcrest"]
-    for name, result in serial.items():
-        assert pickle.dumps(result.samples) == pickle.dumps(
-            parallel[name].samples
+    def fields(result):
+        return (
+            result.samples.shape, result.samples.tobytes(),
+            result.active_watts.tobytes(), result.metric_max,
+            result.package_idle_watts, result.idle_watts,
         )
-        assert result.idle_watts == parallel[name].idle_watts
-        assert result.metric_max == parallel[name].metric_max
+
+    monkeypatch.setenv("REPRO_JOBS", "1")
+    serial = {
+        spec.name: fields(calibrate_machine(spec, duration=0.1))
+        for spec in ALL_SPECS
+    }
+    for jobs in (1, 2, 3):  # an explicit count overrides REPRO_JOBS
+        parallel = calibrate_machines(ALL_SPECS, duration=0.1, jobs=jobs)
+        assert list(parallel) == list(serial)
+        for name, result in parallel.items():
+            assert fields(result) == serial[name], (name, jobs)

@@ -103,3 +103,29 @@ def test_load_levels_scale_power(sb_calibration):
     n_loads = 4
     spin = sb_calibration.active_watts[:n_loads]  # loads 1.0, .75, .5, .25
     assert spin[0] > spin[1] > spin[2] > spin[3]
+
+
+def test_chaos_calibrations_fan_out_once_and_cache(monkeypatch):
+    """Every uncached spec goes into one ``calibrate_machines`` call, and
+    the process cache serves the rest in the order asked."""
+    from repro.faults import harness
+    from repro.hardware import SANDYBRIDGE, WESTMERE
+
+    calls = []
+
+    def fake_calibrate_machines(specs):
+        calls.append([spec.name for spec in specs])
+        return {spec.name: f"calibration of {spec.name}" for spec in specs}
+
+    monkeypatch.setattr(harness, "_CALIBRATIONS", {"woodcrest": "cached"})
+    monkeypatch.setattr(harness, "calibrate_machines", fake_calibrate_machines)
+    specs = [WESTMERE, WOODCREST, SANDYBRIDGE]
+    expected = {
+        "westmere": "calibration of westmere",
+        "woodcrest": "cached",
+        "sandybridge": "calibration of sandybridge",
+    }
+    assert harness.chaos_calibrations(specs) == expected
+    assert list(harness.chaos_calibrations(specs)) == list(expected)
+    assert harness.chaos_calibration(SANDYBRIDGE) == expected["sandybridge"]
+    assert calls == [["westmere", "sandybridge"]]

@@ -12,6 +12,7 @@ import os
 from ci.perf import (
     MAX_TELEMETRY_DISABLED_RATIO,
     MAX_TELEMETRY_FRAME_ON_RATIO,
+    MIN_CALIBRATION_SPEEDUP_2_WORKERS,
     MIN_CORRELATION_RATIO,
     MIN_SHARD_SPEEDUP_2_WORKERS,
     BenchResult,
@@ -76,7 +77,7 @@ def test_check_regressions_flags_every_dropped_benchmark():
     partial = {"micro-event-vector": _results()["micro-event-vector"]}
     problems = check_regressions(partial, committed)
     dropped = set(load_bench_json(committed)["benchmarks"]) - set(partial)
-    assert len(dropped) == 8
+    assert len(dropped) == 9
     assert len(problems) == len(dropped)
     assert {problem.split(":")[0] for problem in problems} == dropped
     assert all("not produced by this run" in p for p in problems)
@@ -134,7 +135,7 @@ def test_check_regressions_flags_missing_ratio(tmp_path):
 
 
 def test_sharded_speedup_floors_follow_core_count(tmp_path, monkeypatch):
-    from repro.analysis import parallel
+    from repro.sim import parallel
 
     def sharded(two, four):
         return _results(**{
@@ -160,6 +161,28 @@ def test_sharded_speedup_floors_follow_core_count(tmp_path, monkeypatch):
     problems = check_regressions(slow, committed)
     assert len(problems) == 2
     assert "4-worker speedup" in problems[1]
+
+
+def test_calibration_speedup_floor_needs_two_cores(tmp_path, monkeypatch):
+    from repro.sim import parallel
+
+    def calibration(two):
+        return _results(**{
+            "macro-calibration": BenchResult(
+                "macro-calibration", "macro", 1.2,
+                throughput={"speedup_2_workers": two},
+            ),
+        })
+
+    committed = str(tmp_path / "committed.json")
+    write_bench_json(calibration(two=1.9), committed)
+    slow = calibration(two=MIN_CALIBRATION_SPEEDUP_2_WORKERS - 0.1)
+    monkeypatch.setattr(parallel, "available_cores", lambda: 1)
+    assert check_regressions(slow, committed) == []
+    monkeypatch.setattr(parallel, "available_cores", lambda: 2)
+    problems = check_regressions(slow, committed)
+    assert len(problems) == 1
+    assert problems[0].startswith("macro-calibration: 2-worker speedup")
 
 
 def test_committed_bench_json_is_schema_2_with_real_wall_times():
