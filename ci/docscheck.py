@@ -4,8 +4,8 @@ Documentation rots silently: APIs get renamed, CLI commands get added, files
 move.  This lane makes the docs' claims machine-checked:
 
 * every item in a ``docs/api.md`` package table must resolve to a real
-  attribute of that package (a row passes when at least one identifier in
-  its item cell imports -- tolerant of prose, fatal for fully-stale rows);
+  attribute of that package: each backticked span of an item cell that
+  starts with an identifier must resolve (``{name: Result}`` is prose);
 * the CLI section of ``docs/api.md`` must mention every command that
   ``repro.cli`` actually registers;
 * every repository-relative file path mentioned in the Markdown corpus
@@ -39,15 +39,18 @@ _PATH_RE = re.compile(
 
 
 def _resolves(module, dotted: str) -> bool:
-    """True when ``dotted`` walks to an attribute of ``module``."""
+    """True when ``dotted`` walks to an attribute of ``module`` (importing
+    any submodule it names on the way)."""
     parts = dotted.split(".")
     if parts[0] == getattr(module, "__name__", "").split(".")[-1]:
         parts = parts[1:]
     obj = module
     for part in parts:
-        if not hasattr(obj, part):
+        try:
+            obj = (getattr(obj, part) if hasattr(obj, part) else
+                   importlib.import_module(f"{obj.__name__}.{part}"))
+        except (AttributeError, ImportError):
             return False
-        obj = getattr(obj, part)
     return True
 
 
@@ -85,16 +88,13 @@ def _check_api_tables(root: str) -> list[Finding]:
         item_cell = cells[1].strip()
         if item_cell in ("item", "") or set(item_cell) <= {"-", " "}:
             continue
-        candidates = []
         for span in _BACKTICK_RE.findall(item_cell):
-            candidates.extend(_IDENT_RE.findall(span))
-        if not candidates:
-            continue
-        if not any(_resolves(module, cand) for cand in candidates):
-            findings.append(Finding(
-                "docs/api.md", lineno, "D302",
-                f"no identifier in {item_cell!r} resolves in {module_name}",
-            ))
+            name = _IDENT_RE.match(span)
+            if name is not None and not _resolves(module, name.group()):
+                findings.append(Finding(
+                    "docs/api.md", lineno, "D302",
+                    f"{name.group()!r} does not resolve in {module_name}",
+                ))
     return findings
 
 

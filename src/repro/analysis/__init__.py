@@ -31,13 +31,6 @@ from repro.analysis.export import (
 )
 from repro.analysis.sweeps import SweepPoint, load_sweep, machine_sweep
 from repro.analysis.distribution_experiment import run_all_distribution_policies
-from repro.sim.parallel import (
-    available_cores,
-    derived_seeds,
-    parallel_map,
-    parallel_starmap,
-    resolve_jobs,
-)
 
 __all__ = [
     "distribution_histogram",
@@ -64,9 +57,4 @@ __all__ = [
     "load_sweep",
     "machine_sweep",
     "run_all_distribution_policies",
-    "available_cores",
-    "derived_seeds",
-    "parallel_map",
-    "parallel_starmap",
-    "resolve_jobs",
 ]

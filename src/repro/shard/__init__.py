@@ -41,7 +41,6 @@ from repro.shard.transport import (
     ReliableLink,
     TransportError,
     TransportFaultPlan,
-    TransportLimits,
     TransportTimeoutError,
     TransportWindow,
     WorkerEndpoint,
@@ -81,7 +80,6 @@ __all__ = [
     "ReliableLink",
     "TransportError",
     "TransportFaultPlan",
-    "TransportLimits",
     "TransportTimeoutError",
     "TransportWindow",
     "WorkerEndpoint",

@@ -608,8 +608,6 @@ class ShardedClusterRun:
         pool_hook=None,
         transport_plan=None,
         transport_seed=None,
-        transport_limits=None,
-        revive_budget: int = 3,
         checkpoint: ShardCheckpointPolicy | None = None,
     ) -> ShardRunResult:
         """Run arrivals plus drain to completion; returns the result.
@@ -643,8 +641,6 @@ class ShardedClusterRun:
             transport_seed=(
                 config.seed if transport_seed is None else transport_seed
             ),
-            transport_limits=transport_limits,
-            revive_budget=revive_budget,
         ) as pool:
             epoch_index = 0
             while True:
@@ -845,8 +841,6 @@ def run_sharded(
     pool_hook=None,
     transport_plan=None,
     transport_seed=None,
-    transport_limits=None,
-    revive_budget: int = 3,
     checkpoint: ShardCheckpointPolicy | None = None,
 ) -> ShardRunResult:
     """Build and run one sharded cluster simulation."""
@@ -854,8 +848,6 @@ def run_sharded(
         pool_hook=pool_hook,
         transport_plan=transport_plan,
         transport_seed=transport_seed,
-        transport_limits=transport_limits,
-        revive_budget=revive_budget,
         checkpoint=checkpoint,
     )
 
@@ -866,8 +858,6 @@ def resume_sharded(
     pool_hook=None,
     transport_plan=None,
     transport_seed=None,
-    transport_limits=None,
-    revive_budget: int = 3,
     index: int | None = None,
     checkpoint: ShardCheckpointPolicy | None = None,
 ) -> ShardRunResult:
@@ -898,7 +888,5 @@ def resume_sharded(
         pool_hook=pool_hook,
         transport_plan=transport_plan,
         transport_seed=transport_seed,
-        transport_limits=transport_limits,
-        revive_budget=revive_budget,
         checkpoint=checkpoint,
     )

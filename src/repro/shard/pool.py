@@ -3,36 +3,38 @@
 The pool assigns shards to long-lived fork workers (round-robin, so the
 assignment is deterministic) and drives them through the epoch protocol
 with a scatter/gather barrier: each protocol round posts every worker's
-frames before it waits for any reply, so fork workers compute the epoch
+command before it waits for any reply, so fork workers compute the epoch
 side by side.  ``workers=1`` -- or any platform where fork is
 unavailable -- degrades to running every shard in-process through the
 same barrier; results are identical either way because a shard's outputs
 are a pure function of its config and delivered directives.
 
-Every command now travels through the transport layer
-(:mod:`repro.shard.transport`): checksummed frames over a
+Every command first crosses the simulated wire of the transport layer
+(:mod:`repro.shard.transport`): frames over a
 :class:`~repro.shard.transport.ReliableLink` whose
 :class:`~repro.shard.transport.LossyChannel` pair can -- under a
 :class:`~repro.shard.transport.TransportFaultPlan` -- drop, duplicate,
 reorder, delay, and corrupt traffic in either direction, while the
 stop-and-wait exactly-once protocol keeps shard state equal to the
-fault-free run's, bit for bit.
+fault-free run's, bit for bit.  That wire, both halves of the protocol
+and the checksums all live in the coordinator; the real pipe carries
+each command once, bare, and the worker answers with its bare reply.
 
 **Failure handling** is a ladder:
 
 1. *Retransmit*: lost or corrupted frames are retried with deterministic
-   doubling backoff; duplicates are no-ops worker-side.
-2. *Probe*: after ``probe_after`` silent rounds the link sends heartbeat
+   doubling backoff; the endpoint never releases a duplicate.
+2. *Probe*: after ``PROBE_AFTER`` silent rounds the link sends heartbeat
    probes to distinguish a slow worker from a dead one.
 3. *Revive*: a dead pipe or a probe deadline
    (:class:`~repro.shard.transport.WorkerUnresponsiveError`) takes the
    worker out of the barrier; once the others have their replies it is
    killed and respawned, then *replays* its shards from the recorded
-   directive history over a lossless link and verifies the replayed
+   directive history straight over the pipe and verifies the replayed
    state digests (:func:`repro.checkpoint.state.payload_digest`) --
    the PR 7 checkpoint discipline applied to live workers.  Divergence
    raises :class:`repro.checkpoint.state.RestoreMismatchError`.
-4. *Quarantine*: each worker has a bounded revive budget (default 3).
+4. *Quarantine*: each worker may be revived :data:`REVIVE_BUDGET` times.
    Exhausting it raises a terminal
    :class:`~repro.shard.transport.WorkerQuarantinedError` carrying the
    digest diff of a final diagnostic replay, instead of replay-looping
@@ -56,30 +58,28 @@ from repro.checkpoint.state import (
 )
 from repro.shard.transport import (
     ReliableLink,
-    TransportError,
     TransportFaultPlan,
-    TransportLimits,
-    WorkerEndpoint,
     WorkerQuarantinedError,
     WorkerUnresponsiveError,
 )
 from repro.shard.worker import ShardConfig, ShardWorld
 
-#: Framed-protocol payload verbs (inside exactly-once DATA frames).
+#: Command verbs (each delivered exactly once through a link).
 _CMD_EPOCH = "epoch"
 _CMD_FINISH = "finish"
 
-#: Raw pipe verbs (outside the frame protocol: lifecycle + diagnostics).
-_RAW_FRAMES = "frames"
-_RAW_STATS = "stats"
-_RAW_EXIT = "exit"
+#: Pipe verb outside the protocol: shut the worker down.
+_CMD_EXIT = "exit"
+
+#: Revives each worker gets before its next failure quarantines it.
+REVIVE_BUDGET = 3
 
 
 class _ShardExecutor:
     """Owns a set of shard worlds and executes decoded commands.
 
     Shared by the fork worker and the in-process stand-in so both modes
-    run byte-identical code under the same endpoint protocol.
+    run byte-identical code on the same bare commands.
     """
 
     def __init__(self, configs: list[ShardConfig], calibrations) -> None:
@@ -116,7 +116,7 @@ _ORPHAN_POLL = 1.0
 
 
 def _worker_main(conn, configs: list[ShardConfig], calibrations) -> None:
-    """Worker process body: serve frames through an exactly-once endpoint.
+    """Worker process body: execute each command received, send the reply.
 
     Workers forked after their siblings inherit copies of the siblings'
     pipe ends, so a SIGKILLed coordinator never produces an EOF on
@@ -126,7 +126,6 @@ def _worker_main(conn, configs: list[ShardConfig], calibrations) -> None:
     """
     parent = os.getppid()
     executor = _ShardExecutor(configs, calibrations)
-    endpoint = WorkerEndpoint(executor.execute)
     while True:
         while not conn.poll(_ORPHAN_POLL):
             if os.getppid() != parent:
@@ -135,46 +134,33 @@ def _worker_main(conn, configs: list[ShardConfig], calibrations) -> None:
             command = conn.recv()
         except EOFError:
             return
-        verb = command[0]
-        if verb == _RAW_FRAMES:
-            conn.send(endpoint.handle_frames(command[1]))
-        elif verb == _RAW_STATS:
-            conn.send(dict(endpoint.stats))
-        elif verb == _RAW_EXIT:
+        if command[0] == _CMD_EXIT:
             conn.close()
             return
-        else:  # pragma: no cover - protocol misuse
-            raise ValueError(f"unknown pipe verb {verb!r}")
+        conn.send(executor.execute(command))
 
 
 class _InProcessWorker:
-    """Serial stand-in for a worker process (same protocol, no pipe)."""
+    """Serial stand-in for a worker process (same commands, no pipe)."""
 
     def __init__(self, configs: list[ShardConfig], calibrations) -> None:
         self.configs = configs
         self.calibrations = calibrations
-        self._posted: list = []
+        self._posted = None
         self.respawn()
 
     def respawn(self) -> None:
-        """Rebuild worlds + endpoint from scratch (the serial 'restart')."""
+        """Rebuild the worlds from scratch (the serial 'restart')."""
         self.executor = _ShardExecutor(self.configs, self.calibrations)
-        self.endpoint = WorkerEndpoint(self.executor.execute)
 
-    def post(self, frames: list) -> None:
-        """Hold one round's frames until :meth:`exchange_frames`."""
-        self._posted = frames
+    def post(self, command: tuple) -> None:
+        """Hold one command until :meth:`exchange_frames`."""
+        self._posted = command
 
-    def exchange_frames(self, frames: list | None = None) -> list:
-        """Serve the posted round (``frames``, when given, are posted
-        first); returns the endpoint's reply frames."""
-        if frames is not None:
-            self.post(frames)
-        frames, self._posted = self._posted, []
-        return self.endpoint.handle_frames(frames)
-
-    def endpoint_stats(self) -> dict:
-        return dict(self.endpoint.stats)
+    def exchange_frames(self):
+        """Execute the posted command; returns its reply."""
+        command, self._posted = self._posted, None
+        return self.executor.execute(command)
 
     def close(self) -> None:
         pass
@@ -202,38 +188,21 @@ class _ProcessWorker:
         child.close()
         self.conn = parent
 
-    def _send(self, command) -> None:
-        """Write one raw pipe message; raises ``ConnectionError`` on death."""
+    def post(self, command: tuple) -> None:
+        """Send one command without waiting for the reply; raises
+        ``ConnectionError`` if the worker is dead."""
         try:
             self.conn.send(command)
         except OSError as exc:  # BrokenPipeError, ConnectionResetError
             raise ConnectionError(str(exc)) from exc
 
-    def _receive(self):
-        """Block for the worker's next message; ``ConnectionError`` on
-        death."""
+    def exchange_frames(self):
+        """The coordinator's blocking receive of a posted command's
+        reply; ``ConnectionError`` if the worker died."""
         try:
             return self.conn.recv()
         except (EOFError, OSError) as exc:
             raise ConnectionError(str(exc)) from exc
-
-    def post(self, frames: list) -> None:
-        """Send one round's frames without waiting for the reply."""
-        self._send((_RAW_FRAMES, frames))
-
-    def exchange_frames(self, frames: list | None = None) -> list:
-        """The coordinator's blocking receive of a posted round's reply.
-
-        ``frames``, when given, are posted first (a whole round-trip, as
-        :meth:`ReliableLink.request` drives it).
-        """
-        if frames is not None:
-            self.post(frames)
-        return self._receive()
-
-    def endpoint_stats(self) -> dict:
-        self._send((_RAW_STATS,))
-        return self._receive()
 
     def kill(self) -> None:
         """SIGKILL the worker (the chaos hook for restart tests)."""
@@ -246,7 +215,7 @@ class _ProcessWorker:
 
     def close(self) -> None:
         try:
-            self.conn.send((_RAW_EXIT,))
+            self.conn.send((_CMD_EXIT,))
         except (BrokenPipeError, OSError):
             pass
         if self.process is not None:
@@ -266,26 +235,15 @@ class ShardPool:
         workers: int = 1,
         transport_plan: TransportFaultPlan | None = None,
         transport_seed: int = 0,
-        transport_limits: TransportLimits | None = None,
-        revive_budget: int = 3,
     ) -> None:
         if not configs:
             raise ValueError("need at least one shard")
         if int(workers) < 1:
             raise ValueError(f"workers must be >= 1, got {workers!r}")
-        if int(revive_budget) < 0:
-            raise ValueError(
-                f"revive_budget must be non-negative, got {revive_budget!r}"
-            )
         self.configs = list(configs)
         self.calibrations = calibrations
         self.transport_plan = transport_plan
         self.transport_seed = int(transport_seed)
-        self.transport_limits = (
-            transport_limits if transport_limits is not None
-            else TransportLimits()
-        )
-        self.revive_budget = int(revive_budget)
         #: Per-shard directive history: ``[(end, directives), ...]``.
         self._history: dict[int, list[tuple]] = {
             config.shard_id: [] for config in configs
@@ -338,20 +296,19 @@ class ShardPool:
     # -- transport plumbing ---------------------------------------------
     def _make_link(self, index: int) -> ReliableLink:
         return ReliableLink(
-            self._workers[index].exchange_frames,
             self.transport_plan,
             seed=self.transport_seed,
             worker_index=index,
             incarnation=self._incarnations[index],
-            limits=self.transport_limits,
         )
 
     def _barrier(self, payloads: dict[int, tuple], overlap=None) -> dict:
         """Deliver one command per worker exactly once, all in step.
 
         ``payloads`` maps worker index to its command.  Every protocol
-        round first posts each still-waiting worker's frames and only
-        then collects the replies, so the workers compute side by side.
+        round first posts each still-waiting worker's released command
+        (a round whose link released none touches no pipe) and only then
+        collects the replies, so the workers compute side by side.
         ``overlap``, when given, runs once after the first round is
         posted and before the first blocking receive, so coordinator work
         proceeds alongside the workers'.  A worker whose pipe dies, or
@@ -368,27 +325,31 @@ class ShardPool:
                 )
                 for index, payload in waiting.items()
             }
-            outbound = {index: next(steps) for index, steps in rounds.items()}
+            commands = {index: next(steps) for index, steps in rounds.items()}
             failed: dict[int, str] = {}
-            while outbound:
-                for index, frames in outbound.items():
+            while commands:
+                for index, command in commands.items():
+                    if command is None:
+                        continue
                     try:
-                        self._workers[index].post(frames)
+                        self._workers[index].post(command)
                     except ConnectionError as exc:
                         failed[index] = f"pipe failure: {exc}"
-                posted = [index for index in outbound if index not in failed]
-                outbound = {}
+                live = [index for index in commands if index not in failed]
                 if overlap is not None:
                     overlap()
                     overlap = None
-                for index in posted:
+                released, commands = commands, {}
+                for index in live:
+                    reply = None
+                    if released[index] is not None:
+                        try:
+                            reply = self._workers[index].exchange_frames()
+                        except ConnectionError as exc:
+                            failed[index] = f"pipe failure: {exc}"
+                            continue
                     try:
-                        inbound = self._workers[index].exchange_frames()
-                    except ConnectionError as exc:
-                        failed[index] = f"pipe failure: {exc}"
-                        continue
-                    try:
-                        outbound[index] = rounds[index].send(inbound)
+                        commands[index] = rounds[index].send(reply)
                     except StopIteration as done:
                         merged.update(done.value)
                     except WorkerUnresponsiveError as exc:
@@ -418,8 +379,11 @@ class ShardPool:
             worker.respawn()
         self._incarnations[index] += 1
 
-    def _replay(self, index: int, link: ReliableLink) -> list[str]:
-        """Replay one worker's shards from history over a lossless link.
+    def _replay(self, index: int) -> list[str]:
+        """Replay one worker's shards from history, straight over the pipe.
+
+        The replay bypasses the simulated wire, so recovery itself cannot
+        be re-faulted into a livelock.
 
         Returns digest-diff lines (empty when every shard's replayed
         summary matches its recorded digest bit-for-bit).
@@ -439,11 +403,8 @@ class ShardPool:
                     end, step_directives = history[step]
                     directives[shard_id] = step_directives
             want_summary = step == depth - 1
-            reply = link.request(
-                (_CMD_EPOCH, end, directives, want_summary),
-                self._epochs_run,
-                lossless=True,
-            )
+            worker.post((_CMD_EPOCH, end, directives, want_summary))
+            reply = worker.exchange_frames()
         diffs: list[str] = []
         if reply is None:
             return diffs
@@ -466,28 +427,28 @@ class ShardPool:
         The replayed state must match the last verified digest for every
         owned shard; a mismatch names the diverging fields and aborts the
         run rather than continuing from silently-wrong state.  Each
-        worker may be revived at most ``revive_budget`` times; the next
-        failure quarantines it terminally.
+        worker may be revived at most :data:`REVIVE_BUDGET` times; the
+        next failure quarantines it terminally.
         """
-        if self._revives[index] >= self.revive_budget:
+        if self._revives[index] >= REVIVE_BUDGET:
             self._quarantine(index, reason)
         self._revives[index] += 1
         self.worker_restarts += 1
         self._retire_link_stats(index)
         self._respawn(index)
-        link = self._make_link(index)
-        diffs = self._replay(index, link)
+        diffs = self._replay(index)
         if diffs:
             raise RestoreMismatchError(
                 f"worker {index} replay diverged after worker restart: "
                 + "; ".join(diffs)
             )
-        self._links[index] = link
+        self._links[index] = self._make_link(index)
 
     def _quarantine(self, index: int, reason: str) -> None:
         """Terminal stop: one diagnostic replay, then a typed error.
 
-        The diagnostic replay (fresh worker, lossless link) distinguishes
+        The diagnostic replay (fresh worker, straight over the pipe)
+        distinguishes
         corrupted shard state from a hostile transport: an empty digest
         diff means replay still reproduces every recorded digest.
         """
@@ -496,8 +457,8 @@ class ShardPool:
         ]
         try:
             self._respawn(index)
-            diffs = self._replay(index, self._make_link(index))
-        except (ConnectionError, TransportError) as exc:
+            diffs = self._replay(index)
+        except ConnectionError as exc:
             diffs = [f"diagnostic replay failed: {exc}"]
         raise WorkerQuarantinedError(
             index, shard_ids, self._revives[index], diffs, reason
@@ -556,22 +517,14 @@ class ShardPool:
     def transport_stats(self) -> dict[str, int]:
         """Aggregated link/channel/endpoint counters (never fingerprinted).
 
-        Link and channel counters sum across workers; worker-endpoint
-        counters are fetched over the raw pipe and prefixed ``worker_``
-        (a dead worker's endpoint counters are skipped, not invented).
+        Every counter sums across workers and across the links revives
+        retired; endpoint counters carry the ``worker_`` prefix.  Replay
+        after a revive bypasses the links, so it counts in none of them.
         """
         totals: dict[str, int] = dict(self._retired_stats)
         for link in self._links:
             for key, value in link.combined_stats().items():
                 totals[key] = totals.get(key, 0) + value
-        for worker in self._workers:
-            try:
-                stats = worker.endpoint_stats()
-            except ConnectionError:
-                continue
-            for key, value in stats.items():
-                worker_key = f"worker_{key}"
-                totals[worker_key] = totals.get(worker_key, 0) + value
         totals["worker_restarts"] = self.worker_restarts
         return totals
 
@@ -590,7 +543,7 @@ class ShardPool:
         registry.gauge("pool_worker_restarts").set(
             float(self.worker_restarts)
         )
-        registry.gauge("pool_revive_budget").set(float(self.revive_budget))
+        registry.gauge("pool_revive_budget").set(float(REVIVE_BUDGET))
         registry.gauge("pool_workers").set(float(len(self._workers)))
 
     # -- coordinator checkpoint integration ------------------------------

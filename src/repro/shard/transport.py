@@ -3,39 +3,44 @@
 PR 8's epoch protocol assumed a perfect pipe: every directive batch
 arrives exactly once, in order, uncorrupted, and every reply comes back.
 This module removes that assumption without giving up bit-identical
-fingerprints.  It has three layers:
+fingerprints.  The real pipe is a local socketpair that never loses a
+message, so the faults are simulated, and the whole simulated wire lives
+on the coordinator: both fault channels, both halves of the protocol and
+the checksums.  A worker only ever sees each command once, bare, and
+answers it with a bare reply.  The module has three layers:
 
-**Frames and checksums.**  Every message crossing the (simulated) wire is
-a frame ``(kind, seq, ack, payload, crc)`` where ``crc`` covers the other
-four fields.  A mangled frame fails its checksum and is *rejected*, never
-interpreted -- corruption degrades to loss, which the retransmit layer
-already handles.
+**Frames and checksums.**  Every message crossing the simulated wire is
+a frame ``(kind, seq, ack, payload, crc)``.  On a link with a fault plan
+the frame is *sealed*: ``crc`` covers the other four fields, and a
+mangled frame fails its checksum and is *rejected*, never interpreted --
+corruption degrades to loss, which the retransmit layer already handles.
+A link without a plan cannot lose or mangle anything, so its frames
+carry no checksum and cost no pickling.
 
-**LossyChannel.**  A seeded, deterministic fault model wrapped around the
-real pipe.  Per a composable :class:`TransportFaultPlan` (the same shape
-as PR 2's ``FaultPlan``: an ordered list of windows, convenience
+**LossyChannel.**  A seeded, deterministic fault model for one direction
+of the wire.  Per a composable :class:`TransportFaultPlan` (the same
+shape as PR 2's ``FaultPlan``: an ordered list of windows, convenience
 constructors, ``random()``), a channel can drop, duplicate, reorder,
 delay, and detectably corrupt frames in either direction.  Both
-directions' channels live on the coordinator side and draw from
-coordinator-owned RNG streams, so workers stay pure functions of their
-delivered frames and the whole fault schedule replays from a seed.
-Delayed frames stay in the channel across epoch exchanges, so a directive
-batch really can arrive epochs late -- and must still be a no-op.
+directions' channels draw from coordinator-owned RNG streams, so the
+whole fault schedule replays from a seed.  Delayed frames stay in the
+channel across epoch exchanges, so a directive batch really can arrive
+epochs late -- and must still be a no-op.
 
-**Exactly-once delivery.**  :class:`ReliableLink` (coordinator side) and
-:class:`WorkerEndpoint` (worker side) implement stop-and-wait with
-per-worker monotonic sequence numbers, cumulative acks, and idempotent
-application: a worker applies command ``seq`` only when it is exactly
+**Exactly-once delivery.**  :class:`ReliableLink` and its
+:class:`WorkerEndpoint` implement stop-and-wait with per-worker monotonic
+sequence numbers, cumulative acks, and idempotent application: the
+endpoint releases command ``seq`` to the worker only when it is exactly
 ``last_applied + 1``, re-sends its cached reply for anything older, and
-never executes anything twice.  Retransmits use deterministic doubling
-backoff measured in protocol *rounds* (one pipe round-trip per round --
-the epoch exchange's unit of virtual time); the round loop is a
+never releases anything twice.  Retransmits use deterministic doubling
+backoff measured in protocol *rounds* (one pass over the simulated wire
+-- the epoch exchange's unit of virtual time); the round loop is a
 generator (:meth:`ReliableLink.request_rounds`) so one barrier can
 advance every worker's link in the same round.  The link doubles as the
-failure detector: ``probe_after`` silent rounds trigger heartbeat probes,
-``dead_after`` silent rounds declare the worker dead
+failure detector: :data:`PROBE_AFTER` silent rounds trigger heartbeat
+probes, :data:`DEAD_AFTER` silent rounds declare the worker dead
 (:class:`WorkerUnresponsiveError`, which the pool converts into a
-revive), and ``max_rounds`` bounds the whole exchange
+revive), and :data:`MAX_ROUNDS` bounds the whole exchange
 (:class:`TransportTimeoutError`).
 """
 
@@ -113,16 +118,22 @@ def frame_crc(kind: str, seq: int, ack: int, payload: object) -> int:
     return zlib.crc32(pickle.dumps((kind, seq, ack, payload), protocol=4))
 
 
-def make_frame(kind: str, seq: int, ack: int, payload: object) -> tuple:
-    """Assemble one checksummed wire frame."""
-    return (kind, seq, ack, payload, frame_crc(kind, seq, ack, payload))
+def make_frame(kind: str, seq: int, ack: int, payload: object,
+               sealed: bool) -> tuple:
+    """Assemble one wire frame; only a ``sealed`` one carries a checksum
+    (an unsealed frame's ``crc`` is ``None``)."""
+    crc = frame_crc(kind, seq, ack, payload) if sealed else None
+    return (kind, seq, ack, payload, crc)
 
 
 def frame_valid(frame: object) -> bool:
-    """True when the frame is well-formed and its checksum verifies."""
+    """True when the frame is well-formed and, if sealed, its checksum
+    verifies."""
     if not isinstance(frame, tuple) or len(frame) != 5:
         return False
     kind, seq, ack, payload, crc = frame
+    if crc is None:
+        return True
     try:
         return crc == frame_crc(kind, seq, ack, payload)
     except Exception:  # pragma: no cover - unpicklable garbage
@@ -135,7 +146,8 @@ def corrupt_frame(frame: tuple) -> tuple:
     The result always fails :func:`frame_valid` -- the channel models
     *detectable* corruption (bit rot caught by the checksum), never a
     silent payload swap, which is what lets corruption degrade safely to
-    loss.
+    loss.  Only a link with a plan feeds its channels, and such a link
+    seals every frame, so there is always a checksum to flip.
     """
     kind, seq, ack, payload, crc = frame
     return (kind, seq, ack, ("__mangled__", payload), crc ^ 0xDEADBEEF)
@@ -346,13 +358,13 @@ def channel_seed(seed: int, worker: int, incarnation: int,
 class LossyChannel:
     """One direction of a worker's simulated wire.
 
-    Sits between the protocol and the real pipe: the coordinator pushes
-    frames through :meth:`send` (where the fault dice roll) and pulls the
-    due ones back with :meth:`take_due` once per protocol round.  Frames
-    whose due round has not arrived stay queued -- including across epoch
-    exchanges, which is how a delayed directive batch shows up epochs
-    late.  All randomness lives in the channel's own seeded generator on
-    the coordinator side; the plan only supplies probabilities.
+    Sits between the link and its endpoint: the sending half pushes
+    frames through :meth:`send` (where the fault dice roll) and the
+    receiving half pulls the due ones with :meth:`take_due` once per
+    protocol round.  Frames whose due round has not arrived stay queued
+    -- including across epoch exchanges, which is how a delayed directive
+    batch shows up epochs late.  All randomness lives in the channel's
+    own seeded generator; the plan only supplies probabilities.
     """
 
     def __init__(
@@ -423,34 +435,17 @@ class LossyChannel:
         return len(self._queue)
 
 
-# -- protocol limits ---------------------------------------------------
-@dataclass(frozen=True)
-class TransportLimits:
-    """Deterministic timeout/backoff schedule, in protocol rounds."""
-
-    #: First retransmit fires this many rounds after the original send.
-    initial_rto: int = 1
-    #: Backoff doubles up to this ceiling.
-    max_rto: int = 8
-    #: Silent rounds before heartbeat probes start.
-    probe_after: int = 4
-    #: Silent rounds before the worker is declared dead.
-    dead_after: int = 24
-    #: Hard bound on rounds per exchange (terminal timeout).
-    max_rounds: int = 256
-
-    def __post_init__(self) -> None:
-        if self.initial_rto < 1:
-            raise ValueError("initial_rto must be >= 1")
-        if self.max_rto < self.initial_rto:
-            raise ValueError("max_rto must be >= initial_rto")
-        if self.probe_after < 1:
-            raise ValueError("probe_after must be >= 1")
-        if self.dead_after <= self.probe_after:
-            raise ValueError("dead_after must exceed probe_after")
-        if self.max_rounds < self.dead_after:
-            raise ValueError("max_rounds must be >= dead_after")
-
+# -- protocol schedule -------------------------------------------------
+#: The first retransmit fires this many rounds after the original send.
+INITIAL_RTO = 1
+#: Retransmit backoff doubles up to this ceiling.
+MAX_RTO = 8
+#: Silent rounds before heartbeat probes start.
+PROBE_AFTER = 4
+#: Silent rounds before the worker is declared dead.
+DEAD_AFTER = 24
+#: Hard bound on rounds per exchange (terminal timeout).
+MAX_ROUNDS = 256
 
 #: Link-side protocol counters.
 LINK_STATS = (
@@ -458,43 +453,58 @@ LINK_STATS = (
     "duplicate_replies", "corrupt_rejected",
 )
 
-#: Worker-endpoint counters.
+#: Worker-endpoint counters (reported with a ``worker_`` prefix).
 ENDPOINT_STATS = (
     "applied", "duplicates_ignored", "out_of_order_ignored",
     "probes_answered", "corrupt_rejected",
 )
 
+#: Stands in, among an endpoint's outbound frames, for the reply of the
+#: command it released this round (see :meth:`WorkerEndpoint.replied`).
+PENDING_REPLY = "pending-reply"
+
 
 class WorkerEndpoint:
-    """Worker-side half of the exactly-once protocol (RNG-free).
+    """The worker's half of the exactly-once protocol, kept by its link.
 
-    Applies command ``seq`` exactly when it is ``last_applied + 1``;
-    re-sends the cached reply for anything at or below ``last_applied``
-    (the replayed batch is a no-op); answers probes with pongs carrying
-    its progress.  Cached replies are pruned by the cumulative ack each
-    inbound frame carries.  Corrupted frames are rejected by checksum and
-    counted, never interpreted.
+    Releases command ``seq`` to the worker exactly when it is
+    ``last_applied + 1``; re-sends the cached reply for anything at or
+    below ``last_applied`` (the replayed batch is a no-op); answers
+    probes with pongs carrying its progress.  Cached replies are pruned
+    by the cumulative ack each inbound frame carries.  Corrupted frames
+    are rejected by checksum and counted, never interpreted.  Every
+    frame it sends is sealed exactly when the frame it answers was.
     """
 
-    def __init__(self, execute) -> None:
-        self._execute = execute
+    def __init__(self) -> None:
         self.last_applied = 0
         self._replies: dict[int, tuple] = {}
+        self._sealed = False
         self.stats = dict.fromkeys(ENDPOINT_STATS, 0)
 
-    def handle_frames(self, frames: list) -> list[tuple]:
-        """Process one round's inbound frames; returns outbound frames."""
-        out: list[tuple] = []
+    def handle_frames(self, frames: list) -> tuple[object, list]:
+        """Process one round's delivered frames.
+
+        Returns ``(command, outbound)``: the bare command the worker must
+        apply this round (``None`` when nothing new arrived) and the
+        frames to send back, where :data:`PENDING_REPLY` marks each place
+        the command's reply goes.
+        """
+        command = None
+        out: list = []
         for frame in frames:
             if not frame_valid(frame):
                 self.stats["corrupt_rejected"] += 1
                 continue
-            kind, seq, ack, payload, _crc = frame
+            kind, seq, ack, payload, crc = frame
+            sealed = crc is not None
             for acked in [s for s in self._replies if s <= ack]:
                 del self._replies[acked]
             if kind == FRAME_PROBE:
                 self.stats["probes_answered"] += 1
-                out.append(make_frame(FRAME_PONG, self.last_applied, 0, None))
+                out.append(
+                    make_frame(FRAME_PONG, self.last_applied, 0, None, sealed)
+                )
             elif kind == FRAME_DATA:
                 if seq <= self.last_applied:
                     self.stats["duplicates_ignored"] += 1
@@ -502,49 +512,56 @@ class WorkerEndpoint:
                     if cached is not None:
                         out.append(cached)
                 elif seq == self.last_applied + 1:
-                    reply = make_frame(
-                        FRAME_REPLY, seq, 0, self._execute(payload)
-                    )
+                    command = payload
                     self.last_applied = seq
-                    self._replies[seq] = reply
+                    self._replies[seq] = PENDING_REPLY
+                    self._sealed = sealed
                     self.stats["applied"] += 1
-                    out.append(reply)
+                    out.append(PENDING_REPLY)
                 else:
                     # A gap is unreachable under stop-and-wait, but a
                     # future windowed protocol must still never apply
                     # ahead of order.
                     self.stats["out_of_order_ignored"] += 1
-        return out
+        return command, out
+
+    def replied(self, out: list, reply: object) -> list:
+        """``out`` with the worker's ``reply`` to the released command
+        framed, cached, and put in place of every :data:`PENDING_REPLY`."""
+        seq = self.last_applied
+        frame = make_frame(FRAME_REPLY, seq, 0, reply, self._sealed)
+        self._replies[seq] = frame
+        return [frame if item is PENDING_REPLY else item for item in out]
 
 
 class ReliableLink:
-    """Coordinator-side half: stop-and-wait with retransmit + probes.
+    """Stop-and-wait with retransmit + probes over one worker's wire.
 
-    One outstanding command at a time.  Each protocol round performs one
-    pipe round-trip: push outbound frames through the ``c2w`` channel,
-    exchange whatever is due, pull inbound frames back through ``w2c``.
+    One outstanding command at a time.  Each protocol round pushes the
+    outbound frames through the ``c2w`` channel to the link's
+    :class:`WorkerEndpoint`, hands the command it releases (if any) to
+    the worker, and pulls the endpoint's answer back through ``w2c``.
     The round loop lives in :meth:`request_rounds`, which leaves the
-    pipe round-trip to its caller, so a pool can post every worker's
-    round before it waits for any reply.
-    Retransmits follow the :class:`TransportLimits` doubling backoff;
-    silence beyond ``probe_after`` rounds adds heartbeat probes, and
-    silence beyond ``dead_after`` raises :class:`WorkerUnresponsiveError`
-    for the pool's failure handling to convert into a revive.
+    worker round-trip to its caller, so a pool can post every worker's
+    command before it waits for any reply.  Retransmits follow a
+    doubling backoff from :data:`INITIAL_RTO` to :data:`MAX_RTO`;
+    silence beyond :data:`PROBE_AFTER` rounds adds heartbeat probes, and
+    silence beyond :data:`DEAD_AFTER` raises
+    :class:`WorkerUnresponsiveError` for the pool's failure handling to
+    convert into a revive.
     """
 
     def __init__(
         self,
-        exchange,
         plan: TransportFaultPlan | None,
         seed: int,
         worker_index: int,
         incarnation: int = 0,
-        limits: TransportLimits | None = None,
     ) -> None:
-        self._exchange = exchange
         self.plan = plan
+        #: Only a link whose channels can mangle frames checksums them.
+        self.sealed = plan is not None
         self.worker_index = worker_index
-        self.limits = limits if limits is not None else TransportLimits()
         self.c2w = LossyChannel(
             plan,
             np.random.default_rng(
@@ -561,88 +578,68 @@ class ReliableLink:
             worker_index,
             DIRECTION_W2C,
         )
+        self.endpoint = WorkerEndpoint()
         self.next_seq = 1
         self.acked = 0
         self.stats = dict.fromkeys(LINK_STATS, 0)
 
-    def _to_wire(self, outbound: list[tuple], epoch: int,
-                 lossless: bool) -> list[tuple]:
-        """Push one round's frames through ``c2w``; what reaches the pipe."""
-        if lossless or self.plan is None:
-            return outbound
-        for frame in outbound:
-            self.c2w.send(frame, epoch)
-        return self.c2w.take_due()
+    def _through(self, channel: LossyChannel, frames: list,
+                 epoch: int) -> list:
+        """Push one round's frames through ``channel``; what comes out."""
+        if self.plan is None:
+            return frames
+        for frame in frames:
+            channel.send(frame, epoch)
+        return channel.take_due()
 
-    def _from_wire(self, raw: list[tuple], epoch: int,
-                   lossless: bool) -> list[tuple]:
-        """Pull the pipe's reply through ``w2c``; what the protocol sees."""
-        if lossless or self.plan is None:
-            return raw
-        for frame in raw:
-            self.w2c.send(frame, epoch)
-        return self.w2c.take_due()
-
-    def request(self, payload: object, epoch: int,
-                lossless: bool = False) -> object:
-        """Deliver ``payload`` exactly once; returns the worker's reply.
-
-        Drives :meth:`request_rounds` over this link's own exchange
-        callable, one pipe round-trip per round.  ``lossless`` bypasses
-        the fault channels (replay after a revive runs on a fresh,
-        fault-free link so recovery itself cannot be re-faulted into a
-        livelock).  Raises ``ConnectionError`` if the underlying pipe
-        dies, plus everything :meth:`request_rounds` raises.
-        """
-        rounds = self.request_rounds(payload, epoch, lossless)
-        frames = next(rounds)
-        while True:
-            try:
-                frames = rounds.send(self._exchange(frames))
-            except StopIteration as done:
-                return done.value
-
-    def request_rounds(self, payload: object, epoch: int,
-                       lossless: bool = False):
+    def request_rounds(self, payload: object, epoch: int):
         """The stop-and-wait exchange for ``payload``, one round per step.
 
-        A generator: each ``yield`` hands out the frames to put on the
-        pipe this round, and the caller sends back the frames the pipe
-        returned.  It returns the worker's reply.  Callers drive many
-        links' rounds side by side (the pool's scatter/gather barrier) or
-        one link's alone (:meth:`request`).  Raises
+        A generator: each ``yield`` hands out the bare command the worker
+        must apply this round, or ``None`` when the endpoint released
+        nothing, and the caller sends back the worker's bare reply (or
+        ``None`` after a ``None``).  The worker is handed ``payload``
+        exactly once.  It returns the reply once it has crossed the
+        ``w2c`` channel.  Callers drive many links' rounds side by side
+        (the pool's scatter/gather barrier).  Raises
         :class:`WorkerUnresponsiveError` if the worker stays silent past
         the detector deadline, and :class:`TransportTimeoutError` at the
         hard round bound.
         """
-        limits = self.limits
+        sealed = self.sealed
         seq = self.next_seq
         self.next_seq += 1
         self.stats["requests"] += 1
-        rto = limits.initial_rto
+        rto = INITIAL_RTO
         next_tx = 0
         silent = 0
         sends = 0
-        for round_index in range(limits.max_rounds):
+        for round_index in range(MAX_ROUNDS):
             outbound = []
             if round_index >= next_tx:
                 outbound.append(
-                    make_frame(FRAME_DATA, seq, self.acked, payload)
+                    make_frame(FRAME_DATA, seq, self.acked, payload, sealed)
                 )
                 self.stats["data_sent"] += 1
                 if sends > 0:
                     self.stats["retransmits"] += 1
                 sends += 1
                 next_tx = round_index + rto
-                rto = min(rto * 2, limits.max_rto)
-            if silent >= limits.probe_after:
-                outbound.append(make_frame(FRAME_PROBE, 0, self.acked, None))
+                rto = min(rto * 2, MAX_RTO)
+            if silent >= PROBE_AFTER:
+                outbound.append(
+                    make_frame(FRAME_PROBE, 0, self.acked, None, sealed)
+                )
                 self.stats["probes_sent"] += 1
-            raw = yield self._to_wire(outbound, epoch, lossless)
-            inbound = self._from_wire(raw, epoch, lossless)
+            command, answer = self.endpoint.handle_frames(
+                self._through(self.c2w, outbound, epoch)
+            )
+            result = yield command
+            if command is not None:
+                answer = self.endpoint.replied(answer, result)
             heard = False
             reply = None
-            for frame in inbound:
+            for frame in self._through(self.w2c, answer, epoch):
                 if not frame_valid(frame):
                     self.stats["corrupt_rejected"] += 1
                     continue
@@ -659,23 +656,26 @@ class ReliableLink:
                 self.acked = seq
                 return reply[0]
             silent = 0 if heard else silent + 1
-            if silent >= limits.dead_after:
+            if silent >= DEAD_AFTER:
                 raise WorkerUnresponsiveError(
                     f"worker {self.worker_index}: no valid frame for "
                     f"{silent} rounds (seq {seq}); declaring dead"
                 )
         raise TransportTimeoutError(
             f"worker {self.worker_index}: exchange for seq {seq} exceeded "
-            f"{limits.max_rounds} rounds"
+            f"{MAX_ROUNDS} rounds"
         )
 
     def combined_stats(self) -> dict[str, int]:
-        """Link counters plus both channels' (prefixed) counters."""
+        """Link counters plus both channels' (prefixed) counters and the
+        endpoint's (``worker_``-prefixed) counters."""
         merged = dict(self.stats)
         for prefix, channel in ((DIRECTION_C2W, self.c2w),
                                 (DIRECTION_W2C, self.w2c)):
             for key, value in channel.stats.items():
                 merged[f"{prefix}_{key}"] = value
+        for key, value in self.endpoint.stats.items():
+            merged[f"worker_{key}"] = value
         return merged
 
 

@@ -1,19 +1,21 @@
 """Transport-layer units: frames, fault plans, channels, and the
 stop-and-wait exactly-once protocol -- all without a real worker process
-(the endpoint and a fake pipe stand in for one)."""
+(a local helper executes each released command in its place)."""
 
 import numpy as np
 import pytest
 
+from repro.shard import transport
 from repro.shard.transport import (
     DIRECTION_C2W,
     DIRECTION_W2C,
     FRAME_DATA,
+    FRAME_PONG,
     FRAME_PROBE,
+    MAX_ROUNDS,
     LossyChannel,
     ReliableLink,
     TransportFaultPlan,
-    TransportLimits,
     TransportTimeoutError,
     TransportWindow,
     WorkerEndpoint,
@@ -26,13 +28,27 @@ from repro.shard.transport import (
 
 
 # -- frames ------------------------------------------------------------
+def _sealed(kind, seq, ack, payload):
+    return make_frame(kind, seq, ack, payload, sealed=True)
+
+
 def test_frame_round_trip_validates():
-    frame = make_frame(FRAME_DATA, 3, 2, ("epoch", 0.25, [("inject", ())]))
+    frame = _sealed(FRAME_DATA, 3, 2, ("epoch", 0.25, [("inject", ())]))
+    assert frame_valid(frame)
+
+
+def test_unsealed_frame_carries_no_checksum(monkeypatch):
+    def no_crc(*_args):
+        raise AssertionError("an unsealed frame computed a checksum")
+
+    monkeypatch.setattr(transport, "frame_crc", no_crc)
+    frame = make_frame(FRAME_DATA, 1, 0, "payload", sealed=False)
+    assert frame[4] is None
     assert frame_valid(frame)
 
 
 def test_corrupt_frame_always_rejected():
-    frame = make_frame(FRAME_DATA, 1, 0, "payload")
+    frame = _sealed(FRAME_DATA, 1, 0, "payload")
     mangled = corrupt_frame(frame)
     assert not frame_valid(mangled)
     # Original is untouched (corruption happens on a copy on the wire).
@@ -58,17 +74,6 @@ def test_window_validation():
         TransportWindow(0, 3, max_delay=0)
     with pytest.raises(ValueError):
         TransportWindow(0, 3, direction="sideways")
-
-
-def test_limits_validation():
-    with pytest.raises(ValueError):
-        TransportLimits(initial_rto=0)
-    with pytest.raises(ValueError):
-        TransportLimits(max_rto=0)
-    with pytest.raises(ValueError):
-        TransportLimits(probe_after=4, dead_after=4)
-    with pytest.raises(ValueError):
-        TransportLimits(dead_after=24, max_rounds=23)
 
 
 def test_rates_merge_as_independent_events():
@@ -107,7 +112,7 @@ def _channel(plan, seed=7, worker=0, direction=DIRECTION_C2W):
 
 def test_clean_channel_delivers_in_order():
     channel = _channel(None)
-    frames = [make_frame(FRAME_DATA, i, 0, i) for i in (1, 2, 3)]
+    frames = [_sealed(FRAME_DATA, i, 0, i) for i in (1, 2, 3)]
     for frame in frames:
         channel.send(frame, epoch=0)
     assert channel.take_due() == frames
@@ -117,7 +122,7 @@ def test_clean_channel_delivers_in_order():
 def test_total_drop_delivers_nothing():
     channel = _channel(TransportFaultPlan().drop_window(0, 100, 1.0))
     for i in range(5):
-        channel.send(make_frame(FRAME_DATA, i + 1, 0, None), epoch=0)
+        channel.send(_sealed(FRAME_DATA, i + 1, 0, None), epoch=0)
     assert channel.take_due() == []
     assert channel.stats["dropped"] == 5
 
@@ -126,7 +131,7 @@ def test_delayed_frames_surface_in_later_rounds():
     channel = _channel(
         TransportFaultPlan().delay_window(0, 100, 1.0, max_delay=2)
     )
-    frame = make_frame(FRAME_DATA, 1, 0, None)
+    frame = _sealed(FRAME_DATA, 1, 0, None)
     channel.send(frame, epoch=0)
     assert channel.stats["delayed"] == 1
     rounds = 0
@@ -147,7 +152,7 @@ def test_channel_faults_replay_from_seed():
         )
         log = []
         for i in range(40):
-            channel.send(make_frame(FRAME_DATA, i + 1, 0, i), epoch=0)
+            channel.send(_sealed(FRAME_DATA, i + 1, 0, i), epoch=0)
             log.extend(frame[1] for frame in channel.take_due())
         while channel.in_transit():
             log.extend(frame[1] for frame in channel.take_due())
@@ -157,32 +162,35 @@ def test_channel_faults_replay_from_seed():
 
 
 # -- endpoint ----------------------------------------------------------
-def _endpoint(log):
-    def execute(payload):
-        log.append(payload)
-        return f"done:{payload}"
-
-    return WorkerEndpoint(execute)
+def _serve(endpoint, frames, log):
+    """One round at the far end: the worker applies whatever the endpoint
+    releases, and its reply takes the pending places."""
+    command, out = endpoint.handle_frames(frames)
+    if command is None:
+        return out
+    log.append(command)
+    return endpoint.replied(out, f"done:{command}")
 
 
 def test_endpoint_applies_exactly_once():
     log = []
-    endpoint = _endpoint(log)
-    frame = make_frame(FRAME_DATA, 1, 0, "a")
-    first = endpoint.handle_frames([frame, frame])
+    endpoint = WorkerEndpoint()
+    frame = _sealed(FRAME_DATA, 1, 0, "a")
+    first = _serve(endpoint, [frame, frame], log)
     assert log == ["a"]
     assert [f[3] for f in first] == ["done:a", "done:a"]  # cached re-send
+    assert all(frame_valid(f) and f[4] is not None for f in first)
     assert endpoint.stats["applied"] == 1
     assert endpoint.stats["duplicates_ignored"] == 1
 
 
 def test_endpoint_rejects_corruption_and_gaps():
     log = []
-    endpoint = _endpoint(log)
-    out = endpoint.handle_frames([
-        corrupt_frame(make_frame(FRAME_DATA, 1, 0, "a")),
-        make_frame(FRAME_DATA, 3, 0, "c"),
-    ])
+    endpoint = WorkerEndpoint()
+    out = _serve(endpoint, [
+        corrupt_frame(_sealed(FRAME_DATA, 1, 0, "a")),
+        _sealed(FRAME_DATA, 3, 0, "c"),
+    ], log)
     assert out == []
     assert log == []
     assert endpoint.stats["corrupt_rejected"] == 1
@@ -190,79 +198,97 @@ def test_endpoint_rejects_corruption_and_gaps():
 
 
 def test_endpoint_prunes_cache_by_cumulative_ack():
-    endpoint = _endpoint([])
-    endpoint.handle_frames([make_frame(FRAME_DATA, 1, 0, "a")])
-    endpoint.handle_frames([make_frame(FRAME_DATA, 2, 1, "b")])
+    endpoint = WorkerEndpoint()
+    _serve(endpoint, [_sealed(FRAME_DATA, 1, 0, "a")], [])
+    _serve(endpoint, [_sealed(FRAME_DATA, 2, 1, "b")], [])
     assert list(endpoint._replies) == [2]
-    replies = endpoint.handle_frames([make_frame(FRAME_DATA, 1, 0, "a")])
+    replies = _serve(endpoint, [_sealed(FRAME_DATA, 1, 0, "a")], [])
     assert replies == []  # acked reply is gone; duplicate is just ignored
     assert endpoint.stats["duplicates_ignored"] == 1
 
 
 def test_endpoint_answers_probes_with_progress():
-    endpoint = _endpoint([])
-    endpoint.handle_frames([make_frame(FRAME_DATA, 1, 0, "a")])
-    (pong,) = endpoint.handle_frames([make_frame(FRAME_PROBE, 0, 1, None)])
+    endpoint = WorkerEndpoint()
+    _serve(endpoint, [_sealed(FRAME_DATA, 1, 0, "a")], [])
+    (pong,) = _serve(endpoint, [_sealed(FRAME_PROBE, 0, 1, None)], [])
     assert frame_valid(pong)
     assert pong[1] == 1  # pong carries last_applied
     assert endpoint.stats["probes_answered"] == 1
 
 
 # -- the link end to end -----------------------------------------------
-def _linked(plan, seed=3, limits=None, log=None):
-    endpoint = _endpoint(log if log is not None else [])
-    link = ReliableLink(
-        endpoint.handle_frames, plan, seed, worker_index=0, limits=limits,
-    )
-    return link, endpoint
+def _request(link, payload, epoch, log=None):
+    """Drive one exchange to its end, executing each released command."""
+    rounds = link.request_rounds(payload, epoch)
+    command = next(rounds)
+    while True:
+        reply = None
+        if command is not None:
+            if log is not None:
+                log.append(command)
+            reply = f"done:{command}"
+        try:
+            command = rounds.send(reply)
+        except StopIteration as done:
+            return done.value
 
 
 def test_link_survives_heavy_weather_exactly_once():
     log = []
-    link, endpoint = _linked(
+    link = ReliableLink(
         TransportFaultPlan().chaos_window(
             0, 1000, drop=0.4, duplicate=0.3, reorder=0.3, delay=0.3,
             corrupt=0.3,
         ),
-        log=log,
+        3, worker_index=0,
     )
     for i in range(20):
-        assert link.request(f"p{i}", epoch=i) == f"done:p{i}"
+        assert _request(link, f"p{i}", epoch=i, log=log) == f"done:p{i}"
     assert log == [f"p{i}" for i in range(20)]  # exactly once, in order
-    assert endpoint.stats["applied"] == 20
+    assert link.endpoint.stats["applied"] == 20
     stats = link.combined_stats()
+    assert stats["worker_applied"] == 20
     assert stats["retransmits"] > 0
     assert stats["c2w_dropped"] + stats["w2c_dropped"] > 0
 
 
-def test_link_lossless_bypasses_fault_channels():
-    link, _ = _linked(TransportFaultPlan().drop_window(0, 1000, 1.0))
-    assert link.request("replay", epoch=0, lossless=True) == "done:replay"
+def test_link_lossless_bypasses_fault_channels(monkeypatch):
+    # A link without a plan is lossless: its frames skip both channels
+    # and carry no checksum, and each command reaches the worker once.
+    def no_crc(*_args):
+        raise AssertionError("a plan-less link computed a checksum")
+
+    monkeypatch.setattr(transport, "frame_crc", no_crc)
+    link = ReliableLink(None, 3, worker_index=0)
+    log = []
+    assert _request(link, "replay", epoch=0, log=log) == "done:replay"
+    assert log == ["replay"]
     assert link.c2w.stats["sent"] == 0
+    assert link.w2c.stats["sent"] == 0
 
 
 def test_silent_worker_declared_dead():
-    link, _ = _linked(
-        TransportFaultPlan().drop_window(0, 1000, 1.0),
-        limits=TransportLimits(probe_after=2, dead_after=6, max_rounds=64),
+    link = ReliableLink(
+        TransportFaultPlan().drop_window(0, 1000, 1.0), 3, worker_index=0
     )
     with pytest.raises(WorkerUnresponsiveError):
-        link.request("x", epoch=0)
+        _request(link, "x", epoch=0)
     assert link.stats["probes_sent"] > 0
+
+
+class _ZombieEndpoint(WorkerEndpoint):
+    """Answers every round with a pong but never releases the command."""
+
+    def handle_frames(self, frames):
+        return None, [make_frame(FRAME_PONG, 0, 0, None, sealed=False)]
 
 
 def test_round_budget_is_terminal():
     # A worker that stays audible (every round yields a pong) but never
     # completes the command starves the detector of silence -- only the
     # hard round budget can end the exchange.
-    from repro.shard.transport import FRAME_PONG
-
-    def zombie_exchange(frames):
-        return [make_frame(FRAME_PONG, 0, 0, None)]
-
-    link = ReliableLink(
-        zombie_exchange, None, 3, worker_index=0,
-        limits=TransportLimits(probe_after=2, dead_after=6, max_rounds=10),
-    )
-    with pytest.raises(TransportTimeoutError):
-        link.request("x", epoch=0)
+    link = ReliableLink(None, 3, worker_index=0)
+    link.endpoint = _ZombieEndpoint()
+    with pytest.raises(TransportTimeoutError, match=str(MAX_ROUNDS)):
+        _request(link, "x", epoch=0)
+    assert link.stats["pongs_received"] == MAX_ROUNDS

@@ -1,9 +1,10 @@
 """The CI toolkit's own machinery.
 
-Covers the ``H101`` hot-path comprehension lint rule, the perf lane's
-``--trend`` history writer, the case-table comparator every fingerprint
-lane runs through, and the stdlib-only import contract of ``ci.runner``
--- all live under ``ci/`` and have no other automated coverage.
+Covers the ``H101`` hot-path comprehension lint rule, the docs lane's
+``D302`` API-table check, the perf lane's ``--trend`` history writer,
+the case-table comparator every fingerprint lane runs through, and the
+stdlib-only import contract of ``ci.runner`` -- all live under ``ci/``
+and have no other automated coverage.
 """
 
 import json
@@ -13,6 +14,7 @@ import sys
 
 from ci import perf
 from ci.cases import Case, CaseFailed, case_table, compare
+from ci.docscheck import _check_api_tables
 from ci.lint import lint_file
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -63,6 +65,22 @@ def test_every_hot_path_marked_function_lints_clean():
             f for f in lint_file(path, ROOT) if f.code == "H101"
         ]
     assert findings == []
+
+
+def test_d302_flags_each_stale_name_beside_a_resolving_one(tmp_path):
+    docs = tmp_path / "docs"
+    docs.mkdir()
+    (docs / "api.md").write_text(
+        "## `repro.shard`\n\n"
+        "| item | purpose |\n"
+        "|---|---|\n"
+        "| `ShardPool`, `NoSuchPool` | one live name, one stale |\n"
+        "| `run_sharded(config)` → `{name: ShardRunResult}` | prose |\n"
+        "| `transport.channel_seed` | qualified by submodule |\n"
+    )
+    findings = _check_api_tables(str(tmp_path))
+    assert [(f.code, f.line) for f in findings] == [("D302", 5)]
+    assert "NoSuchPool" in findings[0].message
 
 
 def test_trend_history_appends_one_json_line_per_run(tmp_path):
