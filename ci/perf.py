@@ -52,6 +52,11 @@ TREND_HISTORY = os.path.join("results", "BENCH_history.jsonl")
 #: over the loop oracle (machine-independent; measured ~27x).
 MIN_CORRELATION_RATIO = 5.0
 
+#: Minimum required speed ratio of the FFT curve over the default (direct
+#: per-delay product) curve at the package meter's delay-search shape
+#: (machine-independent; measured 20-28x on a 2-core host).
+MIN_DELAY_SEARCH_RATIO = 4.0
+
 #: Maximum wall-time ratio of a run with an attached-but-disabled
 #: :class:`~repro.telemetry.Telemetry` handle over a bare run.  The
 #: disabled-mode guards (``if t is not None and t.enabled``) on every hot
@@ -218,8 +223,9 @@ def bench_calibration() -> BenchResult:
 # Micro benchmarks
 # ---------------------------------------------------------------------------
 def bench_correlation_curve() -> BenchResult:
-    """Eq. 4 delay search at recalibration scale (4000-sample series,
-    1500-sample delay window) -- the pre-PR measurement's exact shape."""
+    """The FFT curve over a long delay window (4000-sample series, 1500
+    delays) -- the pre-PR measurement's exact shape, which no run's delay
+    search uses (``micro-delay-search`` times the one they do)."""
     from repro.core.alignment import correlation_curve
 
     rng = np.random.default_rng(0)
@@ -258,6 +264,39 @@ def bench_correlation_ratio() -> BenchResult:
             "reference_seconds": reference,
         },
         ratio=reference / vectorized,
+    )
+
+
+def bench_delay_search() -> BenchResult:
+    """Eq. 4 delay search at the 1 ms package meter's shape (20 s of
+    centred history, 10 delays): the default curve against ``method="fft"``
+    on the same inputs.  ``seconds`` is the default arm's wall time;
+    ``ratio`` is fft/default."""
+    from repro.core.alignment import correlation_curve
+
+    rng = np.random.default_rng(0)
+    measured = rng.normal(50, 5, 20_000)
+    modeled = rng.normal(50, 5, 20_000)
+    measured -= measured.mean()
+    modeled -= modeled.mean()
+
+    def timed(method):
+        def body():
+            for _ in range(20):
+                correlation_curve(measured, modeled, 10, method=method)
+        return _best_of(body) / 20
+
+    timed("fft")  # warm numpy's FFT setup
+    direct = timed("auto")
+    fft = timed("fft")
+    return BenchResult(
+        "micro-delay-search", "micro", direct,
+        throughput={
+            "searches_per_sec": 1 / direct,
+            "direct_seconds": direct,
+            "fft_seconds": fft,
+        },
+        ratio=fft / direct,
     )
 
 
@@ -548,6 +587,7 @@ SUITE = (
     bench_simulator_queue,
     bench_correlation_curve,
     bench_correlation_ratio,
+    bench_delay_search,
     bench_telemetry_overhead,
     bench_telemetry_frame_overhead,
     bench_core_sample,
@@ -579,6 +619,8 @@ def run_suite() -> dict[str, BenchResult]:
 RATIO_BOUNDS = (
     ("micro-correlation-vs-oracle-ratio", "ratio", "ratio",
      MIN_CORRELATION_RATIO, True, 1),
+    ("micro-delay-search", "ratio", "ratio",
+     MIN_DELAY_SEARCH_RATIO, True, 1),
     ("micro-telemetry-disabled-ratio", "ratio", "ratio",
      MAX_TELEMETRY_DISABLED_RATIO, False, 1),
     ("micro-telemetry-frame-overhead", "ratio", "ratio",

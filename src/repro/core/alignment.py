@@ -44,7 +44,11 @@ def cross_correlation(
         return 0.0
     a = measured[-n:]
     b = shifted_model[-n:]
-    return float(np.dot(a, b) / n)
+    # A single-threaded product, not ``np.dot``: BLAS splits a long dot
+    # over threads, so its rounding depends on the host's core count, and
+    # on a loaded host each split waits for a busy core (on a 2-core host:
+    # stalls of 8-17 ms on 20,000-sample dots; this product takes 14 us).
+    return float(np.einsum("i,i->", a, b) / n)
 
 
 def correlation_curve_reference(
@@ -52,10 +56,11 @@ def correlation_curve_reference(
 ) -> np.ndarray:
     """Loop-form curve: one :func:`cross_correlation` call per delay.
 
-    This is the executable definition of the curve and the test oracle for
-    :func:`correlation_curve`, which computes the same thing with strided
-    windows and matrix products (equal to within float rounding, ~1e-12
-    relative; the two differ only in summation order).
+    This is the executable definition of the curve.  Each delay is one
+    inner product over views of the two series, so it allocates nothing
+    but the curve and costs O(delays x samples): :func:`correlation_curve`
+    returns it as is for short delay windows, and it is the test oracle
+    for the FFT path.
     """
     return np.array(
         [
@@ -65,9 +70,14 @@ def correlation_curve_reference(
     )
 
 
-#: Batched-dot work (delays x window width) above which the FFT method wins
-#: over materializing a window matrix.
-_FFT_WORK_THRESHOLD = 1 << 15
+#: Longest delay window (in samples) the ``"auto"`` curve computes by
+#: direct per-delay products.  On a 2-core x86-64 host (numpy 2.4.6) the
+#: direct-vs-FFT crossover sits at 16 delays for 1,000-sample series, 40
+#: for 4,000 and above 200 for 20,000; below 1,000 samples it drops to
+#: 6-8 delays, where either path takes about 50 us.  The alignment's
+#: windows are 10 delays for the 1 ms package meter and 8 for the wall
+#: meter.
+_DIRECT_MAX_DELAY = 12
 
 
 def correlation_curve(
@@ -78,71 +88,29 @@ def correlation_curve(
 ) -> np.ndarray:
     """Cross-correlation at every delay in ``[0, max_delay_samples]``.
 
-    Vectorized replacement for :func:`correlation_curve_reference`.  Two
-    strategies, selected by ``method``:
+    Two strategies, selected by ``method``:
 
-    * ``"windows"`` -- each delay's overlap is a sliding window of
-      ``modeled`` (zero-padded where the overlap is partial), so the whole
-      curve is one or two matrix-vector products.  Summation order matches
-      a per-delay ``np.dot`` up to BLAS kernel blocking (~1e-15 relative).
+    * ``"auto"`` -- for a delay window of at most ``_DIRECT_MAX_DELAY``
+      samples, :func:`correlation_curve_reference` itself (bit-identical
+      to the definition, O(delays x samples), no workspace); ``"fft"``
+      for longer windows.
     * ``"fft"`` -- the un-normalized curve is a slice of the full linear
       cross-correlation, computed with three real FFTs; O((L+M) log(L+M))
       regardless of the number of delays.  Rounding error is that of the
       FFT, ~1e-13 relative to the correlation magnitude.
-    * ``"auto"`` -- ``windows`` for small batches (where its constants win
-      and its result is closest to the reference), ``fft`` once the
-      window-matrix work would exceed ~32k multiply-adds.
     """
     measured = np.asarray(measured, dtype=float)
     modeled = np.asarray(modeled, dtype=float)
     if max_delay_samples < 0:
         raise ValueError("delay must be non-negative")
-    if method not in ("auto", "windows", "fft"):
+    if method not in ("auto", "fft"):
         raise ValueError(f"unknown method {method!r}")
-    n_measured = len(measured)
-    n_modeled = len(modeled)
+    if method == "auto" and max_delay_samples <= _DIRECT_MAX_DELAY:
+        return correlation_curve_reference(measured, modeled, max_delay_samples)
     curve = np.zeros(max_delay_samples + 1)
-    if n_measured == 0 or n_modeled == 0:
-        return curve
-    if method == "auto":
-        work = (min(max_delay_samples, n_modeled - 1) + 1) * min(
-            n_measured, n_modeled
-        )
-        method = "windows" if work <= _FFT_WORK_THRESHOLD else "fft"
-    if method == "fft":
+    if len(measured) and len(modeled):
         _curve_fft(measured, modeled, max_delay_samples, curve)
-    else:
-        _curve_windows(measured, modeled, max_delay_samples, curve)
     return curve
-
-
-def _curve_windows(
-    measured: np.ndarray,
-    modeled: np.ndarray,
-    max_delay_samples: int,
-    curve: np.ndarray,
-) -> None:
-    """Window-matrix curve: overlaps become rows, delays one matvec batch."""
-    n_measured = len(measured)
-    n_modeled = len(modeled)
-    # Full overlap: n(d) == len(measured), window start = L - M - d.
-    full_end = min(max_delay_samples, n_modeled - n_measured)
-    if full_end >= 0:
-        windows = np.lib.stride_tricks.sliding_window_view(modeled, n_measured)
-        starts = n_modeled - n_measured - np.arange(full_end + 1)
-        curve[: full_end + 1] = (windows[starts] @ measured) / n_measured
-    # Partial overlap: n(d) = L - d < M, matched against measured's tail.
-    part_start = max(0, n_modeled - n_measured + 1)
-    part_end = min(max_delay_samples, n_modeled - 1)
-    if part_start <= part_end:
-        overlaps = n_modeled - np.arange(part_start, part_end + 1)
-        width = int(overlaps[0])
-        padded = np.concatenate([np.zeros(width), modeled[:width]])
-        windows = np.lib.stride_tricks.sliding_window_view(padded, width)
-        # The row for overlap n starts at index n: ``width - n`` zeros, then
-        # ``modeled[:n]`` aligned against the last n measured samples.
-        dots = windows[overlaps] @ measured[n_measured - width:]
-        curve[part_start : part_end + 1] = dots / overlaps
 
 
 def _curve_fft(

@@ -534,9 +534,9 @@ class PowerContainerFacility(KernelHooks):
         if self.meter is None or not self.recalibrators:
             return
         now = self.simulator.now
-        delivered, changed = self.meter.delivery_changes()
-        n_measured = len(delivered)
-        self._refresh_measured(delivered, changed)
+        changed, watts = self.meter.delivery_changes()
+        n_measured = changed + len(watts)
+        self._refresh_measured(changed, watts)
         max_delay_samples = int(round(self.max_delay_seconds / self.trace_period))
         if n_measured < max_delay_samples + 5 or self._trace_len < 5:
             return
@@ -619,22 +619,19 @@ class PowerContainerFacility(KernelHooks):
             self._meter_consumed_until = max(s.available_at for s in new_samples)
         return new_samples
 
-    def _refresh_measured(self, delivered: list, changed: int) -> None:
-        """Mirror the meter's delivered list from position ``changed`` on.
+    def _refresh_measured(self, changed: int, watts: np.ndarray) -> None:
+        """Mirror the meter's delivered watts from position ``changed`` on.
 
         Non-finite readings carry no alignment information; they are zeroed
         so one NaN cannot blank the whole cross-correlation (Eq. 4).
         """
-        n = len(delivered)
+        n = changed + len(watts)
         if changed >= n:
             return
         if n > len(self._measured):
             self._measured = _grown(self._measured, changed, n)
-        buffer = self._measured
-        idle = self.meter_idle_watts
-        for position in range(changed, n):
-            buffer[position] = delivered[position].watts - idle
-        tail = buffer[changed:n]
+        tail = self._measured[changed:n]
+        np.subtract(watts, self.meter_idle_watts, out=tail)
         tail[~np.isfinite(tail)] = 0.0
 
     # ------------------------------------------------------------------

@@ -13,12 +13,17 @@ Meters observe ground truth (plus optional measurement noise) but publish
 samples only after their delay, so the alignment machinery in
 :mod:`repro.core.alignment` has a genuine inference problem to solve.
 
-Delivery is incremental.  Published samples wait on a heap keyed by
-``(available_at, production index)``; a delivery step moves the due ones
-into a delivered list kept in production order (an append for in-order
-delivery, an insert for a sample the fault hook delayed).  The meter
-remembers the lowest delivered position that changed and logs each newly
-delivered sample, so a consumer that polls every round -- the facility's
+The history is three typed columns in production order -- interval end,
+availability time and watts, 8 bytes per value -- so a delivered reading
+costs 32 bytes with its delivered-order entry, not a Python object;
+:class:`MeterSample` objects are built only at the consumer API and for a
+fault hook.  Delivery is incremental.
+Published readings wait on a heap keyed by ``(available_at, production
+index)``; a delivery step moves the due ones into the delivered order, a
+column of production indexes kept sorted (an append for in-order delivery,
+an insert for a reading the fault hook delayed).  The meter remembers the
+lowest delivered position that changed and logs each newly delivered
+index, so a consumer that polls every round -- the facility's
 recalibration -- touches only what changed instead of rescanning the run.
 """
 
@@ -26,6 +31,7 @@ from __future__ import annotations
 
 import bisect
 import heapq
+from array import array
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
@@ -35,7 +41,7 @@ from repro.hardware.machine import Machine
 from repro.sim.engine import Simulator
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MeterSample:
     """One power reading.
 
@@ -70,20 +76,21 @@ class _PeriodicMeter:
         self.delay = delay
         self.noise_std_watts = noise_std_watts
         self._rng = rng if rng is not None else np.random.default_rng(0)
-        #: Every published sample, in production order.
-        self._samples: list[MeterSample] = []
-        #: Published, not yet delivered: ``(available_at, index, sample)``.
-        self._pending: list[tuple[float, int, MeterSample]] = []
-        #: Delivered samples and their production indexes, production order.
-        self._delivered: list[MeterSample] = []
-        self._delivered_order: list[int] = []
-        #: The latest query time the delivered list is complete for.
+        #: Every published reading's fields, in production order.
+        self._ends = array("d")
+        self._available = array("d")
+        self._watts = array("d")
+        #: Published, not yet delivered: ``(available_at, index)``.
+        self._pending: list[tuple[float, int]] = []
+        #: Production indexes of the delivered readings, ascending.
+        self._order = array("q")
+        #: The latest query time the delivered order is complete for.
         self._delivered_through = float("-inf")
         #: Lowest delivered position changed since :meth:`delivery_changes`.
         self._changed_from = 0
-        #: ``(index, sample)`` delivered since :meth:`take_new_deliveries`;
-        #: ``None`` until the first take, so an unpolled meter logs nothing.
-        self._new_deliveries: Optional[list[tuple[int, MeterSample]]] = None
+        #: Indexes delivered since :meth:`take_new_deliveries`; ``None``
+        #: until the first take, so an unpolled meter logs nothing.
+        self._new_deliveries: Optional[list[int]] = None
         self._last_energy = 0.0
         self._running = False
         #: Optional fault-injection hook (see :mod:`repro.faults`): maps each
@@ -130,22 +137,34 @@ class _PeriodicMeter:
         self._last_energy = energy
         if self.noise_std_watts > 0.0:
             watts += float(self._rng.normal(0.0, self.noise_std_watts))
-        sample = MeterSample(
-            interval_end=now, available_at=now + self.delay, watts=watts
-        )
         if self.fault_hook is None:
-            self._publish(sample)
+            self._publish(now, now + self.delay, watts)
         else:
+            sample = MeterSample(
+                interval_end=now, available_at=now + self.delay, watts=watts
+            )
             for published in self.fault_hook(sample):
-                self._publish(published)
+                self._publish(
+                    published.interval_end, published.available_at,
+                    published.watts,
+                )
 
-    def _publish(self, sample: MeterSample) -> None:
-        index = len(self._samples)
-        self._samples.append(sample)
+    def _publish(
+        self, interval_end: float, available_at: float, watts: float
+    ) -> None:
+        index = len(self._watts)
+        self._ends.append(interval_end)
+        self._available.append(available_at)
+        self._watts.append(watts)
         # A NaN delivery time never compares due; keep it off the heap,
         # whose order a NaN key would break.
-        if sample.available_at == sample.available_at:
-            heapq.heappush(self._pending, (sample.available_at, index, sample))
+        if available_at == available_at:
+            heapq.heappush(self._pending, (available_at, index))
+
+    def _sample(self, index: int) -> MeterSample:
+        return MeterSample(
+            self._ends[index], self._available[index], self._watts[index]
+        )
 
     def _deliver(self, now: float) -> None:  # hot-path
         """Move every published sample due by ``now`` into delivery order."""
@@ -153,39 +172,36 @@ class _PeriodicMeter:
         self._delivered_through = now
         if not pending or pending[0][0] > now:
             return
-        delivered = self._delivered
-        order = self._delivered_order
+        order = self._order
         log = self._new_deliveries
         changed = self._changed_from
         while pending and pending[0][0] <= now:
-            _, index, sample = heapq.heappop(pending)
+            index = heapq.heappop(pending)[1]
             if not order or index > order[-1]:
                 position = len(order)
                 order.append(index)
-                delivered.append(sample)
             else:
                 # Delayed past a later reading: back into production order.
                 position = bisect.bisect_left(order, index)
                 order.insert(position, index)
-                delivered.insert(position, sample)
             if position < changed:
                 changed = position
             if log is not None:
-                log.append((index, sample))
+                log.append(index)
         self._changed_from = changed
 
-    def _delivered_by(self, now: float) -> Optional[list[MeterSample]]:
-        """The delivered list for ``now``, or ``None`` off the cursor.
+    def _delivered_by(self, now: float) -> bool:
+        """Deliver through ``now``; false when ``now`` is off the cursor.
 
         The cursor only moves forward and never past the simulator clock
         (a sample published later may still be due by a future ``now``),
-        so queries before its position or ahead of the clock return
-        ``None`` and the caller scans the history instead.
+        so for queries before its position or ahead of the clock the
+        delivered order does not answer, and the caller scans the history.
         """
         if not self._delivered_through <= now <= self.simulator.now:
-            return None
+            return False
         self._deliver(now)
-        return self._delivered
+        return True
 
     def _read_energy(self) -> float:  # pragma: no cover - overridden
         raise NotImplementedError
@@ -194,37 +210,44 @@ class _PeriodicMeter:
     @property
     def all_samples(self) -> list[MeterSample]:
         """Every sample taken so far (including not-yet-delivered ones)."""
-        return list(self._samples)
+        return list(map(MeterSample, self._ends, self._available, self._watts))
 
     def samples_available(self, now: float) -> list[MeterSample]:
         """Samples whose readings have been delivered by time ``now``.
 
         A new list (the caller may keep or change it), in production order.
         """
-        delivered = self._delivered_by(now)
-        if delivered is None:
-            return [s for s in self._samples if s.available_at <= now]
-        return list(delivered)
+        if self._delivered_by(now):
+            indexes: Iterable[int] = self._order
+        else:
+            available = self._available
+            indexes = [i for i in range(len(available)) if available[i] <= now]
+        return [self._sample(i) for i in indexes]
 
     def latest_available(self, now: float) -> MeterSample | None:
         """Most recent delivered sample (production order), or ``None``."""
-        delivered = self._delivered_by(now)
-        if delivered is None:
-            delivered = self.samples_available(now)
-        return delivered[-1] if delivered else None
+        if self._delivered_by(now):
+            return self._sample(self._order[-1]) if self._order else None
+        available = self._available
+        for index in range(len(available) - 1, -1, -1):
+            if available[index] <= now:
+                return self._sample(index)
+        return None
 
-    def delivery_changes(self) -> tuple[list[MeterSample], int]:
-        """Deliver what is due at the clock; return the list and what changed.
+    def delivery_changes(self) -> tuple[int, np.ndarray]:
+        """Deliver what is due at the clock; report what changed.
 
-        The list is the meter's own, in production order -- read it, never
-        change it.  The int is the lowest position that changed since the
-        previous call (``len`` of the list when nothing did), so a consumer
-        mirroring the list refreshes only its tail.
+        Returns the lowest delivered position that changed since the
+        previous call, and the watts of every delivered reading from that
+        position on, in production order (a new array; empty when nothing
+        changed), so a consumer mirroring the delivered watts refreshes
+        only its tail.
         """
         self._deliver(self.simulator.now)
         changed = self._changed_from
-        self._changed_from = len(self._delivered)
-        return self._delivered, changed
+        self._changed_from = len(self._order)
+        order = np.frombuffer(self._order, dtype=np.int64)[changed:]
+        return changed, np.frombuffer(self._watts)[order]
 
     def take_new_deliveries(self) -> list[tuple[int, MeterSample]]:
         """``(production index, sample)`` pairs delivered since the last take.
@@ -234,16 +257,16 @@ class _PeriodicMeter:
         """
         batch = self._new_deliveries
         if batch is None:
-            batch = list(zip(self._delivered_order, self._delivered))
+            batch = self._order
         self._new_deliveries = []
-        return batch
+        return [(index, self._sample(index)) for index in batch]
 
     def mean_watts(self, start: float = 0.0, end: float | None = None) -> float:
         """Mean measured power over sample intervals ending in a window."""
         selected = [
-            s.watts
-            for s in self._samples
-            if s.interval_end > start and (end is None or s.interval_end <= end)
+            watts
+            for interval_end, watts in zip(self._ends, self._watts)
+            if interval_end > start and (end is None or interval_end <= end)
         ]
         if not selected:
             return 0.0
@@ -263,10 +286,9 @@ class _PeriodicMeter:
 
         return {
             "v": 1,
-            "samples": [
-                [s.interval_end, s.available_at, s.watts]
-                for s in self._samples
-            ],
+            "samples": list(
+                map(list, zip(self._ends, self._available, self._watts))
+            ),
             "last_energy": self._last_energy,
             "running": self._running,
             "start_count": self.start_count,

@@ -7,10 +7,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.core.facility as facility_module
 from repro.core import OnlineRecalibrator, PowerContainerFacility, PowerModel
-from repro.hardware import PackageMeter, RateProfile, SANDYBRIDGE, build_machine
+from repro.core.alignment import correlation_curve, estimate_delay
+from repro.faults import MeterFaultInjector, MeterFaultProfile
+from repro.hardware import (
+    PackageMeter,
+    RateProfile,
+    SANDYBRIDGE,
+    WOODCREST,
+    build_machine,
+)
 from repro.kernel import Compute, Kernel, Sleep
 from repro.sim import Simulator
+from repro.workloads.base import meter_setup_for
 
 #: A production workload with power invisible to core-level counters -- the
 #: mechanism behind the paper's Stress/power-virus modeling errors.
@@ -236,3 +246,93 @@ def test_recalibration_rounds_never_copy_the_meter_history(sb_cal):
     )
     assert facility.recalibrators["recal"].recalibration_count >= 1
     assert facility.estimated_delay_samples is not None
+
+
+# ----------------------------------------------------------------------
+# The delay search at production meter settings
+# ----------------------------------------------------------------------
+def _phased_run(spec, calibration, duration, busy, fault_profile=None):
+    """A traced facility with the workloads' meter for ``spec``, under a
+    load that alternates busy phases of 1-3 ``busy`` seconds with idle."""
+    sim = Simulator()
+    machine = build_machine(spec, sim)
+    kernel = Kernel(machine, sim)
+    setup = meter_setup_for(spec, calibration, machine, sim)
+    if fault_profile is not None:
+        injector = MeterFaultInjector(setup["meter"], np.random.default_rng(5))
+        injector.set_profile(fault_profile)
+    facility = PowerContainerFacility(kernel, calibration, **setup)
+    facility.start_tracing()
+    container = facility.create_request_container("phased")
+
+    def program():
+        phase = 0
+        while True:
+            phase += 1
+            yield Compute(
+                cycles=machine.freq_hz * busy * (phase % 3 + 1),
+                profile=HIDDEN_HOT,
+            )
+            yield Sleep(busy)
+
+    kernel.spawn(program(), "phased", container_id=container.id)
+    sim.run_until(duration)
+    return facility
+
+
+def _record_delay_searches(monkeypatch):
+    """Every round's ``(measured, modeled, max delay)``, as the facility
+    hands them to ``estimate_delay``."""
+    rounds = []
+
+    def recording(measured, modeled, max_delay_samples):
+        rounds.append((measured.copy(), modeled.copy(), max_delay_samples))
+        return estimate_delay(measured, modeled, max_delay_samples)
+
+    monkeypatch.setattr(facility_module, "estimate_delay", recording)
+    return rounds
+
+
+def test_package_meter_delay_search_never_runs_an_fft(sb_cal, monkeypatch):
+    """4.5 s of 1 ms history: 10 delays over 4,000+ samples is past the
+    44k multiply-adds where a delay search used to switch to a
+    full-history FFT, yet every round stays on per-delay dots."""
+
+    def no_fft(*args, **kwargs):
+        raise AssertionError("FFT in the delay search")
+
+    rounds = _record_delay_searches(monkeypatch)
+    monkeypatch.setattr(np.fft, "rfft", no_fft)
+    facility = _phased_run(SANDYBRIDGE, sb_cal, 4.5, busy=20e-3)
+    assert facility.estimated_delay_samples == 1
+    assert rounds[-1][2] == 10
+    assert len(rounds[-1][0]) * 11 > 44_000
+
+
+@pytest.mark.parametrize(
+    "spec, duration, busy, fault_profile",
+    [
+        (SANDYBRIDGE, 4.5, 20e-3, MeterFaultProfile(
+            drop_prob=0.05, nan_prob=0.02, spike_prob=0.02,
+            duplicate_prob=0.05, extra_delay_prob=0.05, extra_delay=3e-3,
+        )),
+        (WOODCREST, 12.0, 0.4, None),
+    ],
+    ids=["package-meter-faulted", "wall-meter"],
+)
+def test_direct_delay_search_picks_the_fft_lag_every_round(
+    spec, duration, busy, fault_profile, sb_cal, wc_cal, monkeypatch
+):
+    """The direct and FFT curves round differently, so the delay search
+    may use either only while both pick the same lag on every round a
+    real meter produces."""
+    calibration = sb_cal if spec is SANDYBRIDGE else wc_cal
+    rounds = _record_delay_searches(monkeypatch)
+    _phased_run(spec, calibration, duration, busy, fault_profile)
+    assert len(rounds) >= 10
+    for measured, modeled, max_delay in rounds:
+        measured = measured - measured.mean()
+        modeled = modeled - modeled.mean()
+        direct = correlation_curve(measured, modeled, max_delay)
+        fft = correlation_curve(measured, modeled, max_delay, method="fft")
+        assert np.argmax(direct) == np.argmax(fft)

@@ -77,7 +77,7 @@ def test_check_regressions_flags_every_dropped_benchmark():
     partial = {"micro-event-vector": _results()["micro-event-vector"]}
     problems = check_regressions(partial, committed)
     dropped = set(load_bench_json(committed)["benchmarks"]) - set(partial)
-    assert len(dropped) == 9
+    assert len(dropped) == 10
     assert len(problems) == len(dropped)
     assert {problem.split(":")[0] for problem in problems} == dropped
     assert all("not produced by this run" in p for p in problems)
