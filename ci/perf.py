@@ -1,17 +1,17 @@
 """The perf gate behind ``python -m ci perf``: benchmarks + BENCH_perf.json.
 
 **Micro** benchmarks time isolated hot kernels (event-vector math, the
-simulator queue, ``correlation_curve``, per-core accounting samples --
+simulator queue, the Eq. 4 delay search, per-core accounting samples --
 model evaluation included) and the machine-independent ratios
-(vectorized code vs its loop oracle, disabled telemetry vs none); the
+(disabled telemetry vs none, telemetry frames); the
 **macro** benchmarks time the sharded cluster at 1, 2 and 4 workers and
 the calibration of all three machine models at 1 and 2 workers.
 The single-machine Solr run is timed, bounded and fingerprinted by the
 repo benchmark (``bench/``, workload ``solr-pkgmeter``).
 
 ``BENCH_perf.json`` (schema 2) records per benchmark a wall time
-(``seconds``), derived throughput, an explicit ``ratio`` on the ratio
-benchmarks, and the frozen pre-optimization wall time where one exists.
+(``seconds``), derived throughput, and an explicit ``ratio`` on the ratio
+benchmarks.
 :func:`check_regressions` holds a fresh run to it.  Wall-clock limits are
 machine-relative, hence the generous default threshold; the ratio bounds
 are not.  numpy is imported at the top, so ``ci.runner`` loads this module
@@ -28,14 +28,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-#: Wall times measured immediately before the optimization PR, with the
-#: exact methodology of the corresponding benchmark below, committed so the
-#: speedup claims stay auditable.  Do not update these when regenerating
-#: baselines -- they are the historical reference point.
-PRE_PR_SECONDS = {
-    "micro-correlation-curve": 0.005122571666712854,
-}
-
 #: CI regression threshold: fresh wall time may be at most this multiple of
 #: the committed wall time (absorbs machine and load variance).
 DEFAULT_THRESHOLD = 3.0
@@ -47,15 +39,6 @@ TREND_THRESHOLD = 1.2
 
 #: Where ``perf --trend`` appends its one-line-per-run history.
 TREND_HISTORY = os.path.join("results", "BENCH_history.jsonl")
-
-#: Minimum required speed ratio of the vectorized ``correlation_curve``
-#: over the loop oracle (machine-independent; measured ~27x).
-MIN_CORRELATION_RATIO = 5.0
-
-#: Minimum required speed ratio of the FFT curve over the default (direct
-#: per-delay product) curve at the package meter's delay-search shape
-#: (machine-independent; measured 20-28x on a 2-core host).
-MIN_DELAY_SEARCH_RATIO = 4.0
 
 #: Maximum wall-time ratio of a run with an attached-but-disabled
 #: :class:`~repro.telemetry.Telemetry` handle over a bare run.  The
@@ -222,56 +205,9 @@ def bench_calibration() -> BenchResult:
 # ---------------------------------------------------------------------------
 # Micro benchmarks
 # ---------------------------------------------------------------------------
-def bench_correlation_curve() -> BenchResult:
-    """The FFT curve over a long delay window (4000-sample series, 1500
-    delays) -- the pre-PR measurement's exact shape, which no run's delay
-    search uses (``micro-delay-search`` times the one they do)."""
-    from repro.core.alignment import correlation_curve
-
-    rng = np.random.default_rng(0)
-    measured = rng.normal(50, 5, 4000)
-    modeled = rng.normal(50, 5, 4000)
-    correlation_curve(measured, modeled, 1500)  # warm numpy's FFT setup
-
-    start = time.perf_counter()
-    for _ in range(3):
-        correlation_curve(measured, modeled, 1500)
-    seconds = (time.perf_counter() - start) / 3
-    return BenchResult(
-        "micro-correlation-curve", "micro", seconds,
-        throughput={"delays_per_sec": 1501 / seconds},
-    )
-
-
-def bench_correlation_ratio() -> BenchResult:
-    """Loop oracle vs vectorized curve on the same inputs.  ``seconds`` is
-    the vectorized arm's wall time; ``ratio`` is oracle/vectorized."""
-    from repro.core.alignment import correlation_curve, correlation_curve_reference
-
-    rng = np.random.default_rng(0)
-    measured = rng.normal(50, 5, 4000)
-    modeled = rng.normal(50, 5, 4000)
-    correlation_curve(measured, modeled, 1500)
-
-    vectorized = _best_of(lambda: correlation_curve(measured, modeled, 1500))
-    reference = _best_of(
-        lambda: correlation_curve_reference(measured, modeled, 1500), repeats=1
-    )
-    return BenchResult(
-        "micro-correlation-vs-oracle-ratio", "micro", vectorized,
-        throughput={
-            "vectorized_seconds": vectorized,
-            "reference_seconds": reference,
-        },
-        ratio=reference / vectorized,
-    )
-
-
 def bench_delay_search() -> BenchResult:
-    """Eq. 4 delay search at the 1 ms package meter's shape (20 s of
-    centred history, 10 delays): the default curve against ``method="fft"``
-    on the same inputs.  ``seconds`` is the default arm's wall time;
-    ``ratio`` is fft/default."""
+    """One Eq. 4 delay search at the 1 ms package meter's shape (20 s of
+    centred history, 10 delays)."""
     from repro.core.alignment import correlation_curve
 
     rng = np.random.default_rng(0)
@@ -280,23 +216,14 @@ def bench_delay_search() -> BenchResult:
     measured -= measured.mean()
     modeled -= modeled.mean()
 
-    def timed(method):
-        def body():
-            for _ in range(20):
-                correlation_curve(measured, modeled, 10, method=method)
-        return _best_of(body) / 20
+    def body():
+        for _ in range(20):
+            correlation_curve(measured, modeled, 10)
 
-    timed("fft")  # warm numpy's FFT setup
-    direct = timed("auto")
-    fft = timed("fft")
+    seconds = _best_of(body) / 20
     return BenchResult(
-        "micro-delay-search", "micro", direct,
-        throughput={
-            "searches_per_sec": 1 / direct,
-            "direct_seconds": direct,
-            "fft_seconds": fft,
-        },
-        ratio=fft / direct,
+        "micro-delay-search", "micro", seconds,
+        throughput={"searches_per_sec": 1 / seconds},
     )
 
 
@@ -585,8 +512,6 @@ def bench_simulator_queue() -> BenchResult:
 SUITE = (
     bench_event_vector,
     bench_simulator_queue,
-    bench_correlation_curve,
-    bench_correlation_ratio,
     bench_delay_search,
     bench_telemetry_overhead,
     bench_telemetry_frame_overhead,
@@ -617,10 +542,6 @@ def run_suite() -> dict[str, BenchResult]:
 #: needs before the bound applies).  ``"ratio"`` reads the benchmark's
 #: ``ratio``; any other quantity is read from its ``throughput``.
 RATIO_BOUNDS = (
-    ("micro-correlation-vs-oracle-ratio", "ratio", "ratio",
-     MIN_CORRELATION_RATIO, True, 1),
-    ("micro-delay-search", "ratio", "ratio",
-     MIN_DELAY_SEARCH_RATIO, True, 1),
     ("micro-telemetry-disabled-ratio", "ratio", "ratio",
      MAX_TELEMETRY_DISABLED_RATIO, False, 1),
     ("micro-telemetry-frame-overhead", "ratio", "ratio",
@@ -645,7 +566,7 @@ def _entry(result: BenchResult) -> dict:
 
 
 def write_bench_json(results: dict[str, BenchResult], path: str) -> dict:
-    """Serialize results (plus pre-PR baselines and speedups) to ``path``.
+    """Serialize results to ``path``.
 
     Schema 2: ``seconds`` is always a wall time, and ratio benchmarks
     carry their machine-independent quantity in an explicit ``ratio``
@@ -655,10 +576,6 @@ def write_bench_json(results: dict[str, BenchResult], path: str) -> dict:
     for name, result in results.items():
         entry = _entry(result)
         entry.update(result.throughput)
-        pre = PRE_PR_SECONDS.get(name)
-        if pre is not None:
-            entry["pre_pr_seconds"] = pre
-            entry["speedup_vs_pre_pr"] = pre / result.seconds
         benchmarks[name] = entry
     payload = {"schema": 2, "benchmarks": benchmarks}
     with open(path, "w") as fh:

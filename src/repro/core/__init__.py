@@ -26,7 +26,6 @@ from repro.core.registry import BACKGROUND_CONTAINER_ID, ContainerRegistry
 from repro.core.alignment import (
     align_series,
     correlation_curve,
-    correlation_curve_reference,
     cross_correlation,
     estimate_delay,
 )
@@ -70,7 +69,6 @@ __all__ = [
     "ContainerRegistry",
     "align_series",
     "correlation_curve",
-    "correlation_curve_reference",
     "cross_correlation",
     "estimate_delay",
     "OnlineRecalibrator",

@@ -51,89 +51,26 @@ def cross_correlation(
     return float(np.einsum("i,i->", a, b) / n)
 
 
-def correlation_curve_reference(
+def correlation_curve(
     measured: np.ndarray, modeled: np.ndarray, max_delay_samples: int
 ) -> np.ndarray:
-    """Loop-form curve: one :func:`cross_correlation` call per delay.
+    """Cross-correlation at every delay in ``[0, max_delay_samples]``.
 
-    This is the executable definition of the curve.  Each delay is one
-    inner product over views of the two series, so it allocates nothing
-    but the curve and costs O(delays x samples): :func:`correlation_curve`
-    returns it as is for short delay windows, and it is the test oracle
-    for the FFT path.
+    One :func:`cross_correlation` call per delay: each is an inner product
+    over views of the two series, so the curve allocates nothing but
+    itself and costs O(delays x samples).  The alignment's windows are 10
+    delays for the 1 ms package meter and 8 for the wall meter.
     """
+    if max_delay_samples < 0:
+        raise ValueError("delay must be non-negative")
+    measured = np.asarray(measured, dtype=float)
+    modeled = np.asarray(modeled, dtype=float)
     return np.array(
         [
             cross_correlation(measured, modeled, d)
             for d in range(max_delay_samples + 1)
         ]
     )
-
-
-#: Longest delay window (in samples) the ``"auto"`` curve computes by
-#: direct per-delay products.  On a 2-core x86-64 host (numpy 2.4.6) the
-#: direct-vs-FFT crossover sits at 16 delays for 1,000-sample series, 40
-#: for 4,000 and above 200 for 20,000; below 1,000 samples it drops to
-#: 6-8 delays, where either path takes about 50 us.  The alignment's
-#: windows are 10 delays for the 1 ms package meter and 8 for the wall
-#: meter.
-_DIRECT_MAX_DELAY = 12
-
-
-def correlation_curve(
-    measured: np.ndarray,
-    modeled: np.ndarray,
-    max_delay_samples: int,
-    method: str = "auto",
-) -> np.ndarray:
-    """Cross-correlation at every delay in ``[0, max_delay_samples]``.
-
-    Two strategies, selected by ``method``:
-
-    * ``"auto"`` -- for a delay window of at most ``_DIRECT_MAX_DELAY``
-      samples, :func:`correlation_curve_reference` itself (bit-identical
-      to the definition, O(delays x samples), no workspace); ``"fft"``
-      for longer windows.
-    * ``"fft"`` -- the un-normalized curve is a slice of the full linear
-      cross-correlation, computed with three real FFTs; O((L+M) log(L+M))
-      regardless of the number of delays.  Rounding error is that of the
-      FFT, ~1e-13 relative to the correlation magnitude.
-    """
-    measured = np.asarray(measured, dtype=float)
-    modeled = np.asarray(modeled, dtype=float)
-    if max_delay_samples < 0:
-        raise ValueError("delay must be non-negative")
-    if method not in ("auto", "fft"):
-        raise ValueError(f"unknown method {method!r}")
-    if method == "auto" and max_delay_samples <= _DIRECT_MAX_DELAY:
-        return correlation_curve_reference(measured, modeled, max_delay_samples)
-    curve = np.zeros(max_delay_samples + 1)
-    if len(measured) and len(modeled):
-        _curve_fft(measured, modeled, max_delay_samples, curve)
-    return curve
-
-
-def _curve_fft(
-    measured: np.ndarray,
-    modeled: np.ndarray,
-    max_delay_samples: int,
-    curve: np.ndarray,
-) -> None:
-    """FFT curve: every Eq. 4 numerator is one lag of the full correlation.
-
-    ``numerator(d) = sum_i measured[i] * modeled[i + L - M - d]``, i.e. lag
-    ``L - M - d`` of the linear cross-correlation, which equals index
-    ``L - 1 - d`` of ``convolve(modeled, reversed(measured))``.
-    """
-    n_measured = len(measured)
-    n_modeled = len(modeled)
-    size = 1 << (n_modeled + n_measured - 1).bit_length()
-    spectrum = np.fft.rfft(modeled, size) * np.fft.rfft(measured[::-1], size)
-    conv = np.fft.irfft(spectrum, size)
-    dmax = min(max_delay_samples, n_modeled - 1)
-    delays = np.arange(dmax + 1)
-    overlaps = np.minimum(n_measured, n_modeled - delays)
-    curve[: dmax + 1] = conv[n_modeled - 1 - delays] / overlaps
 
 
 def estimate_delay(

@@ -22,7 +22,6 @@ tag the injected request message with its id, and
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Any, Optional
 
@@ -48,19 +47,19 @@ from repro.core.recalibration import OnlineRecalibrator, RecalibrationGuard
 from repro.core.registry import ContainerRegistry
 from repro.hardware.core import Core
 from repro.hardware.counters import COUNTER_WRAP
-from repro.hardware.meters import MeterSample, _PeriodicMeter
+from repro.hardware.meters import _PeriodicMeter
 from repro.kernel import Kernel, KernelHooks, Message, Process
 from repro.kernel.sockets import Endpoint
 
 
-#: Smallest capacity of the model-trace and measured buffers once used
-#: (they start empty, so an untraced facility allocates nothing).
+#: Smallest capacity of the model-trace buffers once used (they start
+#: empty, so an untraced facility allocates nothing).
 _MIN_BUFFER_CAPACITY = 1024
 
 
-def _grown(buffer: np.ndarray, used: int, needed: int = 0) -> np.ndarray:
-    """A buffer of at least twice (and ``needed``) the capacity, ``used`` kept."""
-    capacity = max(2 * len(buffer), needed, _MIN_BUFFER_CAPACITY)
+def _grown(buffer: np.ndarray, used: int) -> np.ndarray:
+    """A buffer of twice the capacity (at least the minimum), ``used`` kept."""
+    capacity = max(2 * len(buffer), _MIN_BUFFER_CAPACITY)
     grown = np.empty((capacity,) + buffer.shape[1:])
     grown[:used] = buffer[:used]
     return grown
@@ -268,9 +267,6 @@ class PowerContainerFacility(KernelHooks):
         self._trace_watts = np.empty(0)
         self._trace_rows = np.empty((0, len(FEATURES_FULL)))
         self._trace_len = 0
-        #: Delivered meter watts minus ``meter_idle_watts`` (non-finite
-        #: readings zeroed), mirroring the meter's delivered list.
-        self._measured = np.empty(0)
         self.estimated_delay_samples: Optional[int] = None
         #: When true, estimated_delay_samples was set externally (ablation)
         #: and must not be re-estimated.
@@ -278,7 +274,7 @@ class PowerContainerFacility(KernelHooks):
         #: Delivery-time watermark of meter samples already consumed.  A
         #: watermark (rather than a list index) stays correct when faults
         #: duplicate samples or deliver them out of order: each round
-        #: consumes the newly delivered samples past it.
+        #: consumes the delivered samples past it.
         self._meter_consumed_until = 0.0
 
         # --- self-healing guards (robustness hardening) -----------------
@@ -486,25 +482,24 @@ class PowerContainerFacility(KernelHooks):
         if not self._tracing:
             self.simulator.current_event.cancel()
             return
-        self._check_meter_health()
+        available, watts = self.meter.delivered()
+        self._check_meter_health(available)
         if self.health.meter_state == "ok":
-            self._run_recalibration()
+            self._run_recalibration(available, watts)
 
-    def _check_meter_health(self) -> None:
+    def _check_meter_health(self, available: np.ndarray) -> None:
         """Meter-health watchdog: detect staleness, fall back, re-arm.
 
-        When no sample has been delivered for ``meter_staleness_timeout``
-        seconds the meter is declared stale: live recalibrated models are
-        rolled back to their last-good coefficients (the offline fit if no
-        refit was ever accepted) and recalibration is suspended.  The state
-        flips back automatically -- counting a recovery -- once fresh
-        samples resume.
+        ``available`` holds the delivery times of the meter's delivered
+        samples, in production order.  When no sample has been delivered
+        for ``meter_staleness_timeout`` seconds the meter is declared
+        stale: live recalibrated models are rolled back to their last-good
+        coefficients (the offline fit if no refit was ever accepted) and
+        recalibration is suspended.  The state flips back automatically --
+        counting a recovery -- once fresh samples resume.
         """
-        if self.meter is None:
-            return
         now = self.simulator.now
-        latest = self.meter.latest_available(now)
-        last_delivery = latest.available_at if latest is not None else 0.0
+        last_delivery = float(available[-1]) if len(available) else 0.0
         stale = (now - last_delivery) > self.meter_staleness_timeout
         if stale and self.health.meter_state == "ok":
             self.health.meter_state = "stale"
@@ -523,57 +518,60 @@ class PowerContainerFacility(KernelHooks):
             if t is not None and t.enabled:
                 t.tracer.instant(now, self._t_facility_track, "meter.recovered")
 
-    def _run_recalibration(self) -> None:
-        """Align newly delivered meter samples and refit the live model.
+    def _run_recalibration(
+        self, available: np.ndarray, watts: np.ndarray
+    ) -> None:
+        """Align the delivered meter series and refit the live model.
 
-        Everything but the delay estimate is O(samples delivered since the
-        previous round): the measured series is refreshed from the lowest
-        delivered position that changed, and the refit batch comes from the
-        meter's delivery log (:meth:`_take_new_meter_samples`).
+        ``available`` and ``watts`` are the meter's delivered samples in
+        production order, as new arrays (``watts`` is overwritten).  The
+        delay estimate correlates the whole series with the model trace
+        (Eq. 4).  The refit batch is the samples delivered past the
+        ``_meter_consumed_until`` watermark, each paired with the model row
+        of its delivery time shifted back by the delay.
         """
-        if self.meter is None or not self.recalibrators:
+        if not self.recalibrators:
             return
-        now = self.simulator.now
-        changed, watts = self.meter.delivery_changes()
-        n_measured = changed + len(watts)
-        self._refresh_measured(changed, watts)
         max_delay_samples = int(round(self.max_delay_seconds / self.trace_period))
-        if n_measured < max_delay_samples + 5 or self._trace_len < 5:
+        if len(watts) < max_delay_samples + 5 or self._trace_len < 5:
             return
-        measured = self._measured[:n_measured]
-        modeled = self._trace_watts[: self._trace_len]
+        new = available > self._meter_consumed_until
+        new_available = available[new]
+        new_watts = watts[new]
         if not self._delay_pinned:
             # Re-estimate with the full series each round (the correlation
             # over a handful of delays is cheap); the estimate stabilizes
             # quickly and the lag itself does not change on a machine.
+            # Non-finite readings carry no alignment information; they are
+            # zeroed so one NaN cannot blank the whole cross-correlation.
+            measured = watts
+            measured -= self.meter_idle_watts
+            measured[~np.isfinite(measured)] = 0.0
+            modeled = self._trace_watts[: self._trace_len]
             self.estimated_delay_samples = estimate_delay(
                 measured, modeled, min(max_delay_samples, len(modeled) - 1)
             )
         delay = self.estimated_delay_samples
 
-        new_samples = self._take_new_meter_samples()
-        if not new_samples:
+        if not len(new_available):
             return
-
-        model_indexes = []
-        watts = []
-        for sample in new_samples:
-            if not math.isfinite(sample.watts):
-                self.health.rejected_meter_samples += 1
-                continue
-            # Software sees only the delivery time; shifting it back by the
-            # alignment-estimated delay recovers the interval the reading
-            # actually describes (Section 3.2).
-            observed_index = int(round(sample.available_at / self.trace_period)) - 1
-            model_index = observed_index - delay
-            if model_index < 0 or model_index >= self._trace_len:
-                continue
-            model_indexes.append(model_index)
-            watts.append(sample.watts)
-        if not model_indexes:
+        self._meter_consumed_until = float(new_available.max())
+        finite = np.isfinite(new_watts)
+        self.health.rejected_meter_samples += int(np.count_nonzero(~finite))
+        # Software sees only the delivery time; shifting it back by the
+        # alignment-estimated delay recovers the interval the reading
+        # actually describes (Section 3.2).  ``np.rint`` rounds half to
+        # even, like ``round``.
+        model_indexes = (
+            np.rint(new_available[finite] / self.trace_period).astype(np.int64)
+            - 1 - delay
+        )
+        in_trace = (model_indexes >= 0) & (model_indexes < self._trace_len)
+        model_indexes = model_indexes[in_trace]
+        if not len(model_indexes):
             return
         row_matrix = self._trace_rows[model_indexes]
-        active = np.array(watts) - self.meter_idle_watts
+        active = new_watts[finite][in_trace] - self.meter_idle_watts
         if self.meter_covers_peripherals:
             # Remove the (offline-modelled) peripheral power so the CPU
             # model is fitted against CPU active power only.
@@ -593,46 +591,11 @@ class PowerContainerFacility(KernelHooks):
         t = self.telemetry
         if t is not None and t.enabled:
             t.tracer.instant(
-                now,
+                self.simulator.now,
                 self._t_facility_track,
                 "recal.refit",
                 {"rows": len(model_indexes), "delay_samples": delay},
             )
-
-    def _take_new_meter_samples(self) -> list[MeterSample]:
-        """Delivered samples past the watermark, in production order.
-
-        Advances ``_meter_consumed_until`` past them.  The meter's delivery
-        log holds every delivered sample not taken by an earlier round, so
-        this is the batch ``available_at > _meter_consumed_until`` selects
-        from the whole delivered history; the watermark test drops only
-        samples delivered after the watermark had already moved past them.
-        """
-        batch = self.meter.take_new_deliveries()
-        batch.sort()  # by production index (unique, so samples never compare)
-        consumed_until = self._meter_consumed_until
-        new_samples = []
-        for _index, sample in batch:
-            if sample.available_at > consumed_until:
-                new_samples.append(sample)
-        if new_samples:
-            self._meter_consumed_until = max(s.available_at for s in new_samples)
-        return new_samples
-
-    def _refresh_measured(self, changed: int, watts: np.ndarray) -> None:
-        """Mirror the meter's delivered watts from position ``changed`` on.
-
-        Non-finite readings carry no alignment information; they are zeroed
-        so one NaN cannot blank the whole cross-correlation (Eq. 4).
-        """
-        n = changed + len(watts)
-        if changed >= n:
-            return
-        if n > len(self._measured):
-            self._measured = _grown(self._measured, changed, n)
-        tail = self._measured[changed:n]
-        np.subtract(watts, self.meter_idle_watts, out=tail)
-        tail[~np.isfinite(tail)] = 0.0
 
     # ------------------------------------------------------------------
     # Kernel hook implementations

@@ -14,23 +14,16 @@ samples only after their delay, so the alignment machinery in
 :mod:`repro.core.alignment` has a genuine inference problem to solve.
 
 The history is three typed columns in production order -- interval end,
-availability time and watts, 8 bytes per value -- so a delivered reading
-costs 32 bytes with its delivered-order entry, not a Python object;
-:class:`MeterSample` objects are built only at the consumer API and for a
-fault hook.  Delivery is incremental.
-Published readings wait on a heap keyed by ``(available_at, production
-index)``; a delivery step moves the due ones into the delivered order, a
-column of production indexes kept sorted (an append for in-order delivery,
-an insert for a reading the fault hook delayed).  The meter remembers the
-lowest delivered position that changed and logs each newly delivered
-index, so a consumer that polls every round -- the facility's
-recalibration -- touches only what changed instead of rescanning the run.
+availability time and watts, 8 bytes per value -- so a reading costs 24
+bytes, not a Python object; :class:`MeterSample` objects are built only at
+the consumer API and for a fault hook.  A reading counts as delivered by
+``now`` when ``available_at <= now`` (a NaN time never does): one mask over
+the availability column answers every query, and :meth:`delivered` hands a
+consumer the delivered columns as arrays.
 """
 
 from __future__ import annotations
 
-import bisect
-import heapq
 from array import array
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
@@ -80,17 +73,6 @@ class _PeriodicMeter:
         self._ends = array("d")
         self._available = array("d")
         self._watts = array("d")
-        #: Published, not yet delivered: ``(available_at, index)``.
-        self._pending: list[tuple[float, int]] = []
-        #: Production indexes of the delivered readings, ascending.
-        self._order = array("q")
-        #: The latest query time the delivered order is complete for.
-        self._delivered_through = float("-inf")
-        #: Lowest delivered position changed since :meth:`delivery_changes`.
-        self._changed_from = 0
-        #: Indexes delivered since :meth:`take_new_deliveries`; ``None``
-        #: until the first take, so an unpolled meter logs nothing.
-        self._new_deliveries: Optional[list[int]] = None
         self._last_energy = 0.0
         self._running = False
         #: Optional fault-injection hook (see :mod:`repro.faults`): maps each
@@ -152,56 +134,18 @@ class _PeriodicMeter:
     def _publish(
         self, interval_end: float, available_at: float, watts: float
     ) -> None:
-        index = len(self._watts)
         self._ends.append(interval_end)
         self._available.append(available_at)
         self._watts.append(watts)
-        # A NaN delivery time never compares due; keep it off the heap,
-        # whose order a NaN key would break.
-        if available_at == available_at:
-            heapq.heappush(self._pending, (available_at, index))
 
     def _sample(self, index: int) -> MeterSample:
         return MeterSample(
             self._ends[index], self._available[index], self._watts[index]
         )
 
-    def _deliver(self, now: float) -> None:  # hot-path
-        """Move every published sample due by ``now`` into delivery order."""
-        pending = self._pending
-        self._delivered_through = now
-        if not pending or pending[0][0] > now:
-            return
-        order = self._order
-        log = self._new_deliveries
-        changed = self._changed_from
-        while pending and pending[0][0] <= now:
-            index = heapq.heappop(pending)[1]
-            if not order or index > order[-1]:
-                position = len(order)
-                order.append(index)
-            else:
-                # Delayed past a later reading: back into production order.
-                position = bisect.bisect_left(order, index)
-                order.insert(position, index)
-            if position < changed:
-                changed = position
-            if log is not None:
-                log.append(index)
-        self._changed_from = changed
-
-    def _delivered_by(self, now: float) -> bool:
-        """Deliver through ``now``; false when ``now`` is off the cursor.
-
-        The cursor only moves forward and never past the simulator clock
-        (a sample published later may still be due by a future ``now``),
-        so for queries before its position or ahead of the clock the
-        delivered order does not answer, and the caller scans the history.
-        """
-        if not self._delivered_through <= now <= self.simulator.now:
-            return False
-        self._deliver(now)
-        return True
+    def _delivered_indexes(self, now: float) -> np.ndarray:
+        """Production indexes of the readings delivered by ``now``."""
+        return np.flatnonzero(np.frombuffer(self._available) <= now)
 
     def _read_energy(self) -> float:  # pragma: no cover - overridden
         raise NotImplementedError
@@ -217,49 +161,21 @@ class _PeriodicMeter:
 
         A new list (the caller may keep or change it), in production order.
         """
-        if self._delivered_by(now):
-            indexes: Iterable[int] = self._order
-        else:
-            available = self._available
-            indexes = [i for i in range(len(available)) if available[i] <= now]
-        return [self._sample(i) for i in indexes]
+        return [self._sample(i) for i in self._delivered_indexes(now)]
 
     def latest_available(self, now: float) -> MeterSample | None:
         """Most recent delivered sample (production order), or ``None``."""
-        if self._delivered_by(now):
-            return self._sample(self._order[-1]) if self._order else None
-        available = self._available
-        for index in range(len(available) - 1, -1, -1):
-            if available[index] <= now:
-                return self._sample(index)
-        return None
+        indexes = self._delivered_indexes(now)
+        return self._sample(indexes[-1]) if len(indexes) else None
 
-    def delivery_changes(self) -> tuple[int, np.ndarray]:
-        """Deliver what is due at the clock; report what changed.
+    def delivered(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(available_at, watts)`` of the readings delivered by the clock.
 
-        Returns the lowest delivered position that changed since the
-        previous call, and the watts of every delivered reading from that
-        position on, in production order (a new array; empty when nothing
-        changed), so a consumer mirroring the delivered watts refreshes
-        only its tail.
+        New arrays (the caller may change them), in production order.
         """
-        self._deliver(self.simulator.now)
-        changed = self._changed_from
-        self._changed_from = len(self._order)
-        order = np.frombuffer(self._order, dtype=np.int64)[changed:]
-        return changed, np.frombuffer(self._watts)[order]
-
-    def take_new_deliveries(self) -> list[tuple[int, MeterSample]]:
-        """``(production index, sample)`` pairs delivered since the last take.
-
-        In delivery order.  The first take returns every sample delivered
-        so far; from then on the meter logs deliveries for the next take.
-        """
-        batch = self._new_deliveries
-        if batch is None:
-            batch = self._order
-        self._new_deliveries = []
-        return [(index, self._sample(index)) for index in batch]
+        available = np.frombuffer(self._available)
+        due = available <= self.simulator.now
+        return available[due], np.frombuffer(self._watts)[due]
 
     def mean_watts(self, start: float = 0.0, end: float | None = None) -> float:
         """Mean measured power over sample intervals ending in a window."""

@@ -9,13 +9,11 @@ from hypothesis import strategies as st
 
 import repro.core.facility as facility_module
 from repro.core import OnlineRecalibrator, PowerContainerFacility, PowerModel
-from repro.core.alignment import correlation_curve, estimate_delay
-from repro.faults import MeterFaultInjector, MeterFaultProfile
+from repro.core.alignment import estimate_delay
 from repro.hardware import (
     PackageMeter,
     RateProfile,
     SANDYBRIDGE,
-    WOODCREST,
     build_machine,
 )
 from repro.kernel import Compute, Kernel, Sleep
@@ -164,7 +162,8 @@ def test_ring_window_matches_a_deque(capacity, batches, seed):
 # Closed loop on the simulated machine
 # ----------------------------------------------------------------------
 class _NoScanMeter(PackageMeter):
-    """A package meter that fails the run if anyone copies its history."""
+    """A package meter that fails the run if anyone builds its history as
+    sample objects."""
 
     def samples_available(self, now):
         raise AssertionError("samples_available called during the run")
@@ -239,8 +238,9 @@ def test_model_trace_recorded(sb_cal):
 
 
 def test_recalibration_rounds_never_copy_the_meter_history(sb_cal):
-    """A round reads the meter incrementally (delivery cursor and log),
-    never through the copying ``samples_available`` history scan."""
+    """A round reads the meter's delivered columns (``delivered()``),
+    never the ``samples_available`` scan that builds a sample per
+    reading."""
     facility, _, _ = _run_hidden_workload(
         sb_cal, with_meter=True, meter_class=_NoScanMeter
     )
@@ -251,16 +251,13 @@ def test_recalibration_rounds_never_copy_the_meter_history(sb_cal):
 # ----------------------------------------------------------------------
 # The delay search at production meter settings
 # ----------------------------------------------------------------------
-def _phased_run(spec, calibration, duration, busy, fault_profile=None):
+def _phased_run(spec, calibration, duration, busy):
     """A traced facility with the workloads' meter for ``spec``, under a
     load that alternates busy phases of 1-3 ``busy`` seconds with idle."""
     sim = Simulator()
     machine = build_machine(spec, sim)
     kernel = Kernel(machine, sim)
     setup = meter_setup_for(spec, calibration, machine, sim)
-    if fault_profile is not None:
-        injector = MeterFaultInjector(setup["meter"], np.random.default_rng(5))
-        injector.set_profile(fault_profile)
     facility = PowerContainerFacility(kernel, calibration, **setup)
     facility.start_tracing()
     container = facility.create_request_container("phased")
@@ -307,32 +304,3 @@ def test_package_meter_delay_search_never_runs_an_fft(sb_cal, monkeypatch):
     assert facility.estimated_delay_samples == 1
     assert rounds[-1][2] == 10
     assert len(rounds[-1][0]) * 11 > 44_000
-
-
-@pytest.mark.parametrize(
-    "spec, duration, busy, fault_profile",
-    [
-        (SANDYBRIDGE, 4.5, 20e-3, MeterFaultProfile(
-            drop_prob=0.05, nan_prob=0.02, spike_prob=0.02,
-            duplicate_prob=0.05, extra_delay_prob=0.05, extra_delay=3e-3,
-        )),
-        (WOODCREST, 12.0, 0.4, None),
-    ],
-    ids=["package-meter-faulted", "wall-meter"],
-)
-def test_direct_delay_search_picks_the_fft_lag_every_round(
-    spec, duration, busy, fault_profile, sb_cal, wc_cal, monkeypatch
-):
-    """The direct and FFT curves round differently, so the delay search
-    may use either only while both pick the same lag on every round a
-    real meter produces."""
-    calibration = sb_cal if spec is SANDYBRIDGE else wc_cal
-    rounds = _record_delay_searches(monkeypatch)
-    _phased_run(spec, calibration, duration, busy, fault_profile)
-    assert len(rounds) >= 10
-    for measured, modeled, max_delay in rounds:
-        measured = measured - measured.mean()
-        modeled = modeled - modeled.mean()
-        direct = correlation_curve(measured, modeled, max_delay)
-        fft = correlation_curve(measured, modeled, max_delay, method="fft")
-        assert np.argmax(direct) == np.argmax(fft)

@@ -13,7 +13,7 @@ from ci.perf import (
     MAX_TELEMETRY_DISABLED_RATIO,
     MAX_TELEMETRY_FRAME_ON_RATIO,
     MIN_CALIBRATION_SPEEDUP_2_WORKERS,
-    MIN_CORRELATION_RATIO,
+    MIN_SHARD_SPEEDUP,
     MIN_SHARD_SPEEDUP_2_WORKERS,
     BenchResult,
     check_regressions,
@@ -32,10 +32,6 @@ def _results(**overrides):
         "micro-event-vector": BenchResult(
             "micro-event-vector", "micro", 0.010,
         ),
-        "micro-correlation-vs-oracle-ratio": BenchResult(
-            "micro-correlation-vs-oracle-ratio", "micro", 0.0002,
-            ratio=MIN_CORRELATION_RATIO * 4,
-        ),
         "micro-telemetry-disabled-ratio": BenchResult(
             "micro-telemetry-disabled-ratio", "micro", 0.05, ratio=1.0,
         ),
@@ -52,9 +48,9 @@ def test_write_emits_schema_2_with_ratio_fields(tmp_path):
     payload = write_bench_json(_results(), path)
     assert payload["schema"] == 2
     benchmarks = payload["benchmarks"]
-    entry = benchmarks["micro-correlation-vs-oracle-ratio"]
-    assert entry["seconds"] == 0.0002  # a wall time, not the ratio
-    assert entry["ratio"] == MIN_CORRELATION_RATIO * 4
+    entry = benchmarks["micro-telemetry-disabled-ratio"]
+    assert entry["seconds"] == 0.05  # a wall time, not the ratio
+    assert entry["ratio"] == 1.0
     assert "ratio" not in benchmarks["micro-simulator-queue"]
     # Round trip through the loader.
     assert load_bench_json(path) == json.load(open(path))
@@ -77,7 +73,7 @@ def test_check_regressions_flags_every_dropped_benchmark():
     partial = {"micro-event-vector": _results()["micro-event-vector"]}
     problems = check_regressions(partial, committed)
     dropped = set(load_bench_json(committed)["benchmarks"]) - set(partial)
-    assert len(dropped) == 10
+    assert len(dropped) == 8
     assert len(problems) == len(dropped)
     assert {problem.split(":")[0] for problem in problems} == dropped
     assert all("not produced by this run" in p for p in problems)
@@ -94,15 +90,22 @@ def test_check_regressions_flags_wall_time(tmp_path):
     assert "micro-simulator-queue" in problems[0]
 
 
-def test_check_regressions_flags_ratio_floor(tmp_path):
+def test_check_regressions_flags_ratio_floor(tmp_path, monkeypatch):
+    from repro.sim import parallel
+
     bad = _results(**{
-        "micro-correlation-vs-oracle-ratio": BenchResult(
-            "micro-correlation-vs-oracle-ratio", "micro", 0.0002,
-            ratio=MIN_CORRELATION_RATIO / 2,
+        "macro-cluster-sharded": BenchResult(
+            "macro-cluster-sharded", "macro", 2.0,
+            throughput={"speedup_2_workers": MIN_SHARD_SPEEDUP_2_WORKERS},
+            ratio=MIN_SHARD_SPEEDUP / 2,
         ),
     })
-    problems = check_regressions(bad, _committed(tmp_path))
+    committed = str(tmp_path / "committed.json")
+    write_bench_json(bad, committed)
+    monkeypatch.setattr(parallel, "available_cores", lambda: 4)
+    problems = check_regressions(bad, committed)
     assert len(problems) == 1
+    assert problems[0].startswith("macro-cluster-sharded: 4-worker speedup")
     assert "below required" in problems[0]
 
 
@@ -124,13 +127,13 @@ def test_check_regressions_flags_ratio_budget(tmp_path):
 
 def test_check_regressions_flags_missing_ratio(tmp_path):
     bad = _results(**{
-        "micro-correlation-vs-oracle-ratio": BenchResult(
-            "micro-correlation-vs-oracle-ratio", "micro", 0.0002,
+        "micro-telemetry-disabled-ratio": BenchResult(
+            "micro-telemetry-disabled-ratio", "micro", 0.05,
         ),
     })
     problems = check_regressions(bad, _committed(tmp_path))
     assert problems == [
-        "micro-correlation-vs-oracle-ratio: no ratio was measured"
+        "micro-telemetry-disabled-ratio: no ratio was measured"
     ]
 
 

@@ -88,8 +88,8 @@ def test_trend_history_appends_one_json_line_per_run(tmp_path):
         "micro-simulator-queue": perf.BenchResult(
             "micro-simulator-queue", "micro", 0.13,
         ),
-        "micro-correlation-vs-oracle-ratio": perf.BenchResult(
-            "micro-correlation-vs-oracle-ratio", "micro", 0.0002, ratio=9.0,
+        "micro-telemetry-frame-on-ratio": perf.BenchResult(
+            "micro-telemetry-frame-on-ratio", "micro", 0.05, ratio=1.9,
         ),
     }
     path = str(tmp_path / "results" / "BENCH_history.jsonl")
@@ -107,8 +107,8 @@ def test_trend_history_appends_one_json_line_per_run(tmp_path):
     assert first["problems"] == []
     assert first["benchmarks"]["micro-simulator-queue"]["seconds"] == 0.13
     assert (
-        first["benchmarks"]["micro-correlation-vs-oracle-ratio"]["ratio"]
-        == 9.0
+        first["benchmarks"]["micro-telemetry-frame-on-ratio"]["ratio"]
+        == 1.9
     )
     assert "ratio" not in first["benchmarks"]["micro-simulator-queue"]
     assert second["problems"] == ["micro-simulator-queue: too slow"]
