@@ -5,8 +5,8 @@ and schedule replay exactly (``repro.sim.engine``).  Accidental
 nondeterminism -- dict-ordering dependence, hidden global state, float
 accumulation-order changes -- would silently invalidate every paper figure
 while all shape-asserting tests still pass.  So the gates run each world
-more than one way -- twice with the same seed, with telemetry on, off and
-disabled, on 1, 2 and 4 shards, under transport weather, SIGKILLed and
+more than one way -- twice with the same seed, with telemetry on and off,
+on 1, 2 and 4 shards, under transport weather, SIGKILLed and
 resumed, before and after the perf suite -- and demand identical
 fingerprints.  Floats are compared with ``==``: the runs must be
 *identical*, not merely close.
@@ -14,7 +14,7 @@ fingerprints.  Floats are compared with ``==``: the runs must be
 A :class:`Case` is one such comparison: a reference runner, named variant
 runners, the fingerprint keys every variant must reproduce, and an
 optional fact check for what equality cannot show (faults actually fired,
-a resume actually restored, a disabled handle recorded nothing).
+a resume actually restored).
 :func:`compare` turns a case into findings; :func:`case_table` lists every
 case, and each lane in ``ci.runner`` runs its own rows.
 
@@ -244,13 +244,12 @@ def _chaos(name: str, telemetry=None) -> dict:
     return {"report": report.fingerprint(), "violations": report.violations}
 
 
-def _chaos_telemetry(name: str, enabled: bool = True) -> dict:
+def _chaos_telemetry(name: str) -> dict:
     from repro.telemetry import Telemetry
 
-    telemetry = Telemetry(enabled=enabled)
+    telemetry = Telemetry()
     run = _chaos(name, telemetry)
     run["trace"] = telemetry.trace_fingerprint()
-    run["recorded"] = len(telemetry.tracer.events) + len(telemetry.registry)
     return run
 
 
@@ -417,12 +416,6 @@ def _no_violations(runs: dict) -> list[str]:
     return [f"reference: {v}" for v in runs["reference"]["violations"]]
 
 
-def _disabled_recorded_nothing(runs: dict) -> list[str]:
-    if runs["disabled"]["recorded"] == 0:
-        return []
-    return ["disabled: a disabled telemetry handle recorded events or metrics"]
-
-
 def _overflows_closed(runs: dict) -> list[str]:
     """Every counter-overflow interrupt is counted exactly once: the
     merged per-window ``overflows`` counters sum to the merged registry's
@@ -526,12 +519,9 @@ def case_table(workdir: str) -> list[Case]:
     ]
     for name in CHAOS_SCENARIOS:
         cases += [
-            # Enabling (or attaching a disabled) handle never changes
-            # attribution, and a disabled handle records nothing.
+            # Attaching a handle never changes attribution.
             Case("telemetry", f"{name}-neutral", partial(_chaos, name),
-                 {"traced": partial(_chaos_telemetry, name),
-                  "disabled": partial(_chaos_telemetry, name, enabled=False)},
-                 ("report",), _disabled_recorded_nothing),
+                 {"traced": partial(_chaos_telemetry, name)}, ("report",)),
             _twice("telemetry", f"{name}-trace",
                    partial(_chaos_telemetry, name), ("trace",)),
         ]
@@ -541,7 +531,7 @@ def case_table(workdir: str) -> list[Case]:
              SOLR_KEYS),
         Case("telemetry", "sharded-modes", partial(solr, telemetry="off"),
              {mode: partial(solr, telemetry=mode)
-              for mode in ("disabled", "store", "on")},
+              for mode in ("store", "on")},
              SHARD_KEYS),
         # On two fork workers each epoch's observation overlaps the next
         # barrier; the merged streams must not notice.

@@ -2,8 +2,8 @@
 
 **Micro** benchmarks time isolated hot kernels (event-vector math, the
 simulator queue, the Eq. 4 delay search, per-core accounting samples --
-model evaluation included) and the machine-independent ratios
-(disabled telemetry vs none, telemetry frames); the
+model evaluation included) and the machine-independent ratio of a
+shard worker's barrier loop with telemetry on over off; the
 **macro** benchmarks time the sharded cluster at 1, 2 and 4 workers and
 the calibration of all three machine models at 1 and 2 workers.
 The single-machine Solr run is timed, bounded and fingerprinted by the
@@ -40,32 +40,19 @@ TREND_THRESHOLD = 1.2
 #: Where ``perf --trend`` appends its one-line-per-run history.
 TREND_HISTORY = os.path.join("results", "BENCH_history.jsonl")
 
-#: Maximum wall-time ratio of a run with an attached-but-disabled
-#: :class:`~repro.telemetry.Telemetry` handle over a bare run.  The
-#: disabled-mode guards (``if t is not None and t.enabled``) on every hot
-#: path must stay within this budget (machine-independent; measured ~1.0).
-MAX_TELEMETRY_DISABLED_RATIO = 1.05
-
-#: Maximum wall-time ratio of a shard worker's epoch-barrier loop with a
-#: disabled telemetry handle over the telemetry-off loop.  The frame
-#: machinery must be invisible when frames are not requested: mode
-#: "disabled" pays one handle attach plus the ``drain_frame()`` None path
-#: per barrier (machine-independent; measured ~1.0).
-MAX_TELEMETRY_FRAME_RATIO = 1.05
-
-#: Maximum wall-time ratio of the same loop with telemetry ``"on"`` (record
-#: every span, counter and metric, drain and encode a frame per barrier)
-#: over the telemetry-off loop.  Measured 1.88-1.96 (median 1.91, ten
-#: runs) on a 2-core host; a worker that also renders every event's
-#: canonical line into its frame reads 2.32-2.55 there, so the bound keeps
-#: text rendering off the worker.
+#: Maximum wall-time ratio of a shard worker's epoch-barrier loop with
+#: telemetry ``"on"`` (record every span, counter and metric, drain and
+#: encode a frame per barrier) over the telemetry-off loop.  Measured
+#: 1.88-1.96 (median 1.91, ten runs) on a 2-core host; a worker that also
+#: renders every event's canonical line into its frame reads 2.32-2.55
+#: there, so the bound keeps text rendering off the worker.
 MAX_TELEMETRY_FRAME_ON_RATIO = 2.2
 
 #: Epoch barriers per timed chunk of the frame-overhead benchmark, and the
-#: number of paired off/disabled/on chunks.  Every barrier advances a busy
-#: four-machine shard (~50-100 us of real simulation), so a 5% budget is
+#: number of paired off/on chunks.  Every barrier advances a busy
+#: four-machine shard (~50-100 us of real simulation), so the ratio is
 #: measured against meaningful work rather than empty-loop jitter; the
-#: chunks of the three modes alternate back-to-back so load drift hits
+#: chunks of the two modes alternate back-to-back so load drift hits
 #: them equally, and the reported ratio is the median over the pairs.
 _FRAME_EPOCHS = 250
 _FRAME_ROUNDS = 12
@@ -227,102 +214,27 @@ def bench_delay_search() -> BenchResult:
     )
 
 
-def bench_telemetry_overhead() -> BenchResult:
-    """Disabled-telemetry tax on the hottest instrumented path.
-
-    Times ``CoreAccountant.sample`` -- the per-context-switch/overflow
-    accounting step that runs orders of magnitude more often than any
-    other instrumented site -- on an occupied core, with no telemetry vs
-    an attached-but-disabled :class:`~repro.telemetry.Telemetry` handle.
-    ``seconds`` is the bare arm's wall time; ``ratio`` is disabled/bare
-    (machine-independent, ~1.0), guarding the documented <=5%
-    disabled-mode budget.
-    """
-    from repro.core import PowerContainerFacility, calibrate_machine
-    from repro.hardware import RateProfile, SANDYBRIDGE, build_machine
-    from repro.kernel import Compute, Kernel
-    from repro.sim import Simulator
-    from repro.telemetry import Telemetry
-
-    calibration = calibrate_machine(SANDYBRIDGE, duration=0.1)
-    spin = RateProfile(name="bench-spin", ipc=1.0)
-    iterations = 10_000
-
-    def build_accountant(telemetry):
-        sim = Simulator()
-        machine = build_machine(SANDYBRIDGE, sim)
-        kernel = Kernel(machine, sim)
-        facility = PowerContainerFacility(
-            kernel, calibration, telemetry=telemetry
-        )
-        container = facility.create_request_container("bench")
-
-        def program():
-            yield Compute(cycles=machine.freq_hz * 60.0, profile=spin)
-
-        kernel.spawn(
-            program(), "spin", container_id=container.id, pinned_core=0
-        )
-        sim.run_until(1e-3)  # dispatch the process so core 0 is occupied
-        return facility.accountants[0]
-
-    def arm_seconds(telemetry):
-        accountant = build_accountant(telemetry)
-        assert accountant.occupied
-        now = 1e-3
-        start = time.perf_counter()
-        for _ in range(iterations):
-            now += 1e-4
-            accountant.sample(now)
-        return time.perf_counter() - start
-
-    arm_seconds(None)  # warm imports and caches
-    # Interleave the arms and keep each arm's minimum: back-to-back pairs
-    # cancel machine-load drift that separated best-of runs cannot, which
-    # matters when the budget is a few percent.
-    bare = float("inf")
-    disabled = float("inf")
-    for _ in range(8):
-        bare = min(bare, arm_seconds(None))
-        disabled = min(disabled, arm_seconds(Telemetry(enabled=False)))
-    return BenchResult(
-        "micro-telemetry-disabled-ratio", "micro", bare,
-        throughput={
-            "bare_samples_per_sec": iterations / bare,
-            "disabled_samples_per_sec": iterations / disabled,
-        },
-        ratio=disabled / bare,
-    )
-
-
-def bench_telemetry_frame_overhead() -> tuple[BenchResult, BenchResult]:
+def bench_telemetry_frame_overhead() -> BenchResult:
     """Cost of the cross-shard telemetry frame machinery, off and on.
 
     Times a shard worker's epoch-barrier loop (``ShardWorld.run_epoch``
     followed by ``drain_frame()`` -- the exact per-barrier sequence the
-    pool executor runs) with telemetry ``"off"``, ``"disabled"`` and
-    ``"on"``.  Every core 0 runs two pinned spin processes, so each
-    barrier advances a *busy* four-machine shard through its
-    overflow-interrupt/accounting slices and context switches -- the
-    denominator is real simulation work, not an empty event loop, and
-    the ``"on"`` arm records stage spans and ships a frame per barrier.
+    pool executor runs) with telemetry ``"off"`` and ``"on"``.  Every
+    core 0 runs two pinned spin processes, so each barrier advances a
+    *busy* four-machine shard through its overflow-interrupt/accounting
+    slices and context switches -- the denominator is real simulation
+    work, not an empty event loop, and the ``"on"`` arm records stage
+    spans and ships a frame per barrier.
 
-    Two results.  ``micro-telemetry-frame-overhead`` is disabled/off:
-    neither mode builds a :class:`~repro.telemetry.aggregate.FrameDrain`,
-    so it isolates what every non-frame run pays for the frame plumbing
-    (the attached-but-disabled handle consulted at the sampling and
-    dispatch sites plus the ``drain_frame()`` None path at every
-    barrier); it must stay within :data:`MAX_TELEMETRY_FRAME_RATIO`.
     ``micro-telemetry-frame-on-ratio`` is on/off: what recording and
     shipping everything costs a worker; it must stay within
     :data:`MAX_TELEMETRY_FRAME_ON_RATIO`.
 
-    The three worlds are built once and their timed chunks alternate
-    back-to-back, so machine-load drift lands on every mode equally;
-    each ``ratio`` is the *median* over the per-round pairs -- the
-    estimator a 5% budget needs on a busy single-core CI host, where
-    separated best-of arms still scatter by +-10%.  Each result's
-    ``seconds`` is its numerator arm's total timed wall time.
+    The two worlds are built once and their timed chunks alternate
+    back-to-back, so machine-load drift lands on both modes equally;
+    ``ratio`` is the *median* over the per-round pairs -- on a busy
+    single-core CI host, separated best-of arms scatter by +-10%.
+    ``seconds`` is the on arm's total timed wall time.
     """
     import gc
     import statistics
@@ -338,7 +250,7 @@ def bench_telemetry_frame_overhead() -> tuple[BenchResult, BenchResult]:
     }
     machines = tuple((f"m{i}", "sandybridge") for i in range(4))
     spin = RateProfile(name="bench-frame-spin", ipc=1.0)
-    modes = ("off", "disabled", "on")
+    modes = ("off", "on")
 
     def build(mode):
         world = ShardWorld.build(
@@ -371,37 +283,29 @@ def bench_telemetry_frame_overhead() -> tuple[BenchResult, BenchResult]:
     worlds = {mode: build(mode) for mode in modes}
     for mode in modes:  # warm imports, caches, and every world
         chunk_seconds(worlds[mode])
-    # A collection pause landing in one chunk but not its pair would swamp
-    # a 5% budget; collect the build garbage now and keep the collector
+    # A collection pause landing in one chunk but not its pair would skew
+    # the ratio; collect the build garbage now and keep the collector
     # out of the timed rounds.
     gc.collect()
     gc.disable()
     try:
         totals = dict.fromkeys(modes, 0.0)
-        ratios = {"disabled": [], "on": []}
+        ratios = []
         for _ in range(_FRAME_ROUNDS):
             chunk = {mode: chunk_seconds(worlds[mode]) for mode in modes}
             for mode in modes:
                 totals[mode] += chunk[mode]
-            for mode in ratios:
-                ratios[mode].append(chunk[mode] / chunk["off"])
+            ratios.append(chunk["on"] / chunk["off"])
     finally:
         gc.enable()
     epochs = _FRAME_EPOCHS * _FRAME_ROUNDS
-
-    def result(name, mode):
-        return BenchResult(
-            name, "micro", totals[mode],
-            throughput={
-                "off_barriers_per_sec": epochs / totals["off"],
-                f"{mode}_barriers_per_sec": epochs / totals[mode],
-            },
-            ratio=statistics.median(ratios[mode]),
-        )
-
-    return (
-        result("micro-telemetry-frame-overhead", "disabled"),
-        result("micro-telemetry-frame-on-ratio", "on"),
+    return BenchResult(
+        "micro-telemetry-frame-on-ratio", "micro", totals["on"],
+        throughput={
+            "off_barriers_per_sec": epochs / totals["off"],
+            "on_barriers_per_sec": epochs / totals["on"],
+        },
+        ratio=statistics.median(ratios),
     )
 
 
@@ -513,7 +417,6 @@ SUITE = (
     bench_event_vector,
     bench_simulator_queue,
     bench_delay_search,
-    bench_telemetry_overhead,
     bench_telemetry_frame_overhead,
     bench_core_sample,
     bench_cluster_sharded,
@@ -522,15 +425,11 @@ SUITE = (
 
 
 def run_suite() -> dict[str, BenchResult]:
-    """Run every benchmark; returns ``{name: BenchResult}`` in suite order.
-
-    A benchmark returns one result, or a tuple of results whose arms
-    share one timed loop."""
+    """Run every benchmark; returns ``{name: BenchResult}`` in suite order."""
     results = {}
     for bench in SUITE:
-        produced = bench()
-        for result in produced if isinstance(produced, tuple) else (produced,):
-            results[result.name] = result
+        result = bench()
+        results[result.name] = result
     return results
 
 
@@ -542,10 +441,6 @@ def run_suite() -> dict[str, BenchResult]:
 #: needs before the bound applies).  ``"ratio"`` reads the benchmark's
 #: ``ratio``; any other quantity is read from its ``throughput``.
 RATIO_BOUNDS = (
-    ("micro-telemetry-disabled-ratio", "ratio", "ratio",
-     MAX_TELEMETRY_DISABLED_RATIO, False, 1),
-    ("micro-telemetry-frame-overhead", "ratio", "ratio",
-     MAX_TELEMETRY_FRAME_RATIO, False, 1),
     ("micro-telemetry-frame-on-ratio", "ratio", "ratio",
      MAX_TELEMETRY_FRAME_ON_RATIO, False, 1),
     ("macro-cluster-sharded", "speedup_2_workers", "2-worker speedup",

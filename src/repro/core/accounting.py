@@ -191,7 +191,6 @@ class CoreAccountant:
         primary: str,
         observer: Optional[ObserverEffect] = None,
         subtract_observer: bool = True,
-        telemetry=None,
         timeline: Optional[EnergyTimeline] = None,
     ) -> None:
         if not approaches:
@@ -208,11 +207,9 @@ class CoreAccountant:
         self.primary = primary
         self.observer = observer
         self.subtract_observer = subtract_observer
-        #: Optional :class:`~repro.telemetry.Telemetry` handle; when
-        #: enabled, every charge updates the charged container's row in
-        #: the machine's open energy-timeline window (``timeline``, which
-        #: must then be given).
-        self.telemetry = telemetry
+        #: The machine's open energy-timeline window (``None`` without a
+        #: telemetry handle); every charge updates the charged
+        #: container's row in it.
         self._timeline = timeline
         self.current_container_id: Optional[int] = None
         #: Name of the process (server stage) currently on the core; used
@@ -450,7 +447,7 @@ class CoreAccountant:
 
         Back half of :meth:`sample`: model evaluation, container
         statistics, the Eq. 3 mailbox post, the maintenance work, and,
-        with telemetry enabled, the container's row in the open
+        with a telemetry handle attached, the container's row in the open
         energy-timeline window (the counters themselves are emitted when
         the window closes).  Returns the primary approach's chip share --
         the one metric the timeline row keeps; nothing is allocated per
@@ -561,12 +558,11 @@ class CoreAccountant:
                 self._maintenance_joules, self._core_index, self._chip_index
             )
             self._pending_overhead_ops += 1
-        t = self.telemetry
-        if t is not None and t.enabled:
+        timeline = self._timeline
+        if timeline is not None:
             # Energy-timeline profiling (Section 3.3): record this charge
             # in the container's row of the open window; the window emits
             # one counter sample per series when it closes.
-            timeline = self._timeline
             if now >= timeline.end:
                 timeline.roll(now)
             # Container.total_energy, inlined (same expression).

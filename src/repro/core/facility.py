@@ -168,7 +168,7 @@ class PowerContainerFacility(KernelHooks):
         self.telemetry_node = telemetry_node
         self._tprefix = f"{telemetry_node}/" if telemetry_node else ""
         self._t_facility_track = f"facility:{telemetry_node or 'machine'}"
-        if telemetry is not None and telemetry.enabled:
+        if telemetry is not None:
             mprefix = (
                 f"facility_{telemetry_node}_" if telemetry_node else "facility_"
             )
@@ -239,7 +239,6 @@ class PowerContainerFacility(KernelHooks):
                 primary=self.primary,
                 observer=observer,
                 subtract_observer=subtract_observer,
-                telemetry=telemetry,
                 timeline=self.energy_timeline,
             )
             for core in self.machine.cores
@@ -334,7 +333,7 @@ class PowerContainerFacility(KernelHooks):
         )
         container.refcount += 1
         t = self.telemetry
-        if t is not None and t.enabled:
+        if t is not None:
             t.tracer.begin_frozen(
                 self.simulator.now,
                 f"request:{self._tprefix}{container.id}",
@@ -346,7 +345,7 @@ class PowerContainerFacility(KernelHooks):
     def complete_request(self, container: PowerContainer) -> None:
         """Release the driver's reference when the response is delivered."""
         t = self.telemetry
-        if t is not None and t.enabled:
+        if t is not None:
             t.tracer.end_frozen(
                 self.simulator.now,
                 f"request:{self._tprefix}{container.id}",
@@ -509,13 +508,13 @@ class PowerContainerFacility(KernelHooks):
                     recalibrator.last_good_coefficients()
                 )
             t = self.telemetry
-            if t is not None and t.enabled:
+            if t is not None:
                 t.tracer.instant(now, self._t_facility_track, "meter.stale")
         elif not stale and self.health.meter_state == "stale":
             self.health.meter_state = "ok"
             self.health.meter_recoveries += 1
             t = self.telemetry
-            if t is not None and t.enabled:
+            if t is not None:
                 t.tracer.instant(now, self._t_facility_track, "meter.recovered")
 
     def _run_recalibration(
@@ -589,7 +588,7 @@ class PowerContainerFacility(KernelHooks):
             recalibrator.add_pairs(row_matrix[:, indexes], active)
             recalibrator.recalibrate()
         t = self.telemetry
-        if t is not None and t.enabled:
+        if t is not None:
             t.tracer.instant(
                 self.simulator.now,
                 self._t_facility_track,
@@ -609,7 +608,7 @@ class PowerContainerFacility(KernelHooks):
         if self.conditioner is not None:
             self.conditioner.on_context_switch(core, accountant.bound_container)
         t = self.telemetry
-        if t is not None and t.enabled:
+        if t is not None:
             t.tracer.begin_frozen(
                 self.simulator.now,
                 self._t_core_tracks[core.index],
@@ -622,7 +621,7 @@ class PowerContainerFacility(KernelHooks):
             self.simulator.now, None, occupied=False
         )
         t = self.telemetry
-        if t is not None and t.enabled:
+        if t is not None:
             t.tracer.end_frozen(
                 self.simulator.now,
                 self._t_core_tracks[core.index],
@@ -636,7 +635,7 @@ class PowerContainerFacility(KernelHooks):
         if self.conditioner is not None:
             self.conditioner.adjust(core, accountant.bound_container)
         t = self.telemetry
-        if t is not None and t.enabled:
+        if t is not None:
             self._m_overflows.inc()
             self.energy_timeline.overflow(self.simulator.now, core.index)
 
@@ -664,7 +663,7 @@ class PowerContainerFacility(KernelHooks):
         if message.tag.container_id is not None:
             self.registry.incref(message.tag.container_id)
             t = self.telemetry
-            if t is not None and t.enabled:
+            if t is not None:
                 t.tracer.instant(
                     self.simulator.now,
                     f"request:{self._tprefix}{message.tag.container_id}",
@@ -682,7 +681,7 @@ class PowerContainerFacility(KernelHooks):
             # finished request's statistics.
             self.health.untagged_segments += 1
             t = self.telemetry
-            if t is not None and t.enabled:
+            if t is not None:
                 self._m_untagged.inc()
                 t.tracer.instant(
                     self.simulator.now,
@@ -697,7 +696,7 @@ class PowerContainerFacility(KernelHooks):
                 self.kernel.rebind(process, None)
             return
         t = self.telemetry
-        if t is not None and t.enabled:
+        if t is not None:
             t.tracer.instant(
                 self.simulator.now,
                 f"request:{self._tprefix}{tag.container_id}",

@@ -223,7 +223,7 @@ class PowerCapEnforcer:
             direction="up" if direction > 0 else "down",
         ))
         t = self.telemetry
-        if t is not None and t.enabled:
+        if t is not None:
             t.tracer.instant(
                 now,
                 "powercap",

@@ -600,7 +600,7 @@ def finalize_scenario(live: LiveScenarioRun) -> ChaosReport:
                 f"(the fault or guard never engaged)"
             )
 
-    if telemetry is not None and telemetry.enabled:
+    if telemetry is not None:
         if isinstance(world, SingleMachineWorld):
             world.facility.publish_metrics(telemetry.registry)
         else:

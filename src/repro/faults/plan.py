@@ -357,7 +357,7 @@ class FaultPlan:
 
         Raises :class:`ValueError` when an event names a site the targets
         cannot resolve -- a mis-built plan should fail loudly, not silently
-        skip its faults and report a spuriously clean run.  With an enabled
+        skip its faults and report a spuriously clean run.  With a
         ``telemetry`` handle, every firing also emits a ``fault.*`` trace
         instant (injector firings become part of the request timeline).
         """
@@ -369,13 +369,9 @@ class FaultPlan:
                 def traced(
                     cb=callback, site=event.site, action=event.action
                 ) -> None:
-                    t = telemetry
-                    if t.enabled:
-                        t.tracer.instant(
-                            simulator.now,
-                            "faults",
-                            f"fault.{site}.{action}",
-                        )
+                    telemetry.tracer.instant(
+                        simulator.now, "faults", f"fault.{site}.{action}"
+                    )
                     cb()
 
                 callback = traced

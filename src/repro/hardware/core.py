@@ -64,10 +64,11 @@ class Core:
         #: Memoized ground-truth active watts of the current activity state
         #: (profile, duty, DVFS scale, work fraction), or ``None`` when any
         #: of those changed since the last energy checkpoint.  Owned by
-        #: :meth:`Machine.integrate_power`; every mutator of power-relevant
-        #: core state resets it.  Activity is piecewise-constant between
-        #: simulation events, so checkpoints between mutations -- the common
-        #: case -- reuse the same watts instead of re-deriving them.
+        #: :meth:`Machine.checkpoint`'s rate cache; every mutator of
+        #: power-relevant core state resets it.  Activity is
+        #: piecewise-constant between simulation events, so checkpoints
+        #: between mutations -- the common case -- reuse the same watts
+        #: instead of re-deriving them.
         self._cached_active_watts: float | None = None
 
     # ------------------------------------------------------------------

@@ -124,7 +124,7 @@ class Machine:
         self.integrator = EnergyIntegrator(self)
         #: Monotonic counter bumped by every mutation of power-relevant
         #: state (dispatch, duty/DVFS, work fraction, device transfers).
-        #: :meth:`integrate_power` memoizes all power *rates* against it:
+        #: :meth:`checkpoint` memoizes all power *rates* against it:
         #: activity is piecewise-constant between mutations, so most
         #: checkpoints replay cached rates instead of re-deriving them.
         self._power_epoch = 0
@@ -212,42 +212,6 @@ class Machine:
             idle_watts=model.idle_machine_watts,
         )
 
-    def integrate_power(self, acc, dt: float) -> None:
-        """Accumulate ``dt`` seconds at the current power level into ``acc``.
-
-        Hot-path twin of :meth:`power_breakdown` used by the energy
-        integrator: identical arithmetic in identical order (so joule totals
-        are bit-for-bit the same), but accumulating straight into the
-        integrator's lists instead of materializing a
-        :class:`~repro.hardware.power.PowerBreakdown` per checkpoint.
-
-        Two elisions keep the twin bit-identical while skipping work:
-
-        * Idle cores draw exactly 0.0 W, and adding ``0.0`` to a
-          non-negative IEEE accumulator is the identity, so their
-          accumulator updates are skipped outright.
-        * Activity is piecewise-constant between checkpoints, so every
-          power *rate* is memoized against :attr:`_power_epoch` (bumped by
-          each dispatch, duty/DVFS change, work-fraction change, and device
-          transfer).  Most checkpoints replay the cached rates; the rebuild
-          path re-derives them with the original arithmetic in the original
-          order, so the cached floats equal the fresh ones bit for bit.
-        """
-        if self._rate_epoch != self._power_epoch:
-            self._rebuild_rate_cache()
-        busy_watts, chip_rates, machine_rate, active, peripheral = self._rate_cache
-        per_core_joules = acc.per_core_joules
-        for core_index, watts in busy_watts:
-            per_core_joules[core_index] += watts * dt
-        package_joules = acc.package_joules
-        maintenance_joules = acc.maintenance_joules
-        for chip_index, maint, package_rate in chip_rates:
-            maintenance_joules[chip_index] += maint * dt
-            package_joules[chip_index] += package_rate * dt
-        acc.machine_joules += machine_rate * dt
-        acc.active_joules += active * dt
-        acc.peripheral_joules += peripheral * dt
-
     def _rebuild_rate_cache(self) -> None:
         """Re-derive all instantaneous power rates (state changed).
 
@@ -314,10 +278,24 @@ class Machine:
     def checkpoint(self) -> None:
         """Close the current energy interval at the present simulated time.
 
-        Fuses :meth:`EnergyIntegrator.checkpoint` and the rate-cache replay
-        of :meth:`integrate_power` into one call frame -- this runs several
-        times per simulation event, so the wrapper hops matter.  Arithmetic
-        is identical statement for statement.
+        Accumulates the elapsed interval at the current power level
+        straight into the integrator's accumulators: the arithmetic of
+        :meth:`power_breakdown` in identical order (so joule totals are
+        bit-for-bit the same), without materializing a
+        :class:`~repro.hardware.power.PowerBreakdown`.  This runs several
+        times per simulation event, so it is one call frame.
+
+        Two elisions skip work while staying bit-identical:
+
+        * Idle cores draw exactly 0.0 W, and adding ``0.0`` to a
+          non-negative IEEE accumulator is the identity, so their
+          accumulator updates are skipped outright.
+        * Activity is piecewise-constant between checkpoints, so every
+          power *rate* is memoized against :attr:`_power_epoch` (bumped by
+          each dispatch, duty/DVFS change, work-fraction change, and device
+          transfer).  Most checkpoints replay the cached rates; the rebuild
+          path re-derives them with the original arithmetic in the original
+          order, so the cached floats equal the fresh ones bit for bit.
         """
         integrator = self.integrator
         now = self.simulator._now

@@ -19,7 +19,8 @@ Two properties matter for faithful reproduction:
 
 Because all activity is piecewise-constant between simulation events, the
 :class:`EnergyIntegrator` integrates power exactly: callers checkpoint the
-integrator *before* any state change that affects power.
+machine (:meth:`~repro.hardware.machine.Machine.checkpoint`) *before* any
+state change that affects power.
 """
 
 from __future__ import annotations
@@ -146,10 +147,12 @@ class _Accumulators:
 class EnergyIntegrator:
     """Exact energy integration over piecewise-constant activity.
 
-    The owning :class:`~repro.hardware.machine.Machine` calls
-    :meth:`checkpoint` with the current time *before* mutating any state
-    that affects power (dispatch, block, duty change, I/O start/end).  The
-    integrator closes the elapsed interval at the pre-mutation power level.
+    Holds the cumulative joule accumulators and the time up to which they
+    are integrated.  The owning :class:`~repro.hardware.machine.Machine`
+    advances them in :meth:`~repro.hardware.machine.Machine.checkpoint`,
+    called *before* mutating any state that affects power (dispatch,
+    block, duty change, I/O start/end), so each elapsed interval closes
+    at the pre-mutation power level.
     """
 
     def __init__(self, machine: "Machine") -> None:
@@ -167,19 +170,6 @@ class EnergyIntegrator:
     def last_time(self) -> float:
         """Simulated time up to which energy has been integrated."""
         return self._last_time
-
-    def checkpoint(self, now: float) -> None:
-        """Integrate the interval ``[last_time, now]`` at current power."""
-        dt = now - self._last_time
-        if dt < 0:
-            raise ValueError(f"time went backwards: {now} < {self._last_time}")
-        if dt == 0.0:
-            return
-        # Fused with the power computation (Machine.integrate_power) so the
-        # hot path allocates nothing; arithmetic matches power_breakdown()
-        # term for term.
-        self._machine.integrate_power(self._acc, dt)
-        self._last_time = now
 
     def add_impulse(
         self,

@@ -340,7 +340,7 @@ class Dispatcher:
         workload = self._pick_component()
         spec = workload.sample_request(self.rng)
         t = self.telemetry
-        if t is not None and t.enabled:
+        if t is not None:
             t.tracer.instant(
                 self.cluster.simulator.now,
                 "dispatch",
@@ -509,7 +509,7 @@ class Dispatcher:
                                      ticket)
         self.dispatched_to[member.name] += 1
         t = self.telemetry
-        if t is not None and t.enabled:
+        if t is not None:
             t.tracer.instant(
                 now,
                 "dispatch",

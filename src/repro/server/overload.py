@@ -452,7 +452,7 @@ class OverloadProtector:
         else:
             self.rejected += 1
         t = self.telemetry
-        if t is not None and t.enabled:
+        if t is not None:
             t.tracer.instant(
                 now,
                 "overload",

@@ -79,18 +79,12 @@ _RANK = {"crash": 0, "recover": 1, "inject": 2}
 #: plain data the checkpoint layer can snapshot and verify.
 _ENERGY_CHAIN_SEED = hashlib.sha256(b"shard-energy-chain-v1").hexdigest()
 
-#: Run-level telemetry modes.  ``"off"`` -- nothing; ``"disabled"`` --
-#: workers carry an enabled=False handle (the neutrality/overhead arm);
-#: ``"store"`` -- coordinator-side rollups + detectors from the merged
-#: completion stream only (zero worker-side cost, the flash-scale
-#: default); ``"on"`` -- everything: per-shard frames merged into one
-#: global tracer/registry plus the store and detectors.
-RUN_TELEMETRY_MODES = ("off", "disabled", "store", "on")
-
-#: Run-level telemetry mode -> per-shard worker mode.
-_WORKER_TELEMETRY = {
-    "off": "off", "disabled": "disabled", "store": "off", "on": "on",
-}
+#: Run-level telemetry modes.  ``"off"`` -- nothing; ``"store"`` --
+#: coordinator-side rollups + detectors from the merged completion
+#: stream only (zero worker-side cost, the flash-scale default);
+#: ``"on"`` -- everything: per-shard frames merged into one global
+#: tracer/registry plus the store and detectors.
+RUN_TELEMETRY_MODES = ("off", "store", "on")
 
 
 @dataclass(frozen=True)
@@ -134,7 +128,6 @@ class ShardRunConfig:
     telemetry: str = "off"
     #: Newest merged events the coordinator retains for trace export.
     telemetry_capacity: int = 65536
-    telemetry_top_k: int = 10
 
     def __post_init__(self) -> None:
         """Reject impossible configs at construction, not mid-run."""
@@ -173,12 +166,11 @@ class ShardRunConfig:
                 f"telemetry mode must be one of {RUN_TELEMETRY_MODES}, "
                 f"got {self.telemetry!r}"
             )
-        for name in ("telemetry_capacity", "telemetry_top_k"):
-            value = getattr(self, name)
-            if value < 1:
-                raise ValueError(
-                    f"{name} must be >= 1, got {value!r}"
-                )
+        if self.telemetry_capacity < 1:
+            raise ValueError(
+                f"telemetry_capacity must be >= 1, "
+                f"got {self.telemetry_capacity!r}"
+            )
 
     def machine_table(self) -> list[tuple[str, str]]:
         """``(name, spec_name)`` rows in cluster insertion order."""
@@ -239,7 +231,7 @@ class ShardRunResult:
     #: True when ``resume_sharded`` verified its replay at the checkpoint.
     resumed: bool = False
     #: Plain-data observability roll-up (trace/alert/store fingerprints,
-    #: merge counters); empty when telemetry mode is "off"/"disabled".
+    #: merge counters); empty when telemetry mode is "off".
     telemetry_summary: dict = field(default_factory=dict)
     #: The live :class:`~repro.telemetry.ClusterObservability` (dashboard
     #: export, queries); ``None`` unless mode is "store"/"on".
@@ -361,7 +353,7 @@ class ShardedClusterRun:
                 shard_id=shard_id,
                 machines=tuple(shard_machines[shard_id]),
                 workload=config.workload,
-                telemetry=_WORKER_TELEMETRY[config.telemetry],
+                telemetry="on" if config.telemetry == "on" else "off",
             )
             for shard_id in range(config.n_shards)
         ]
@@ -373,7 +365,6 @@ class ShardedClusterRun:
                 rack_caps=rack_caps,
                 frames=config.telemetry == "on",
                 capacity=config.telemetry_capacity,
-                top_k=config.telemetry_top_k,
             )
         hub = RngHub(config.seed)
         self._arrival_rng = hub.stream("shard-arrivals")

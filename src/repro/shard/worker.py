@@ -34,9 +34,9 @@ from repro.shard.messages import (
 )
 from repro.telemetry import FrameDrain, Telemetry
 
-#: Legal per-shard telemetry modes: no handle at all, an attached but
-#: disabled handle (the neutrality/overhead arm), or full frame shipping.
-SHARD_TELEMETRY_MODES = ("off", "disabled", "on")
+#: Legal per-shard telemetry modes: no handle at all, or full frame
+#: shipping.
+SHARD_TELEMETRY_MODES = ("off", "on")
 
 
 @dataclass(frozen=True)
@@ -50,9 +50,8 @@ class ShardConfig:
     property worker-crash recovery rests on.
 
     ``telemetry`` selects the shard's observability mode: ``"off"`` (no
-    handle -- the pre-telemetry code paths, byte-identical), ``"disabled"``
-    (a handle with ``enabled=False`` -- one attribute check per site), or
-    ``"on"`` (record everything and ship a telemetry frame each barrier).
+    handle -- the pre-telemetry code paths, byte-identical) or ``"on"``
+    (record everything and ship a telemetry frame each barrier).
     Frames are a pure function of config + directives, so replay after a
     worker crash regenerates them bit-for-bit.
     """
@@ -107,7 +106,7 @@ class ShardWorld:
     late_replies: int = 0
     completed_per_machine: dict[str, int] = field(default_factory=dict)
     energy_per_machine: dict[str, float] = field(default_factory=dict)
-    #: One shared handle per shard ("disabled"/"on" modes); tracks are
+    #: One shared handle per shard ("on" mode); tracks are
     #: machine-scoped via ``telemetry_node``, so sharing one tracer ring
     #: never mixes machines' event order within a track.
     telemetry: object = None
@@ -120,14 +119,12 @@ class ShardWorld:
         from repro.hardware.specs import spec_by_name
 
         telemetry = None
-        if config.telemetry != "off":
+        if config.telemetry == "on":
             # The frame drain empties the ring at every barrier, which
             # bounds it to one epoch; unbounded in between, recording is
             # lossless, so ring pressure can never cut a shard-dependent
             # slice out of the merged trace.
-            telemetry = Telemetry(
-                enabled=config.telemetry == "on", capacity=None
-            )
+            telemetry = Telemetry(capacity=None)
         cluster = HeterogeneousCluster()
         for name, spec_name in config.machines:
             facility_kwargs = None
@@ -145,7 +142,7 @@ class ShardWorld:
         cluster.build_workload(workload)
         world = cls(config=config, cluster=cluster, workload=workload)
         world.telemetry = telemetry
-        if config.telemetry == "on":
+        if telemetry is not None:
             world.drain = FrameDrain(telemetry)
         for member in cluster.machines:
             world.completed_per_machine[member.name] = 0

@@ -323,31 +323,26 @@ class TelemetryAggregator:
 
     The streaming fingerprint chains one sha256 per barrier over the
     merged canonical event lines, so invariance holds without retaining
-    events.  When ``retain`` is true (the default) the newest barriers
-    holding the last ``capacity`` merged events are kept as their
-    encoded frame bodies, and :attr:`tracer` decodes them into a
-    :class:`RequestTracer` for Chrome-trace export on demand; flash-scale
-    runs can turn retention off and still fingerprint/aggregate
-    everything.
+    events.  The newest barriers holding the last ``capacity`` merged
+    events are kept as their encoded frame bodies, and :attr:`tracer`
+    decodes them into a :class:`RequestTracer` for Chrome-trace export
+    on demand.
     """
 
-    def __init__(self, capacity: int = 65536, retain: bool = True) -> None:
+    def __init__(self, capacity: int = 65536) -> None:
         self.registry = MetricsRegistry()
         self.capacity = capacity
         #: ``(events, frame bodies)`` per retained barrier, oldest first.
-        self._kept: Optional[deque] = deque() if retain else None
+        self._kept: deque = deque()
         self._kept_events = 0
         self.chain = MERGE_CHAIN_SEED
         self.events_merged = 0
         self.frames_merged = 0
 
     @property
-    def tracer(self) -> Optional[RequestTracer]:
+    def tracer(self) -> RequestTracer:
         """The newest ``capacity`` merged events as a new
-        :class:`RequestTracer` (``None`` without retention); older merged
-        events count as dropped."""
-        if self._kept is None:
-            return None
+        :class:`RequestTracer`; older merged events count as dropped."""
         tracer = RequestTracer(capacity=self.capacity)
         for _count, bodies in self._kept:
             tracer.events.extend(
@@ -385,8 +380,7 @@ class TelemetryAggregator:
             )
             self.chain = digest.hexdigest()
             self.events_merged += len(merged)
-            if self._kept is not None:
-                self._keep(len(merged), tuple(f.body for f in decoded))
+            self._keep(len(merged), tuple(f.body for f in decoded))
         for frame in decoded:
             apply_metric_deltas(self.registry, frame.metrics)
             self.frames_merged += 1
@@ -408,12 +402,7 @@ class TelemetryAggregator:
         return self.registry.exposition()
 
     def to_chrome_json(self, indent: Optional[int] = None) -> str:
-        tracer = self.tracer
-        if tracer is None:
-            raise ValueError(
-                "aggregator built with retain=False keeps no events"
-            )
-        return tracer.to_chrome_json(indent=indent)
+        return self.tracer.to_chrome_json(indent=indent)
 
     # -- checkpoint protocol --------------------------------------------
     def snapshot_state(self) -> dict:
@@ -424,10 +413,7 @@ class TelemetryAggregator:
             "frames_merged": self.frames_merged,
             "registry": self.registry.snapshot_state(),
             "capacity": self.capacity,
-            "kept": (
-                [[count, list(bodies)] for count, bodies in self._kept]
-                if self._kept is not None else None
-            ),
+            "kept": [[count, list(bodies)] for count, bodies in self._kept],
         }
 
 
@@ -451,17 +437,14 @@ class ClusterObservability:
         rack_caps: dict[int, float] | None = None,
         frames: bool = False,
         capacity: int = 65536,
-        retain_trace: bool = True,
-        top_k: int = 10,
         thresholds: AnomalyThresholds | None = None,
     ) -> None:
         self.frames_enabled = frames
         self.aggregator = (
-            TelemetryAggregator(capacity=capacity, retain=retain_trace)
-            if frames else None
+            TelemetryAggregator(capacity=capacity) if frames else None
         )
         self.store = TelemetryStore(
-            epoch_seconds=epoch_seconds, rack_of=rack_of, top_k=top_k
+            epoch_seconds=epoch_seconds, rack_of=rack_of
         )
         self.engine = AnomalyEngine(
             rack_caps=rack_caps, thresholds=thresholds

@@ -369,13 +369,11 @@ class Telemetry:
     """The default-off handle threaded through the simulation stack.
 
     Components accept ``telemetry=None`` (the default) and guard every
-    instrumentation site with ``t = self.telemetry`` / ``if t is not None
-    and t.enabled:`` -- so runs without a handle are bit-identical to the
-    pre-telemetry code by construction, and an attached-but-disabled
-    handle costs one attribute check per site.
+    instrumentation site with ``t = self.telemetry`` / ``if t is not
+    None:`` -- so runs without a handle are bit-identical to the
+    pre-telemetry code by construction.  Telemetry is attached or absent.
     """
 
-    enabled: bool = True
     capacity: Optional[int] = 65536
     tracer: RequestTracer = field(default=None)  # type: ignore[assignment]
     registry: object = field(default=None)
@@ -397,8 +395,7 @@ class Telemetry:
     # ------------------------------------------------------------------
     def snapshot_state(self) -> dict:
         return {
-            "v": 1,
-            "enabled": self.enabled,
+            "v": 2,
             "tracer": self.tracer.snapshot_state(),
             "registry": self.registry.snapshot_state(),
         }

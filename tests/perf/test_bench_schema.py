@@ -10,7 +10,6 @@ import json
 import os
 
 from ci.perf import (
-    MAX_TELEMETRY_DISABLED_RATIO,
     MAX_TELEMETRY_FRAME_ON_RATIO,
     MIN_CALIBRATION_SPEEDUP_2_WORKERS,
     MIN_SHARD_SPEEDUP,
@@ -32,8 +31,8 @@ def _results(**overrides):
         "micro-event-vector": BenchResult(
             "micro-event-vector", "micro", 0.010,
         ),
-        "micro-telemetry-disabled-ratio": BenchResult(
-            "micro-telemetry-disabled-ratio", "micro", 0.05, ratio=1.0,
+        "micro-telemetry-frame-on-ratio": BenchResult(
+            "micro-telemetry-frame-on-ratio", "micro", 0.05, ratio=1.9,
         ),
         "micro-simulator-queue": BenchResult(
             "micro-simulator-queue", "micro", 0.13,
@@ -48,9 +47,9 @@ def test_write_emits_schema_2_with_ratio_fields(tmp_path):
     payload = write_bench_json(_results(), path)
     assert payload["schema"] == 2
     benchmarks = payload["benchmarks"]
-    entry = benchmarks["micro-telemetry-disabled-ratio"]
+    entry = benchmarks["micro-telemetry-frame-on-ratio"]
     assert entry["seconds"] == 0.05  # a wall time, not the ratio
-    assert entry["ratio"] == 1.0
+    assert entry["ratio"] == 1.9
     assert "ratio" not in benchmarks["micro-simulator-queue"]
     # Round trip through the loader.
     assert load_bench_json(path) == json.load(open(path))
@@ -73,7 +72,7 @@ def test_check_regressions_flags_every_dropped_benchmark():
     partial = {"micro-event-vector": _results()["micro-event-vector"]}
     problems = check_regressions(partial, committed)
     dropped = set(load_bench_json(committed)["benchmarks"]) - set(partial)
-    assert len(dropped) == 8
+    assert len(dropped) == 6
     assert len(problems) == len(dropped)
     assert {problem.split(":")[0] for problem in problems} == dropped
     assert all("not produced by this run" in p for p in problems)
@@ -111,29 +110,28 @@ def test_check_regressions_flags_ratio_floor(tmp_path, monkeypatch):
 
 def test_check_regressions_flags_ratio_budget(tmp_path):
     committed = str(tmp_path / "committed.json")
-    for name, budget in (
-        ("micro-telemetry-disabled-ratio", MAX_TELEMETRY_DISABLED_RATIO),
-        ("micro-telemetry-frame-on-ratio", MAX_TELEMETRY_FRAME_ON_RATIO),
-    ):
-        bad = _results(**{
-            name: BenchResult(name, "micro", 0.05, ratio=budget * 2),
-        })
-        write_bench_json(bad, committed)
-        problems = check_regressions(bad, committed)
-        assert len(problems) == 1
-        assert problems[0].startswith(f"{name}: ratio")
-        assert "exceeds budget" in problems[0]
+    name = "micro-telemetry-frame-on-ratio"
+    bad = _results(**{
+        name: BenchResult(
+            name, "micro", 0.05, ratio=MAX_TELEMETRY_FRAME_ON_RATIO * 2
+        ),
+    })
+    write_bench_json(bad, committed)
+    problems = check_regressions(bad, committed)
+    assert len(problems) == 1
+    assert problems[0].startswith(f"{name}: ratio")
+    assert "exceeds budget" in problems[0]
 
 
 def test_check_regressions_flags_missing_ratio(tmp_path):
     bad = _results(**{
-        "micro-telemetry-disabled-ratio": BenchResult(
-            "micro-telemetry-disabled-ratio", "micro", 0.05,
+        "micro-telemetry-frame-on-ratio": BenchResult(
+            "micro-telemetry-frame-on-ratio", "micro", 0.05,
         ),
     })
     problems = check_regressions(bad, _committed(tmp_path))
     assert problems == [
-        "micro-telemetry-disabled-ratio: no ratio was measured"
+        "micro-telemetry-frame-on-ratio: no ratio was measured"
     ]
 
 

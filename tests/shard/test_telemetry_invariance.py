@@ -3,7 +3,7 @@
 Three guarantees over the sharded stack:
 
 * **neutrality** -- report/shed/batch/energy fingerprints are
-  bit-identical with telemetry on, off, "store", or "disabled";
+  bit-identical with telemetry on, off, or "store";
 * **merge invariance** -- the merged ``trace_fingerprint()``, every
   store query, and ``alert_fingerprint()`` are identical across shard
   counts {1, 2, 4}, hypothesis-drawn seeds included;
@@ -80,7 +80,7 @@ def test_telemetry_modes_never_change_run_fingerprints():
     baseline, baseline_events = _run_counting_events(
         _config(42, 2, telemetry="off")
     )
-    for mode in ("disabled", "store", "on"):
+    for mode in ("store", "on"):
         result, events = _run_counting_events(_config(42, 2, telemetry=mode))
         assert result.fingerprints == baseline.fingerprints, mode
         assert events == baseline_events, mode

@@ -6,6 +6,8 @@ must end in a terminal :class:`WorkerQuarantinedError` carrying its
 diagnostic replay verdict -- never an unbounded revive loop.
 """
 
+import re
+
 import pytest
 
 from repro.shard import (
@@ -17,6 +19,7 @@ from repro.shard import (
     WorkerQuarantinedError,
     run_sharded,
 )
+from repro.telemetry import Telemetry
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -60,6 +63,20 @@ def test_shard_config_rejects_impossible_values(kwargs, match):
     values.update(kwargs)
     with pytest.raises(ValueError, match=match):
         ShardConfig(**values)
+
+
+@pytest.mark.parametrize("build,error,match", [
+    (lambda: ShardRunConfig(telemetry="disabled"), ValueError,
+     re.escape("('off', 'store', 'on')")),
+    (lambda: ShardConfig(0, (("m0", "sandybridge"),), "solr",
+                         telemetry="disabled"), ValueError,
+     re.escape("('off', 'on')")),
+    (lambda: Telemetry(enabled=False), TypeError, "enabled"),
+], ids=["run-config", "shard-config", "handle"])
+def test_telemetry_is_attached_or_absent(build, error, match):
+    """A handle records everything, or there is none."""
+    with pytest.raises(error, match=match):
+        build()
 
 
 def _one_shard():

@@ -145,19 +145,6 @@ def test_aggregator_counts_instants_and_skips_none_frames():
     assert agg.frames_merged == 1
 
 
-def test_aggregator_without_retention_still_fingerprints():
-    frame = TelemetryFrame.build(0, 0, (
-        (0.1, "request:m0/1", 0, "I", "x", ()),
-    ), ())
-    lean = TelemetryAggregator(retain=False)
-    lean.ingest([frame])
-    full = TelemetryAggregator()
-    full.ingest([frame])
-    assert lean.trace_fingerprint() == full.trace_fingerprint()
-    with pytest.raises(ValueError, match="retain=False"):
-        lean.to_chrome_json()
-
-
 # -- store ----------------------------------------------------------------
 def _tiny_store():
     store = TelemetryStore(

@@ -47,8 +47,7 @@ class _Spy:
 
         def spied_charge(accountant, now, *args):
             chipshare = charge(accountant, now, *args)
-            t = accountant.telemetry
-            if t is not None and t.enabled:
+            if accountant._timeline is not None:
                 container = accountant.bound_container
                 self.log.append((
                     accountant._timeline.prefix, "charge", now, container.id,
@@ -59,8 +58,7 @@ class _Spy:
 
         def spied_on_overflow(facility, core, process):
             on_overflow(facility, core, process)
-            t = facility.telemetry
-            if t is not None and t.enabled:
+            if facility.telemetry is not None:
                 self.log.append((
                     facility.energy_timeline.prefix, "overflow",
                     facility.simulator.now, core.index,

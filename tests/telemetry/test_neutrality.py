@@ -4,8 +4,7 @@ Two guarantees, mirroring the ``python -m ci telemetry`` lane:
 
 * **determinism** -- two identically-seeded instrumented runs produce
   bit-identical ``trace_fingerprint()`` digests;
-* **neutrality** -- attaching a telemetry handle (enabled or disabled)
-  leaves every attribution and energy number bit-identical to an
+* **neutrality** -- attaching a telemetry handle leaves every attribution and energy number bit-identical to an
   uninstrumented run, across hypothesis-drawn seeds.
 """
 
@@ -42,14 +41,9 @@ def _energy_fingerprint(seed: int, telemetry) -> tuple:
 @given(seed=st.integers(min_value=0, max_value=2**16))
 def test_telemetry_never_changes_attribution(seed):
     bare = _energy_fingerprint(seed, telemetry=None)
-    enabled = Telemetry()
-    assert _energy_fingerprint(seed, telemetry=enabled) == bare
-    assert len(enabled.tracer.events) > 0
-
-    disabled = Telemetry(enabled=False)
-    assert _energy_fingerprint(seed, telemetry=disabled) == bare
-    assert len(disabled.tracer.events) == 0
-    assert len(disabled.registry) == 0
+    telemetry = Telemetry()
+    assert _energy_fingerprint(seed, telemetry=telemetry) == bare
+    assert len(telemetry.tracer.events) > 0
 
 
 def test_trace_fingerprint_is_deterministic_across_runs():

@@ -132,15 +132,10 @@ def test_timeline_markers_limit_and_drop_footer():
 
 def test_telemetry_handle_defaults():
     t = Telemetry()
-    assert t.enabled
     assert t.tracer is not None
     assert t.registry is not None
     t.tracer.instant(0.0, "t", "e")
     assert t.trace_fingerprint() == t.tracer.trace_fingerprint()
-
-    off = Telemetry(enabled=False)
-    assert not off.enabled
-    assert len(off.tracer.events) == 0
 
 
 _span_args = st.dictionaries(
