@@ -9,19 +9,20 @@ the calibration of all three machine models at 1 and 2 workers.
 The single-machine Solr run is timed, bounded and fingerprinted by the
 repo benchmark (``bench/``, workload ``solr-pkgmeter``).
 
-``BENCH_perf.json`` (schema 2) records per benchmark a wall time
-(``seconds``), derived throughput, and an explicit ``ratio`` on the ratio
-benchmarks.
-:func:`check_regressions` holds a fresh run to it.  Wall-clock limits are
-machine-relative, hence the generous default threshold; the ratio bounds
-are not.  numpy is imported at the top, so ``ci.runner`` loads this module
-lazily.
+``BENCH_perf.json`` (schema 3) records the host it was measured on and,
+per benchmark, a wall time (``seconds``), derived throughput, and an
+explicit ``ratio`` on the ratio benchmarks.
+:func:`check_regressions` holds a fresh run to it.  Wall times are
+compared only against a record from the same host (see :func:`host_info`);
+the ratio bounds hold on any host.  numpy is imported at the top, so
+``ci.runner`` loads this module lazily.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import platform
 import subprocess
 import time
 from dataclasses import dataclass, field
@@ -452,6 +453,26 @@ RATIO_BOUNDS = (
 )
 
 
+def host_info() -> dict:
+    """The host a perf record was measured on: wall times compare only
+    between records whose host blocks are equal."""
+    cpu = platform.processor() or platform.machine()
+    try:
+        with open("/proc/cpuinfo") as fh:
+            for line in fh:
+                if line.startswith("model name"):
+                    cpu = line.split(":", 1)[1].strip()
+                    break
+    except OSError:
+        pass
+    return {
+        "nproc": os.cpu_count(),
+        "cpu": cpu,
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+    }
+
+
 def _entry(result: BenchResult) -> dict:
     """The fields both the baseline file and the trend history record."""
     entry: dict = {"kind": result.kind, "seconds": result.seconds}
@@ -463,16 +484,16 @@ def _entry(result: BenchResult) -> dict:
 def write_bench_json(results: dict[str, BenchResult], path: str) -> dict:
     """Serialize results to ``path``.
 
-    Schema 2: ``seconds`` is always a wall time, and ratio benchmarks
-    carry their machine-independent quantity in an explicit ``ratio``
-    field.
+    Schema 3: the ``host`` block of :func:`host_info`; per benchmark,
+    ``seconds`` is always a wall time, and ratio benchmarks carry their
+    machine-independent quantity in an explicit ``ratio`` field.
     """
     benchmarks = {}
     for name, result in results.items():
         entry = _entry(result)
         entry.update(result.throughput)
         benchmarks[name] = entry
-    payload = {"schema": 2, "benchmarks": benchmarks}
+    payload = {"schema": 3, "host": host_info(), "benchmarks": benchmarks}
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -498,6 +519,7 @@ def append_trend_history(results, problems, path: str) -> None:
     line = {
         "ts": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "sha": sha,
+        "host": host_info(),
         "threshold": TREND_THRESHOLD,
         "problems": list(problems),
         "benchmarks": {
@@ -518,14 +540,16 @@ def check_regressions(
 
     Returns a list of human-readable problems (empty = pass).  Every
     committed benchmark must be in ``results`` -- a benchmark the run
-    dropped would otherwise take its bounds with it -- every benchmark's
-    wall time must stay under ``threshold`` x its committed ``seconds``,
-    and every :data:`RATIO_BOUNDS` entry the host has the cores for must
-    hold.
+    dropped would otherwise take its bounds with it -- and every
+    :data:`RATIO_BOUNDS` entry the host has the cores for must hold.
+    When the committed file was measured on this host, every benchmark's
+    wall time must also stay under ``threshold`` x its committed
+    ``seconds``; otherwise no wall time is compared, and this says so.
     """
     from repro.sim.parallel import available_cores
 
-    committed = load_bench_json(committed_path)["benchmarks"]
+    payload = load_bench_json(committed_path)
+    committed = payload["benchmarks"]
     problems = [
         f"{name}: committed in {committed_path} but not produced by this run"
         for name in committed if name not in results
@@ -547,10 +571,19 @@ def check_regressions(
             problems.append(
                 f"{name}: {label} {value:.3f}x exceeds budget {bound:.2f}x"
             )
+    host = host_info()
+    same_host = payload.get("host") == host
+    if not same_host:
+        print(
+            f"no same-host baseline in {committed_path}: wall times not "
+            f"compared (recorded on {payload.get('host')}, this host {host})"
+        )
     for name, result in results.items():
         baseline = committed.get(name)
         if baseline is None:
             problems.append(f"{name}: no committed baseline in {committed_path}")
+            continue
+        if not same_host:
             continue
         limit = baseline["seconds"] * threshold
         if result.seconds > limit:

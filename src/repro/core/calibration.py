@@ -25,6 +25,7 @@ import numpy as np
 from repro.core.model import FEATURES_FULL, PowerModel
 from repro.hardware.events import RateProfile
 from repro.hardware.machine import Machine
+from repro.hardware.occupancy import OccupancyCounter
 from repro.hardware.specs import MachineSpec, build_machine
 from repro.kernel import Compute, DiskIO, Kernel, NetIO, Sleep
 from repro.sim.engine import Simulator
@@ -158,47 +159,6 @@ class CalibrationResult:
         }
 
 
-class _OsStateSampler:
-    """Periodic OS-visible sampling of chip/device busy fractions."""
-
-    def __init__(self, machine: Machine, simulator: Simulator, period: float = 1e-4):
-        self.machine = machine
-        self.simulator = simulator
-        self.period = period
-        self.chip_active_ticks = [0] * len(machine.chips)
-        self.disk_busy_ticks = 0
-        self.net_busy_ticks = 0
-        self.total_ticks = 0
-
-    def start(self) -> None:
-        self.simulator.schedule_recurring(self.period, self._tick)
-
-    def _tick(self) -> None:
-        self.total_ticks += 1
-        for chip in self.machine.chips:
-            if chip.active:
-                self.chip_active_ticks[chip.index] += 1
-        if self.machine.disk.busy:
-            self.disk_busy_ticks += 1
-        if self.machine.net.busy:
-            self.net_busy_ticks += 1
-
-    @property
-    def chipshare_metric(self) -> float:
-        """Machine-level Mchipshare: summed per-chip active fractions."""
-        if self.total_ticks == 0:
-            return 0.0
-        return sum(t / self.total_ticks for t in self.chip_active_ticks)
-
-    @property
-    def disk_metric(self) -> float:
-        return self.disk_busy_ticks / self.total_ticks if self.total_ticks else 0.0
-
-    @property
-    def net_metric(self) -> float:
-        return self.net_busy_ticks / self.total_ticks if self.total_ticks else 0.0
-
-
 def _run_calibration_point(
     spec: MachineSpec,
     bench: Microbenchmark,
@@ -231,13 +191,14 @@ def _run_calibration_point(
             pinned_core=full,
         )
 
-    sampler = _OsStateSampler(machine, sim)
-    sampler.start()
+    # OS-visible chip/device busy fractions on a 0.1 ms grid.
+    occupancy = OccupancyCounter(machine, 1e-4)
 
     start_energy = machine.integrator.active_joules
     start_counters = [core.counters.read() for core in machine.cores]
     sim.run_until(duration)
     machine.checkpoint()
+    chipshare, mdisk, mnet = occupancy.take()
 
     elapsed_cycles = machine.freq_hz * duration
     totals = {
@@ -258,9 +219,9 @@ def _run_calibration_point(
             totals["flop"] / elapsed_cycles,
             totals["cache"] / elapsed_cycles,
             totals["mem"] / elapsed_cycles,
-            sampler.chipshare_metric,
-            sampler.disk_metric,
-            sampler.net_metric,
+            chipshare,
+            mdisk,
+            mnet,
         ]
     )
     watts = (machine.integrator.active_joules - start_energy) / duration
@@ -308,21 +269,28 @@ def _calibrate(
     benchmarks: list[Microbenchmark] | None,
     jobs: int | None,
 ) -> list[CalibrationResult]:
-    """Calibrate ``specs`` with every point of every spec one task."""
+    """Calibrate ``specs`` with every point of every spec one task.
+
+    The package-idle reads go after every spec's points, so each spec's
+    points start at a multiple of their count: with one read per spec in
+    between (33 tasks a spec), the snake deal gave one chunk both the
+    100% and 75% points of every Westmere microbenchmark.
+    """
     benches = benchmarks if benchmarks is not None else calibration_microbenchmarks()
-    tasks = []
-    for spec in specs:
-        tasks += [
-            (_run_calibration_point, spec, bench, load, duration)
-            for bench in benches
-            for load in loads
-        ]
-        tasks.append((_measure_package_idle, spec))
+    tasks = [
+        (_run_calibration_point, spec, bench, load, duration)
+        for spec in specs
+        for bench in benches
+        for load in loads
+    ]
+    tasks += [(_measure_package_idle, spec) for spec in specs]
     outputs = parallel_starmap(lambda task, *args: task(*args), tasks, jobs=jobs)
-    per_spec = len(benches) * len(loads) + 1
+    per_spec = len(benches) * len(loads)
+    package_idles = outputs[len(specs) * per_spec:]
     results = []
     for index, spec in enumerate(specs):
-        *points, package_idle = outputs[index * per_spec:(index + 1) * per_spec]
+        points = outputs[index * per_spec:(index + 1) * per_spec]
+        package_idle = package_idles[index]
         samples = np.vstack([row for row, _watts in points])
         results.append(CalibrationResult(
             spec=spec,

@@ -48,6 +48,7 @@ from repro.core.registry import ContainerRegistry
 from repro.hardware.core import Core
 from repro.hardware.counters import COUNTER_WRAP
 from repro.hardware.meters import _PeriodicMeter
+from repro.hardware.occupancy import OccupancyCounter
 from repro.kernel import Kernel, KernelHooks, Message, Process
 from repro.kernel.sockets import Endpoint
 
@@ -255,9 +256,12 @@ class PowerContainerFacility(KernelHooks):
             if trace_period is not None
             else (meter.period if meter is not None else 10e-3)
         )
-        #: Period of the device/chip activity subsampling tick (1 ms, or
+        #: Grid period of the OS-visible chip/device busy counts (1 ms, or
         #: the trace period when that is shorter).
         self.os_subsample = min(1e-3, self.trace_period)
+        #: The machine's occupancy counter on that grid, from
+        #: :meth:`start_tracing` on; each trace tick takes its counts.
+        self.occupancy: Optional[OccupancyCounter] = None
         #: The model trace, in columns: interval-end times, the primary
         #: model's machine active watts, and the FEATURES_FULL row of each
         #: trace tick.  Growable buffers; the first ``_trace_len`` entries
@@ -287,10 +291,6 @@ class PowerContainerFacility(KernelHooks):
             )
         else:
             self.meter_staleness_timeout = float("inf")
-        self._tick_chip_active = [0] * len(self.machine.chips)
-        self._tick_disk = 0
-        self._tick_net = 0
-        self._tick_subsamples = 0
         self._trace_last_counters = [
             kernel.effective_core_counters(core) for core in self.machine.cores
         ]
@@ -370,26 +370,13 @@ class PowerContainerFacility(KernelHooks):
             self.kernel.effective_core_counters(core)
             for core in self.machine.cores
         ]
-        self.simulator.schedule_recurring(self.os_subsample, self._os_tick)
+        self.occupancy = OccupancyCounter(self.machine, self.os_subsample)
         self.simulator.schedule_recurring(self.trace_period, self._trace_tick)
         if self.meter is not None:
             self.meter.start()
             self.simulator.schedule_recurring(
                 self.recalib_interval, self._recalib_tick
             )
-
-    def _os_tick(self) -> None:
-        if not self._tracing:
-            self.simulator.current_event.cancel()
-            return
-        self._tick_subsamples += 1
-        for chip in self.machine.chips:
-            if chip.active:
-                self._tick_chip_active[chip.index] += 1
-        if self.machine.disk.busy:
-            self._tick_disk += 1
-        if self.machine.net.busy:
-            self._tick_net += 1
 
     def _trace_tick(self) -> None:  # hot-path
         if not self._tracing:
@@ -431,14 +418,13 @@ class PowerContainerFacility(KernelHooks):
             if d < 0.0:
                 d = d + COUNTER_WRAP if d < -0.5 else 0.0
             t_mem += d
-        subs = max(self._tick_subsamples, 1)
-        chipshare = sum(t / subs for t in self._tick_chip_active)
-        mdisk = self._tick_disk / subs
-        mnet = self._tick_net / subs
-        self._tick_chip_active = [0] * len(self.machine.chips)
-        self._tick_disk = 0
-        self._tick_net = 0
-        self._tick_subsamples = 0
+        # The grid instant at a trace time belongs to this interval when
+        # the two periods are equal (the grid chain was armed first) and
+        # to the next one when the trace period is longer (its tick was
+        # armed a whole trace period before the grid instant's).
+        chipshare, mdisk, mnet = self.occupancy.take(
+            inclusive=self.os_subsample == self.trace_period
+        )
 
         n = self._trace_len
         if n == len(self._trace_times):
@@ -840,7 +826,7 @@ class PowerContainerFacility(KernelHooks):
         rendered with ``str`` keys for verification only.
         """
         return {
-            "v": 1,
+            "v": 2,
             "primary": self.primary,
             "registry": self.registry.snapshot_state(),
             "accountants": {
@@ -876,10 +862,11 @@ class PowerContainerFacility(KernelHooks):
                 "rejected_meter_samples": self.health.rejected_meter_samples,
                 "untagged_segments": self.health.untagged_segments,
             },
-            "tick_chip_active": list(self._tick_chip_active),
-            "tick_disk": self._tick_disk,
-            "tick_net": self._tick_net,
-            "tick_subsamples": self._tick_subsamples,
+            "occupancy": (
+                self.occupancy.snapshot_state()
+                if self.occupancy is not None
+                else None
+            ),
             "trace_last_counters": [
                 list(entry) for entry in self._trace_last_counters
             ],

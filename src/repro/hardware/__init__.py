@@ -20,6 +20,7 @@ from repro.hardware.chip import Chip
 from repro.hardware.power import TruePowerModel, PowerBreakdown, EnergyIntegrator
 from repro.hardware.machine import Machine, DiskDevice, NetDevice
 from repro.hardware.meters import PackageMeter, WallMeter, MeterSample
+from repro.hardware.occupancy import OccupancyCounter
 from repro.hardware.contention import CacheContentionModel
 from repro.hardware.specs import (
     MachineSpec,
@@ -47,6 +48,7 @@ __all__ = [
     "PackageMeter",
     "WallMeter",
     "MeterSample",
+    "OccupancyCounter",
     "CacheContentionModel",
     "MachineSpec",
     "SANDYBRIDGE",

@@ -54,10 +54,13 @@ class Chip:
         self._refresh_power_factors()
         # Busy-core count, maintained by Core.begin_activity/end_activity
         # (the only mutators of a core's activity state).  ``active`` and
-        # ``busy_core_count`` are read on every energy checkpoint and every
-        # OS utilization subsample; the counter replaces a generator scan
-        # of the core list on each read.
+        # ``busy_core_count`` are read on every energy checkpoint; the
+        # counter replaces a generator scan of the core list on each read.
         self._busy_count = 0
+        #: The machine's :class:`~repro.hardware.occupancy.OccupancyCounter`,
+        #: told before ``_busy_count`` leaves or returns to zero; ``None``
+        #: when the machine has none.
+        self._occupancy = None
         self.cores = [
             Core(
                 index=machine.next_core_index(),

@@ -133,7 +133,10 @@ class Core:
         """
         prev = self.active_profile
         if prev is None:
-            self.chip._busy_count += 1
+            chip = self.chip
+            if chip._occupancy is not None and chip._busy_count == 0:
+                chip._occupancy.advance()
+            chip._busy_count += 1
         self.active_profile = profile
         self.current_owner = owner
         if profile is not prev:
@@ -144,7 +147,10 @@ class Core:
         """Return the core to the halted idle state."""
         changed = False
         if self.active_profile is not None:
-            self.chip._busy_count -= 1
+            chip = self.chip
+            if chip._occupancy is not None and chip._busy_count == 1:
+                chip._occupancy.advance()
+            chip._busy_count -= 1
             self.active_profile = None
             changed = True
         self.current_owner = None

@@ -37,6 +37,10 @@ class _Device:
         self.base_latency_sec = base_latency_sec
         self.inflight = 0
         self.total_bytes = 0.0
+        #: The machine's :class:`~repro.hardware.occupancy.OccupancyCounter`,
+        #: told before ``inflight`` leaves or returns to zero; ``None`` when
+        #: the machine has none.
+        self._occupancy = None
 
     @property
     def busy(self) -> bool:
@@ -52,6 +56,8 @@ class _Device:
     def begin_transfer(self, nbytes: float) -> float:
         """Start a transfer; returns its duration.  Checkpoints energy."""
         self.machine.checkpoint()
+        if self._occupancy is not None and self.inflight == 0:
+            self._occupancy.advance()
         self.inflight += 1
         self.total_bytes += nbytes
         self.machine._power_epoch += 1
@@ -62,6 +68,8 @@ class _Device:
         if self.inflight <= 0:
             raise RuntimeError(f"{self.name}: no transfer in flight")
         self.machine.checkpoint()
+        if self._occupancy is not None and self.inflight == 1:
+            self._occupancy.advance()
         self.inflight -= 1
         self.machine._power_epoch += 1
 

@@ -1,9 +1,9 @@
-"""BENCH_perf.json schema 2: ratio fields and the regression gates.
+"""BENCH_perf.json schema 3: host block, ratio fields, regression gates.
 
-Schema 2 keeps ``seconds`` as a wall time everywhere and carries each
-ratio benchmark's machine-independent quantity in an explicit ``ratio``
-field; these tests pin the writer and the ``check_regressions`` contract
-on both fields.
+Schema 3 stamps the file with the host it was measured on, keeps
+``seconds`` as a wall time everywhere and carries each ratio benchmark's
+machine-independent quantity in an explicit ``ratio`` field; these tests
+pin the writer and the ``check_regressions`` contract on all three.
 """
 
 import json
@@ -15,7 +15,9 @@ from ci.perf import (
     MIN_SHARD_SPEEDUP,
     MIN_SHARD_SPEEDUP_2_WORKERS,
     BenchResult,
+    append_trend_history,
     check_regressions,
+    host_info,
     load_bench_json,
     write_bench_json,
 )
@@ -42,10 +44,12 @@ def _results(**overrides):
     return results
 
 
-def test_write_emits_schema_2_with_ratio_fields(tmp_path):
+def test_write_emits_schema_3_with_host_and_ratio_fields(tmp_path):
     path = str(tmp_path / "bench.json")
     payload = write_bench_json(_results(), path)
-    assert payload["schema"] == 2
+    assert payload["schema"] == 3
+    assert payload["host"] == host_info()
+    assert set(payload["host"]) == {"nproc", "cpu", "python", "numpy"}
     benchmarks = payload["benchmarks"]
     entry = benchmarks["micro-telemetry-frame-on-ratio"]
     assert entry["seconds"] == 0.05  # a wall time, not the ratio
@@ -87,6 +91,38 @@ def test_check_regressions_flags_wall_time(tmp_path):
     problems = check_regressions(slow, _committed(tmp_path))
     assert len(problems) == 1
     assert "micro-simulator-queue" in problems[0]
+
+
+def test_wall_times_compare_only_against_a_same_host_record(
+    tmp_path, capsys
+):
+    """A baseline from another host gates no wall time, says so, and
+    still holds every ratio bound."""
+    committed = _committed(tmp_path)
+    payload = load_bench_json(committed)
+    payload["host"] = dict(payload["host"], cpu="another cpu")
+    with open(committed, "w") as fh:
+        json.dump(payload, fh)
+    name = "micro-telemetry-frame-on-ratio"
+    slow = _results(**{
+        "micro-simulator-queue": BenchResult(
+            "micro-simulator-queue", "micro", 10.0,
+        ),
+        name: BenchResult(
+            name, "micro", 0.05, ratio=MAX_TELEMETRY_FRAME_ON_RATIO * 2
+        ),
+    })
+    problems = check_regressions(slow, committed)
+    assert len(problems) == 1
+    assert problems[0].startswith(f"{name}: ratio")
+    assert "no same-host baseline" in capsys.readouterr().out
+
+
+def test_trend_history_lines_carry_the_host(tmp_path):
+    path = str(tmp_path / "history" / "BENCH_history.jsonl")
+    append_trend_history(_results(), [], path)
+    (line,) = open(path).read().splitlines()
+    assert json.loads(line)["host"] == host_info()
 
 
 def test_check_regressions_flags_ratio_floor(tmp_path, monkeypatch):
@@ -186,11 +222,13 @@ def test_calibration_speedup_floor_needs_two_cores(tmp_path, monkeypatch):
     assert problems[0].startswith("macro-calibration: 2-worker speedup")
 
 
-def test_committed_bench_json_is_schema_2_with_real_wall_times():
-    """The repo-root BENCH_perf.json must carry explicit ratios and keep
-    every ``seconds`` field a plausible wall time (< 60 s)."""
+def test_committed_bench_json_is_schema_3_with_real_wall_times():
+    """The repo-root BENCH_perf.json must name its host, carry explicit
+    ratios and keep every ``seconds`` field a plausible wall time
+    (< 60 s)."""
     payload = load_bench_json(os.path.join(ROOT, "BENCH_perf.json"))
-    assert payload["schema"] == 2
+    assert payload["schema"] == 3
+    assert set(payload["host"]) == {"nproc", "cpu", "python", "numpy"}
     for name, entry in payload["benchmarks"].items():
         assert entry["seconds"] < 60.0, name
         if "ratio" in entry:
